@@ -10,7 +10,10 @@ use qic_physics::error::ErrorRates;
 
 use qic_purify::analysis::figure8_series;
 use qic_purify::protocol::{Protocol, RoundNoise};
-use qic_sweep::{Axis, Campaign, CampaignReport, Metrics, ParamSpace};
+use qic_sweep::{
+    Axis, Campaign, CampaignProgress, CampaignReport, Metrics, ParamSpace, RunCtx, RunOptions,
+    SweepPoint,
+};
 
 use crate::chain::chained_error_series;
 use crate::plan::ChannelModel;
@@ -189,6 +192,18 @@ pub fn placement_series_of(report: &CampaignReport, metric: &str) -> Vec<Series>
         .collect()
 }
 
+/// Runs a closed-form campaign to completion on a per-call pool.
+fn run_to_completion<F>(campaign: Campaign, eval: F) -> CampaignReport
+where
+    F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Send + Sync + 'static,
+{
+    campaign
+        .run(&RunOptions::default(), eval)
+        .ok()
+        .and_then(CampaignProgress::complete)
+        .expect("an uncheckpointed, unbudgeted run completes")
+}
+
 fn pairs_campaign(model: &ChannelModel, max_hops: u32, metric: PairMetric) -> CampaignReport {
     let space = ParamSpace::new().axis(placement_axis()).axis(Axis::ints(
         "hops",
@@ -198,7 +213,8 @@ fn pairs_campaign(model: &ChannelModel, max_hops: u32, metric: PairMetric) -> Ca
         PairMetric::TotalPairs => "figure10",
         PairMetric::TeleportedPairs => "figure11",
     };
-    Campaign::new(name, space).run(|point, _ctx| {
+    let model = model.clone();
+    run_to_completion(Campaign::new(name, space), move |point, _ctx| {
         let placement = PurifyPlacement::FIGURE_SET[point.coord(0)];
         let m = model.clone().with_placement(placement);
         Metrics::new().with("pairs", pair_budget(&m, point.u32("hops"), metric))
@@ -235,7 +251,7 @@ pub fn figure12_campaign(hops: u32, points_per_decade: u32) -> CampaignReport {
     let space = ParamSpace::new()
         .axis(placement_axis())
         .axis(Axis::log_spaced("error_rate", -9, -4, points_per_decade));
-    Campaign::new("figure12", space).run(|point, _ctx| {
+    run_to_completion(Campaign::new("figure12", space), move |point, _ctx| {
         let placement = PurifyPlacement::FIGURE_SET[point.coord(0)];
         let p = point.f64("error_rate");
         let rates = ErrorRates::uniform(p).expect("sweep values are probabilities");
@@ -402,8 +418,9 @@ mod tests {
         let space = ParamSpace::new()
             .axis(Axis::ints("a", [1, 2]))
             .axis(Axis::ints("b", [1, 2]));
-        let report =
-            Campaign::new("not-a-figure", space).run(|_, _| Metrics::new().with("pairs", 1.0));
+        let report = run_to_completion(Campaign::new("not-a-figure", space), |_, _| {
+            Metrics::new().with("pairs", 1.0)
+        });
         let _ = placement_series_of(&report, "pairs");
     }
 

@@ -11,8 +11,10 @@
 //!   Shor / synthetic or raw batch traffic), purification strategy,
 //!   sweep axes, replicates and seeding — and round-trips through JSON
 //!   ([`ScenarioSpec::to_json`] / [`ScenarioSpec::from_json`]);
-//! * [`run`] is the single entry point: validate, build the campaign,
+//! * [`run`] is the entry point: validate, build the campaign,
 //!   evaluate deterministically, return a [`ScenarioReport`];
+//!   [`run_with`] adds the [`qic_sweep::RunOptions`] (shared executor,
+//!   shard, budget, progress, cancel) for services and fan-out;
 //! * [`ScenarioRegistry`] names the presets (`fig10`…`fig16`,
 //!   `topology_faceoff`, and studies the legacy per-figure functions
 //!   could not express, like the Figure 16 sweep on a torus).
@@ -48,9 +50,7 @@ mod spec;
 pub use digest::SpecDigest;
 pub use qic_sweep::json::JsonError;
 pub use registry::{faceoff_spec, fig16_spec, ScenarioEntry, ScenarioRegistry, ScenarioScale};
-pub use runner::{
-    run, run_budgeted, run_on, run_on_cancellable, run_shard, ScenarioProgress, ScenarioReport,
-};
+pub use runner::{run, run_with, ScenarioProgress, ScenarioReport};
 pub use spec::{
     ratio_resources, CheckpointSpec, ExperimentSpec, MachineSpec, NetPreset, ObserveSpec,
     ScenarioAxis, ScenarioError, ScenarioSpec, WorkloadSpec,
@@ -369,6 +369,10 @@ mod tests {
         let bad_kind = json.replace("\"channel\"", "\"chanel\"");
         assert!(ScenarioSpec::from_json(&bad_kind).is_err());
         assert!(ScenarioSpec::from_json("not json").is_err());
+        assert!(matches!(
+            ScenarioSpec::from_json(&"[".repeat(100_000)),
+            Err(ScenarioError::Json(_))
+        ));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The single entry point: `run(&spec) -> ScenarioReport`.
+//! The scenario entry points: `run(&spec)` and `run_with(&spec, &opts)`.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -15,8 +15,8 @@ use qic_net::sim::{BatchDriver, NetworkSim};
 use qic_net::topology::{Coord, Topology, TopologyKind};
 use qic_probe::RecordingProbe;
 use qic_sweep::{
-    Campaign, CampaignProgress, CampaignReport, CancelToken, CheckpointConfig, CheckpointError,
-    Executor, JsonlProgress, Metrics, NoProgress, ProgressSink, Shard,
+    Campaign, CampaignProgress, CampaignReport, CheckpointConfig, CheckpointError, JsonlProgress,
+    Metrics, RunCtx, RunOptions, SweepPoint,
 };
 use qic_workload::Program;
 
@@ -53,223 +53,162 @@ impl ScenarioReport {
     }
 }
 
-/// How far a budgeted, checkpointed scenario run got — either the
-/// finished report or the checkpoint manifest's progress.
+/// How far a [`run_with`] call got — either the finished report or,
+/// for a budgeted or cancelled run, how many points are complete.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioProgress {
     /// Every point completed; the full report.
     Complete(Box<ScenarioReport>),
-    /// The point budget ran out; the manifest holds `done` of `total`
-    /// points and a later run resumes from it.
+    /// The point budget ran out or the run was cancelled. When
+    /// checkpointed, the manifest holds `done` of `total` points and a
+    /// later run resumes from it.
     Partial {
-        /// Points completed so far (across all runs).
+        /// Points completed so far (across all runs of the manifest).
         done: usize,
-        /// Points in the scenario's sweep.
+        /// Points in the scenario's sweep (in the shard, when sharded).
         total: usize,
     },
 }
 
-/// Which slice of the campaign this invocation executes.
-#[derive(Clone, Copy)]
-enum ExecMode {
-    /// The whole campaign (resuming from a checkpoint manifest when the
-    /// spec asks for one).
-    Full,
-    /// One contiguous shard of the point space, buffered.
-    Shard(Shard),
-    /// Checkpointed with a point budget: stop after this many newly
-    /// completed points (`None` = run to completion).
-    Budgeted(Option<usize>),
-}
-
-/// An execution's result: a report, or checkpointed partial progress.
-enum ExecOutcome {
-    Report(CampaignReport),
-    Partial { done: usize, total: usize },
-}
-
 /// Runs a scenario: validates the spec, builds the campaign its axes
 /// describe, evaluates every point (in parallel, deterministically) and
-/// returns the report.
+/// returns the report — [`run_with`] under default [`RunOptions`].
 ///
-/// This is the one entry point every experiment goes through — the
-/// figure presets in [`crate::scenario::ScenarioRegistry`], the
-/// examples, and ad-hoc specs loaded from JSON. Specs with a
+/// This is the entry point every experiment goes through — the figure
+/// presets in [`crate::scenario::ScenarioRegistry`], the examples, and
+/// ad-hoc specs loaded from JSON. Specs with a
 /// [`crate::scenario::CheckpointSpec`] resume from their manifest and
 /// run to completion.
 ///
 /// # Errors
 ///
-/// [`ScenarioError`] if the spec fails validation or — for
-/// checkpointed specs — the manifest cannot be read, written, or does
-/// not belong to this spec. Running a validated, uncheckpointed spec
-/// cannot fail.
+/// As [`run_with`]. Running a validated spec with neither a checkpoint
+/// nor an observe block cannot fail.
 pub fn run(spec: &ScenarioSpec) -> Result<ScenarioReport, ScenarioError> {
-    spec.validate()?;
-    match dispatch(spec, ExecMode::Full)? {
-        ExecOutcome::Report(report) => Ok(ScenarioReport {
-            spec: spec.clone(),
-            report,
-        }),
-        ExecOutcome::Partial { .. } => unreachable!("a full run always completes"),
+    match run_with(spec, &RunOptions::default())? {
+        ScenarioProgress::Complete(report) => Ok(*report),
+        ScenarioProgress::Partial { .. } => {
+            unreachable!("an unbudgeted, uncancelled run completes")
+        }
     }
 }
 
-/// Runs one contiguous shard of a scenario's campaign: the points of
-/// `shard` evaluate exactly as they would in [`run`] (per-point seeds
-/// derive from absolute indices), and the report contains only those
-/// points. Merging every shard's report with
-/// [`qic_sweep::CampaignReport::merge`] reproduces the serial report
-/// byte for byte — the cross-process fan-out primitive behind
-/// `scenario_run --shard i/K`.
+/// Runs a scenario under explicit [`RunOptions`]: a shared
+/// [`qic_sweep::Executor`], one shard `i/K` of the sweep, a point
+/// budget, a progress sink, a cancel token — in any combination the
+/// options allow. The report is byte-identical to [`run`]'s whatever
+/// the options pick.
+///
+/// The spec's [`crate::scenario::CheckpointSpec`], when present, fills
+/// `opts.checkpoint` with the manifest `{dir}/{name}.ckpt.json`.
+/// Checkpointed runs aggregate streaming (see
+/// [`RunOptions::checkpoint`]) and resume from the manifest; a budgeted
+/// run evaluates at most `budget` not-yet-completed points and reports
+/// [`ScenarioProgress::Partial`] until a later call completes it. The
+/// spec's `workers` hint sizes the per-call pool; a shared executor was
+/// sized when it was built.
+///
+/// An [`crate::scenario::ObserveSpec`] writes per-point traces into its
+/// directory and, for whole runs without a caller-supplied progress
+/// sink, a `{name}.progress.jsonl` stream (wall-clock, outside the
+/// determinism contract) that counts points. Sharded and checkpointed
+/// runs skip the stream: their shard merge or manifest is their
+/// progress record.
 ///
 /// # Errors
 ///
-/// [`ScenarioError`] if the spec fails validation, or if it has a
-/// checkpoint block (a shard neither reads nor writes the manifest, so
-/// combining the two would silently disable resume).
-pub fn run_shard(spec: &ScenarioSpec, shard: Shard) -> Result<ScenarioReport, ScenarioError> {
-    spec.validate()?;
-    if spec.checkpoint.is_some() {
-        return Err(ScenarioError::Spec {
-            scenario: spec.name.clone(),
-            problem: "sharded runs do not checkpoint; drop the checkpoint block \
-                      (shards are restarted whole) or run unsharded"
-                .into(),
-        });
-    }
-    match dispatch(spec, ExecMode::Shard(shard))? {
-        ExecOutcome::Report(report) => Ok(ScenarioReport {
-            spec: spec.clone(),
-            report,
-        }),
-        ExecOutcome::Partial { .. } => unreachable!("shard runs always complete"),
-    }
-}
-
-/// Runs a checkpointed scenario with a point budget: at most `budget`
-/// not-yet-completed points are evaluated before the manifest is
-/// committed and progress reported (`None` = run to completion). Call
-/// repeatedly — or from separate processes, one after another — until
-/// [`ScenarioProgress::Complete`]; the final report is byte-identical
-/// to an uninterrupted run's.
-///
-/// # Errors
-///
-/// [`ScenarioError`] if the spec fails validation, has no checkpoint
-/// block (there is nowhere to record progress), or the manifest cannot
-/// be read, written, or does not belong to this spec.
-pub fn run_budgeted(
+/// [`ScenarioError`] if the spec fails validation; if a shard is asked
+/// of a checkpointed run (a shard is restarted whole, so combining the
+/// two would silently disable resume) or a budget of an uncheckpointed
+/// one (there is nowhere to record progress); if the observe or
+/// manifest directory, or the progress stream, cannot be created —
+/// all before any point runs; or if the manifest cannot be read,
+/// written, or does not belong to this spec.
+pub fn run_with(
     spec: &ScenarioSpec,
-    budget: Option<usize>,
+    opts: &RunOptions<'_>,
 ) -> Result<ScenarioProgress, ScenarioError> {
     spec.validate()?;
-    if spec.checkpoint.is_none() {
-        return Err(ScenarioError::Spec {
-            scenario: spec.name.clone(),
-            problem: "budgeted runs need a checkpoint block to record progress in".into(),
-        });
+    let spec_err = |problem: &str| ScenarioError::Spec {
+        scenario: spec.name.clone(),
+        problem: problem.into(),
+    };
+    let checkpointed = spec.checkpoint.is_some() || opts.checkpoint.is_some();
+    if checkpointed && opts.shard.is_some() {
+        return Err(spec_err(
+            "sharded runs do not checkpoint; drop the checkpoint block \
+             (shards are restarted whole) or run unsharded",
+        ));
     }
-    match dispatch(spec, ExecMode::Budgeted(budget))? {
-        ExecOutcome::Report(report) => Ok(ScenarioProgress::Complete(Box::new(ScenarioReport {
-            spec: spec.clone(),
-            report,
-        }))),
-        ExecOutcome::Partial { done, total } => Ok(ScenarioProgress::Partial { done, total }),
+    if opts.budget.is_some() && !checkpointed {
+        return Err(spec_err(
+            "budgeted runs need a checkpoint block to record progress in",
+        ));
     }
-}
 
-/// Runs a scenario on a shared [`Executor`] instead of a transient
-/// per-call thread pool.
-///
-/// The report is **byte-identical** to [`run`]'s: both paths evaluate
-/// the same per-point seeds and fold replicates through the same
-/// buffered aggregation. What changes is scheduling only — the
-/// executor's workers serve this campaign alongside any others
-/// submitted concurrently (fair round-robin at point granularity), so a
-/// long-lived service can run many scenarios without spawning a pool
-/// per request. The spec's `workers` hint is ignored on this path: the
-/// pool was sized when the executor was built (explicit count, else the
-/// `QIC_WORKERS` environment variable, else the machine's parallelism —
-/// see [`Executor::new`]).
-///
-/// # Errors
-///
-/// [`ScenarioError`] if the spec fails validation, or if it has a
-/// checkpoint block — executor runs neither read nor write manifests
-/// (resume bookkeeping belongs to the dedicated [`run_budgeted`] path),
-/// so combining the two would silently disable resume.
-pub fn run_on(spec: &ScenarioSpec, exec: &Executor) -> Result<ScenarioReport, ScenarioError> {
-    let report = run_on_cancellable(spec, exec, Arc::new(NoProgress), &CancelToken::new())?;
-    Ok(report.expect("an uncancelled run completes"))
-}
-
-/// [`run_on`] with live progress and cooperative cancellation — the
-/// service-layer entry point (`qic-serve` streams the sink's events to
-/// job watchers and trips the token on cancel/shutdown).
-///
-/// `progress` hears one start/finish pair per *point* (not per
-/// replicate). Cancelling stops further points from being claimed;
-/// points already evaluating finish, and the call returns `Ok(None)`
-/// instead of a report. A token that is never cancelled makes this
-/// exactly [`run_on`].
-///
-/// # Errors
-///
-/// As [`run_on`]: validation failures and checkpointed specs.
-pub fn run_on_cancellable(
-    spec: &ScenarioSpec,
-    exec: &Executor,
-    progress: Arc<dyn ProgressSink + Send + Sync>,
-    cancel: &CancelToken,
-) -> Result<Option<ScenarioReport>, ScenarioError> {
-    spec.validate()?;
-    if spec.checkpoint.is_some() {
-        return Err(ScenarioError::Spec {
-            scenario: spec.name.clone(),
-            problem: "executor runs do not checkpoint; drop the checkpoint block \
-                      or use run_budgeted for resumable execution"
-                .into(),
-        });
+    let mut opts = opts.clone();
+    if let Some(ckpt) = &spec.checkpoint {
+        std::fs::create_dir_all(&ckpt.dir).map_err(|e| {
+            ScenarioError::Checkpoint(CheckpointError::Io {
+                path: ckpt.dir.clone(),
+                op: "create dir",
+                message: e.to_string(),
+            })
+        })?;
+        let path = Path::new(&ckpt.dir).join(format!("{}.ckpt.json", sanitize_stem(&spec.name)));
+        opts.checkpoint = Some(CheckpointConfig::new(path).every(ckpt.every as usize));
     }
-    let campaign = campaign(spec);
-    let report = match &spec.experiment {
+    if let Some(obs) = &spec.observe {
+        std::fs::create_dir_all(&obs.dir).map_err(|e| io_err(spec, &obs.dir, &e))?;
+        if opts.progress.is_none() && opts.shard.is_none() && opts.checkpoint.is_none() {
+            let path = Path::new(&obs.dir).join(format!("{}.progress.jsonl", spec.name));
+            let file = std::fs::File::create(&path)
+                .map_err(|e| io_err(spec, &path.display().to_string(), &e))?;
+            let points = spec.param_space().len();
+            opts.progress = Some(Arc::new(JsonlProgress::new(file, points)));
+        }
+    }
+
+    let eval: PointEval = match &spec.experiment {
         ExperimentSpec::Machine { machine, workload } => {
-            let me = Arc::new(MachineEval::new(spec, machine, workload));
-            campaign.run_on_observed(exec, move |p, ctx| me.eval(p, ctx), progress, cancel)
+            let me = MachineEval::new(spec, machine, workload);
+            Box::new(move |point, ctx| me.eval(point, ctx))
         }
         ExperimentSpec::Channel {
             placement,
             hops,
             metric,
         } => {
-            let ce = Arc::new(ChannelEval::new(spec, *placement, *hops, *metric));
-            campaign.run_on_observed(exec, move |p, ctx| ce.eval(p, ctx), progress, cancel)
+            let ce = ChannelEval::new(spec, *placement, *hops, *metric);
+            Box::new(move |point, ctx| ce.eval(point, ctx))
         }
     };
-    Ok(report.map(|report| ScenarioReport {
-        spec: spec.clone(),
-        report,
-    }))
+    let campaign = Campaign::new(spec.name.clone(), spec.param_space())
+        .seed(spec.seed)
+        .replicates(spec.replicates)
+        .workers(spec.workers);
+    Ok(match campaign.run(&opts, eval)? {
+        CampaignProgress::Complete(report) => {
+            ScenarioProgress::Complete(Box::new(ScenarioReport {
+                spec: spec.clone(),
+                report: *report,
+            }))
+        }
+        CampaignProgress::Partial { done, total } => ScenarioProgress::Partial { done, total },
+    })
 }
 
-fn dispatch(spec: &ScenarioSpec, mode: ExecMode) -> Result<ExecOutcome, ScenarioError> {
-    match &spec.experiment {
-        ExperimentSpec::Machine { machine, workload } => run_machine(spec, machine, workload, mode),
-        ExperimentSpec::Channel {
-            placement,
-            hops,
-            metric,
-        } => run_channel(spec, *placement, *hops, *metric, mode),
+/// A setup-time filesystem failure, reported before any point runs.
+fn io_err(spec: &ScenarioSpec, path: &str, e: &std::io::Error) -> ScenarioError {
+    ScenarioError::Io {
+        scenario: spec.name.clone(),
+        path: path.to_string(),
+        message: e.to_string(),
     }
 }
 
-fn campaign(spec: &ScenarioSpec) -> Campaign {
-    Campaign::new(spec.name.clone(), spec.param_space())
-        .seed(spec.seed)
-        .replicates(spec.replicates)
-        .workers(spec.workers)
-}
+/// One experiment family's point evaluator, owned by the run's tasks.
+type PointEval = Box<dyn Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Send + Sync>;
 
 /// Maps path-hostile characters of a scenario name to `_`, the shared
 /// file-stem convention for trace exports and checkpoint manifests.
@@ -283,54 +222,6 @@ fn sanitize_stem(name: &str) -> String {
             }
         })
         .collect()
-}
-
-/// Runs `eval` under the chosen execution mode: plain, sharded, or
-/// checkpoint/resume (streaming aggregation, atomic manifest commits).
-fn execute<F>(spec: &ScenarioSpec, mode: ExecMode, eval: F) -> Result<ExecOutcome, ScenarioError>
-where
-    F: Fn(&qic_sweep::SweepPoint<'_>, qic_sweep::RunCtx) -> Metrics + Sync,
-{
-    let campaign = campaign(spec);
-    match (mode, &spec.checkpoint) {
-        (ExecMode::Shard(shard), _) => Ok(ExecOutcome::Report(campaign.run_shard(shard, eval))),
-        (ExecMode::Full, None) => Ok(ExecOutcome::Report(campaign.run(eval))),
-        (ExecMode::Full, Some(ckpt)) => {
-            let config = checkpoint_config(spec, &ckpt.dir, ckpt.every)?;
-            let report = campaign.run_resumable(&config, eval)?;
-            Ok(ExecOutcome::Report(report))
-        }
-        (ExecMode::Budgeted(budget), Some(ckpt)) => {
-            let config = checkpoint_config(spec, &ckpt.dir, ckpt.every)?;
-            match campaign.run_resumable_budgeted(&config, budget, eval)? {
-                CampaignProgress::Complete(report) => Ok(ExecOutcome::Report(*report)),
-                CampaignProgress::Partial { done, total } => {
-                    Ok(ExecOutcome::Partial { done, total })
-                }
-            }
-        }
-        (ExecMode::Budgeted(_), None) => {
-            unreachable!("run_budgeted rejects specs without a checkpoint block")
-        }
-    }
-}
-
-/// Builds the manifest location `{dir}/{stem}.ckpt.json`, creating the
-/// directory if needed.
-fn checkpoint_config(
-    spec: &ScenarioSpec,
-    dir: &str,
-    every: u32,
-) -> Result<CheckpointConfig, ScenarioError> {
-    std::fs::create_dir_all(dir).map_err(|e| {
-        ScenarioError::Checkpoint(CheckpointError::Io {
-            path: dir.to_string(),
-            op: "create dir",
-            message: e.to_string(),
-        })
-    })?;
-    let path = Path::new(dir).join(format!("{}.ckpt.json", sanitize_stem(&spec.name)));
-    Ok(CheckpointConfig::new(path).every(every as usize))
 }
 
 /// Writes one evaluation's trace exports under the observe directory.
@@ -358,10 +249,8 @@ fn write_traces(
 }
 
 /// The owned evaluator behind every machine experiment: everything one
-/// point evaluation needs, cloned out of the spec so the same struct
-/// serves both execution paths — borrowed by the transient scoped pool
-/// (`run` / `run_shard` / `run_budgeted`) and `Arc`'d into the shared
-/// [`Executor`] (`run_on`), whose tasks must be `Send + 'static`.
+/// point evaluation needs, cloned out of the spec, because executor
+/// tasks must be `Send + 'static`.
 struct MachineEval {
     name: String,
     axes: Vec<ScenarioAxis>,
@@ -375,8 +264,7 @@ struct MachineEval {
 }
 
 impl MachineEval {
-    /// Clones the evaluation state out of a validated spec and creates
-    /// the observe directory if trace export is requested.
+    /// Clones the evaluation state out of a validated spec.
     fn new(spec: &ScenarioSpec, machine: &MachineSpec, workload: &WorkloadSpec) -> MachineEval {
         let workload_varies = spec
             .axes
@@ -387,10 +275,6 @@ impl MachineEval {
         } else {
             workload.program()
         };
-        if let Some(obs) = &spec.observe {
-            std::fs::create_dir_all(&obs.dir)
-                .unwrap_or_else(|e| panic!("creating observe directory {}: {e}", obs.dir));
-        }
         MachineEval {
             name: spec.name.clone(),
             axes: spec.axes.clone(),
@@ -405,7 +289,7 @@ impl MachineEval {
     /// base machine/workload, seeds the net RNG from the derived seed,
     /// and runs the simulator (degraded fabric when a fault plan is in
     /// play, probed when trace export is on).
-    fn eval(&self, point: &qic_sweep::SweepPoint<'_>, ctx: qic_sweep::RunCtx) -> Metrics {
+    fn eval(&self, point: &SweepPoint<'_>, ctx: RunCtx) -> Metrics {
         let observe = self.observe.as_ref();
         let mut net = self.machine.net_config();
         let mut layout = self.machine.layout;
@@ -654,36 +538,8 @@ impl MachineEval {
     }
 }
 
-fn run_machine(
-    spec: &ScenarioSpec,
-    machine: &MachineSpec,
-    workload: &WorkloadSpec,
-    mode: ExecMode,
-) -> Result<ExecOutcome, ScenarioError> {
-    let me = MachineEval::new(spec, machine, workload);
-    let eval = |point: &qic_sweep::SweepPoint<'_>, ctx: qic_sweep::RunCtx| me.eval(point, ctx);
-    if let (ExecMode::Full, Some(obs), None) = (mode, me.observe.as_ref(), spec.checkpoint.as_ref())
-    {
-        // Campaign-level observability rides along: a machine-
-        // readable progress stream (wall-clock, outside the
-        // determinism contract) next to the traces. Checkpointed and
-        // sharded runs skip the stream (their eval still writes
-        // per-point traces) — the manifest / shard merge is their
-        // progress record.
-        let total = spec.param_space().len() * spec.replicates as usize;
-        let path = Path::new(&obs.dir).join(format!("{}.progress.jsonl", spec.name));
-        let file = std::fs::File::create(&path)
-            .unwrap_or_else(|e| panic!("creating {}: {e}", path.display()));
-        return Ok(ExecOutcome::Report(
-            campaign(spec).run_with_progress(eval, &JsonlProgress::new(file, total)),
-        ));
-    }
-    execute(spec, mode, eval)
-}
-
 /// The owned evaluator behind channel experiments — the closed-form
-/// pair-budget model. Like [`MachineEval`], it serves the scoped pool
-/// borrowed and the shared [`Executor`] `Arc`'d.
+/// pair-budget model.
 struct ChannelEval {
     axes: Vec<ScenarioAxis>,
     placement: PurifyPlacement,
@@ -706,7 +562,7 @@ impl ChannelEval {
         }
     }
 
-    fn eval(&self, point: &qic_sweep::SweepPoint<'_>, _ctx: qic_sweep::RunCtx) -> Metrics {
+    fn eval(&self, point: &SweepPoint<'_>, _ctx: RunCtx) -> Metrics {
         let mut placement = self.placement;
         let mut hops = self.hops;
         let mut rates = None;
@@ -719,15 +575,4 @@ impl ChannelEval {
         }
         Metrics::new().with("pairs", pair_budget(&model, hops, self.metric))
     }
-}
-
-fn run_channel(
-    spec: &ScenarioSpec,
-    base_placement: PurifyPlacement,
-    base_hops: u32,
-    metric: PairMetric,
-    mode: ExecMode,
-) -> Result<ExecOutcome, ScenarioError> {
-    let ce = ChannelEval::new(spec, base_placement, base_hops, metric);
-    execute(spec, mode, |point, ctx| ce.eval(point, ctx))
 }

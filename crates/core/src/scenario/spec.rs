@@ -2011,6 +2011,17 @@ pub enum ScenarioError {
     /// A checkpointed run could not load, validate or commit its
     /// manifest.
     Checkpoint(CheckpointError),
+    /// Run setup could not create a file or directory the spec asks
+    /// for (the observe directory or its progress stream); no point
+    /// ran.
+    Io {
+        /// The scenario's name.
+        scenario: String,
+        /// The path involved.
+        path: String,
+        /// The rendered `std::io::Error`.
+        message: String,
+    },
 }
 
 impl fmt::Display for ScenarioError {
@@ -2029,6 +2040,11 @@ impl fmt::Display for ScenarioError {
             },
             ScenarioError::Json(err) => write!(f, "{err}"),
             ScenarioError::Checkpoint(err) => write!(f, "{err}"),
+            ScenarioError::Io {
+                scenario,
+                path,
+                message,
+            } => write!(f, "scenario {scenario:?}: cannot create {path}: {message}"),
         }
     }
 }
@@ -2038,7 +2054,7 @@ impl std::error::Error for ScenarioError {
         match self {
             ScenarioError::Config { source, .. } => Some(source),
             ScenarioError::Json(err) => Some(err),
-            ScenarioError::Spec { .. } => None,
+            ScenarioError::Spec { .. } | ScenarioError::Io { .. } => None,
             ScenarioError::Checkpoint(err) => Some(err),
         }
     }

@@ -1,18 +1,32 @@
-//! `run_on` (shared executor) versus `run` (transient pool): the report
-//! must be byte-identical — the service layer's cache keys on a spec
-//! digest and then serves `run_on` output as if it were `run` output.
+//! `run_with` on a shared executor versus `run` (per-call pool): the
+//! report must be byte-identical — the service layer's cache keys on a
+//! spec digest and then serves shared-pool output as if it were `run`
+//! output.
 
 use std::sync::Arc;
 
 use qic_core::scenario::{
-    self, CheckpointSpec, ScenarioRegistry, ScenarioScale, ScenarioSpec, SpecDigest,
+    self, ScenarioProgress, ScenarioRegistry, ScenarioReport, ScenarioScale, ScenarioSpec,
+    SpecDigest,
 };
-use qic_sweep::{CancelToken, Executor, JsonlProgress};
+use qic_sweep::{CancelToken, Executor, JsonlProgress, RunOptions};
 
 fn preset(name: &str) -> ScenarioSpec {
     ScenarioRegistry::builtin()
         .spec(name, ScenarioScale::SmallTest)
         .unwrap_or_else(|| panic!("{name} is registered"))
+}
+
+/// Runs `spec` on the shared pool `exec` to completion.
+fn run_on(spec: &ScenarioSpec, exec: &Executor) -> ScenarioReport {
+    let opts = RunOptions {
+        exec: Some(exec),
+        ..RunOptions::default()
+    };
+    match scenario::run_with(spec, &opts).expect("executor run") {
+        ScenarioProgress::Complete(report) => *report,
+        ScenarioProgress::Partial { .. } => panic!("uncancelled runs complete"),
+    }
 }
 
 #[test]
@@ -26,7 +40,7 @@ fn run_on_matches_run_byte_for_byte() {
         preset("fig12"),
     ] {
         let direct = scenario::run(&spec).expect("direct run");
-        let shared = scenario::run_on(&spec, &exec).expect("executor run");
+        let shared = run_on(&spec, &exec);
         assert_eq!(shared, direct, "{}", spec.name);
         assert_eq!(
             shared.report.to_json(),
@@ -60,20 +74,8 @@ fn run_on_ignores_the_workers_hint() {
         "workers is not identity"
     );
     assert_eq!(
-        scenario::run_on(&hinted, &exec).unwrap().report.to_json(),
+        run_on(&hinted, &exec).report.to_json(),
         scenario::run(&spec).unwrap().report.to_json()
-    );
-}
-
-#[test]
-fn run_on_rejects_checkpointed_specs() {
-    let exec = Executor::new(1);
-    let spec = preset("design_space").with_checkpoint(CheckpointSpec::to_dir("target/run_on_ckpt"));
-    let err = scenario::run_on(&spec, &exec).unwrap_err();
-    assert!(err.to_string().contains("checkpoint"), "{err}");
-    assert!(
-        !std::path::Path::new("target/run_on_ckpt").exists(),
-        "rejection must not touch the manifest directory"
     );
 }
 
@@ -83,16 +85,27 @@ fn run_on_cancellable_streams_progress_and_stops() {
     let spec = preset("design_space");
     // Uncancelled: completes, and the sink hears one finish per point.
     let sink = Arc::new(JsonlProgress::new(Vec::new(), 8));
-    let report =
-        scenario::run_on_cancellable(&spec, &exec, Arc::clone(&sink) as _, &CancelToken::new())
-            .expect("valid spec")
-            .expect("uncancelled runs complete");
+    let opts = RunOptions {
+        exec: Some(&exec),
+        progress: Some(Arc::clone(&sink) as _),
+        ..RunOptions::default()
+    };
+    let ScenarioProgress::Complete(report) = scenario::run_with(&spec, &opts).expect("valid spec")
+    else {
+        panic!("uncancelled runs complete");
+    };
     assert_eq!(sink.done(), report.report.points.len());
     // Pre-cancelled: no points run, no report.
     let token = CancelToken::new();
     token.cancel();
-    let cancelled =
-        scenario::run_on_cancellable(&spec, &exec, Arc::new(qic_sweep::NoProgress), &token)
-            .expect("valid spec");
-    assert!(cancelled.is_none(), "cancelled runs yield no report");
+    let opts = RunOptions {
+        exec: Some(&exec),
+        cancel: token,
+        ..RunOptions::default()
+    };
+    let cancelled = scenario::run_with(&spec, &opts).expect("valid spec");
+    assert!(
+        matches!(cancelled, ScenarioProgress::Partial { done: 0, .. }),
+        "cancelled runs yield no report"
+    );
 }

@@ -28,6 +28,10 @@
 //!   The embedded report is the campaign's lossless record document —
 //!   byte-identical for cached, coalesced and computed jobs alike.
 //! * `{"event": "bye"}` acknowledges `shutdown` and ends the session.
+//! * A malformed request answers `{"event": "error", "error":
+//!   "bad_request", "message": …}`; a line longer than [`MAX_LINE`]
+//!   bytes answers `{"event": "error", "error": "line_too_long",
+//!   "limit": …}` and is skipped unread.
 //!
 //! With an output directory configured, each completed job's report is
 //! also written to `{dir}/job-N.json` (record JSON) and
@@ -35,7 +39,7 @@
 //! produce for the same spec, which is how the CI smoke test checks
 //! cache hits end to end.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::path::Path;
 use std::time::Duration;
 
@@ -48,6 +52,12 @@ use crate::service::{ServeError, ServeHandle};
 /// How often `wait` polls for progress changes.
 const WAIT_POLL: Duration = Duration::from_millis(5);
 
+/// The longest request line [`serve_lines`] reads, in bytes (newline
+/// excluded). Requests are a few kilobytes even with an inline spec;
+/// the cap keeps a client from making the session buffer without
+/// bound.
+pub const MAX_LINE: usize = 1 << 20;
+
 /// Runs the JSONL session loop: reads requests from `input` until EOF
 /// or a `shutdown` op, writing response events to `output` (flushed
 /// after every line, so the stream is pipe- and socket-friendly).
@@ -57,37 +67,63 @@ const WAIT_POLL: Duration = Duration::from_millis(5);
 ///
 /// # Errors
 ///
-/// Only I/O errors on `output` (or `out_dir` files) are fatal to the
-/// session; malformed requests produce `error` events and the loop
-/// continues.
+/// Only I/O errors on `input`, `output` (or `out_dir` files) are fatal
+/// to the session; malformed, non-UTF-8 and over-long requests produce
+/// `error` events and the loop continues.
 pub fn serve_lines<R: BufRead, W: Write>(
     handle: &ServeHandle,
-    input: R,
+    mut input: R,
     mut output: W,
     out_dir: Option<&Path>,
 ) -> std::io::Result<()> {
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_LINE as u64 + 1;
+        if (&mut input).take(limit).read_until(b'\n', &mut buf)? == 0 {
+            return Ok(());
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        } else if buf.len() > MAX_LINE {
+            input.skip_until(b'\n')?;
+            emit(
+                &mut output,
+                obj(vec![
+                    ("event", Json::Str("error".into())),
+                    ("error", Json::Str("line_too_long".into())),
+                    ("limit", Json::Int(MAX_LINE as i128)),
+                ]),
+            )?;
             continue;
         }
-        match request_of(&line) {
+        let parsed = std::str::from_utf8(&buf)
+            .map_err(|e| Json::schema_err(format!("request is not UTF-8: {e}")));
+        let line = match parsed {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => line.strip_suffix('\r').unwrap_or(line),
+            Err(e) => {
+                emit(&mut output, bad_request(&e))?;
+                continue;
+            }
+        };
+        match request_of(line) {
             Ok(Request::Shutdown) => {
                 emit(&mut output, obj(vec![("event", Json::Str("bye".into()))]))?;
                 return Ok(());
             }
             Ok(req) => handle_request(handle, req, &mut output, out_dir)?,
-            Err(e) => emit(
-                &mut output,
-                obj(vec![
-                    ("event", Json::Str("error".into())),
-                    ("error", Json::Str("bad_request".into())),
-                    ("message", Json::Str(e.to_string())),
-                ]),
-            )?,
+            Err(e) => emit(&mut output, bad_request(&e))?,
         }
     }
-    Ok(())
+}
+
+fn bad_request(e: &JsonError) -> Json {
+    obj(vec![
+        ("event", Json::Str("error".into())),
+        ("error", Json::Str("bad_request".into())),
+        ("message", Json::Str(e.to_string())),
+    ])
 }
 
 enum Request {

@@ -30,7 +30,7 @@
 //! # Worker-count precedence
 //!
 //! The service sizes its executor exactly like `qic-sweep` sizes a
-//! transient pool: an explicit [`ServeConfig::workers`] wins; `0` (the
+//! per-call pool: an explicit [`ServeConfig::workers`] wins; `0` (the
 //! default) defers to the `QIC_WORKERS` environment variable (parsed by
 //! [`qic_sweep::parse_workers`]); when that is unset or unparsable, the
 //! machine's available parallelism decides. See [`qic_sweep::Executor::new`].

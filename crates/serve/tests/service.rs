@@ -325,3 +325,30 @@ fn jsonl_front_end_round_trips_submissions_and_reports_cache_hits() {
         direct.to_csv()
     );
 }
+
+#[test]
+fn jsonl_front_end_skips_over_long_and_non_utf8_lines() {
+    let serve = Serve::start(ServeConfig::default());
+    let handle = serve.handle();
+    let mut script = vec![b'['; qic_serve::front::MAX_LINE + 10];
+    script.extend_from_slice(b"\n\xff\xfe\n{\"op\": \"metrics\"}\n{\"op\": \"shutdown\"}\n");
+    let mut output = Vec::new();
+    serve_lines(&handle, Cursor::new(script), &mut output, None).expect("session runs");
+    serve.shutdown();
+    let text = String::from_utf8(output).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 4, "{text}");
+    assert!(
+        lines[0].contains("\"error\": \"line_too_long\"")
+            && lines[0].contains(&format!("\"limit\": {}", qic_serve::front::MAX_LINE)),
+        "{}",
+        lines[0]
+    );
+    assert!(
+        lines[1].contains("\"error\": \"bad_request\"") && lines[1].contains("UTF-8"),
+        "{}",
+        lines[1]
+    );
+    assert!(lines[2].contains("\"event\": \"metrics\""), "{}", lines[2]);
+    assert_eq!(lines[3], "{\"event\": \"bye\"}");
+}

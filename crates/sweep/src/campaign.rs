@@ -1,10 +1,11 @@
-//! Campaign definition and execution.
+//! Campaign definition and execution: one [`Campaign::run`] entry
+//! point, configured by [`RunOptions`].
 
-use std::ops::Range;
 use std::sync::Arc;
 
+use crate::checkpoint::{CheckpointConfig, CheckpointError, Manifest};
 use crate::derive_seed;
-use crate::exec::{default_workers, run_indexed_observed, CancelToken, Executor};
+use crate::exec::{default_workers, CancelToken, Executor};
 use crate::progress::{NoProgress, ProgressSink};
 use crate::report::{CampaignReport, PointReport};
 use crate::shard::Shard;
@@ -22,6 +23,86 @@ pub struct RunCtx {
     pub replicate: u32,
 }
 
+/// How one [`Campaign::run`] executes. Every field is optional; the
+/// default runs the whole campaign on a transient pool, buffered, to
+/// completion.
+///
+/// None of these choices changes a point's result: seeds derive from
+/// absolute point indices and results are index-addressed, so any
+/// combination produces the same per-point records.
+///
+/// ```
+/// use qic_sweep::{Executor, RunOptions, Shard};
+///
+/// let pool = Executor::new(2);
+/// let opts = RunOptions {
+///     exec: Some(&pool),
+///     shard: Some(Shard::new(0, 2)),
+///     ..RunOptions::default()
+/// };
+/// assert!(opts.checkpoint.is_none());
+/// ```
+#[derive(Clone, Default)]
+pub struct RunOptions<'a> {
+    /// A shared pool to submit to. `None` builds a transient
+    /// [`Executor`] of `min(workers, points)` threads for this call and
+    /// drops it on return; a shared pool ignores
+    /// [`Campaign::workers`] (it was sized at [`Executor::new`]).
+    pub exec: Option<&'a Executor>,
+    /// Evaluate and report only this contiguous slice of the point
+    /// space. Merging every shard's report with
+    /// [`CampaignReport::merge`] reproduces the whole run byte for
+    /// byte — the cross-process fan-out primitive.
+    pub shard: Option<Shard>,
+    /// Commit completed points to this manifest as they land, and skip
+    /// the points a previous run already committed there. A
+    /// checkpointed run aggregates **streaming** (replicates folded
+    /// into tallies, raw samples not retained); an uncheckpointed one
+    /// is **buffered**. Summaries, and so the CSV bytes, are identical
+    /// in both; only the JSON `samples` arrays differ.
+    pub checkpoint: Option<CheckpointConfig>,
+    /// Evaluate at most this many not-yet-completed points, then
+    /// return [`CampaignProgress::Partial`].
+    pub budget: Option<usize>,
+    /// Hears every point claim and finish, with pool-worker
+    /// attribution. Task indices are positions in this run's list of
+    /// points to evaluate — the point index itself for a whole, fresh
+    /// run.
+    pub progress: Option<Arc<dyn ProgressSink + Send + Sync>>,
+    /// Tripping this token stops further point claims; points in
+    /// flight finish (and are committed, when checkpointing), and the
+    /// run returns [`CampaignProgress::Partial`]. A panicking `eval`
+    /// trips it too. Tokens are one-shot: use a fresh one per run.
+    pub cancel: CancelToken,
+}
+
+/// How far a [`Campaign::run`] got: the finished report, or how many
+/// points are complete.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CampaignProgress {
+    /// Every point of the run (of its shard, when sharded) completed.
+    Complete(Box<CampaignReport>),
+    /// The budget ran out or the run was cancelled first. When
+    /// checkpointing, the manifest was committed and a later run picks
+    /// up from here.
+    Partial {
+        /// Points completed so far (across all runs of the manifest).
+        done: usize,
+        /// Points in the run (in its shard, when sharded).
+        total: usize,
+    },
+}
+
+impl CampaignProgress {
+    /// The finished report; `None` for a partial run.
+    pub fn complete(self) -> Option<CampaignReport> {
+        match self {
+            CampaignProgress::Complete(report) => Some(*report),
+            CampaignProgress::Partial { .. } => None,
+        }
+    }
+}
+
 /// A declarative sweep: a parameter space, replication, seeding and a
 /// worker budget.
 ///
@@ -32,19 +113,22 @@ pub struct RunCtx {
 /// # Example
 ///
 /// ```
-/// use qic_sweep::{Axis, Campaign, Metrics, ParamSpace};
+/// use qic_sweep::{Axis, Campaign, Metrics, ParamSpace, RunOptions};
 ///
 /// let space = ParamSpace::new()
 ///     .axis(Axis::ints("n", [1, 2, 3]))
 ///     .axis(Axis::ints("k", [10, 20]));
 /// let report = Campaign::new("toy", space)
 ///     .workers(4)
-///     .run(|point, _ctx| {
+///     .run(&RunOptions::default(), |point, _ctx| {
 ///         let v = (point.i64("n") * point.i64("k")) as f64;
 ///         Metrics::new().with("product", v)
-///     });
+///     })?
+///     .complete()
+///     .expect("an unbudgeted, uncancelled run completes");
 /// assert_eq!(report.points.len(), 6);
 /// assert_eq!(report.mean_at(5, "product"), Some(60.0));
+/// # Ok::<(), qic_sweep::CheckpointError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct Campaign {
@@ -85,8 +169,8 @@ impl Campaign {
         self
     }
 
-    /// Pins the worker-thread count; `0` (the default) uses
-    /// [`default_workers`].
+    /// Pins the worker-thread count of the transient pool; `0` (the
+    /// default) uses [`default_workers`].
     pub fn workers(mut self, workers: usize) -> Campaign {
         self.workers = workers;
         self
@@ -112,17 +196,9 @@ impl Campaign {
         self.seed
     }
 
-    fn resolved_workers(&self) -> usize {
-        if self.workers == 0 {
-            default_workers()
-        } else {
-            self.workers
-        }
-    }
-
     /// The [`RunCtx`] for one `(point, replicate)` evaluation — the
-    /// same derivation whether the campaign runs whole, sharded,
-    /// streamed or resumed.
+    /// same derivation whether the campaign runs whole, sharded or
+    /// resumed.
     fn ctx(&self, point_index: usize, replicate: u32) -> RunCtx {
         RunCtx {
             seed: derive_seed(self.seed, point_index as u64, u64::from(replicate)),
@@ -130,332 +206,150 @@ impl Campaign {
         }
     }
 
-    /// Evaluates every `(point, replicate)` on the worker pool and
-    /// aggregates the streamed results into a [`CampaignReport`].
+    /// Runs the campaign as `opts` selects, evaluating one executor
+    /// task per point (its replicates in order, in-task) and
+    /// aggregating the streamed results by point index.
     ///
-    /// Results are aggregated as they arrive (a point's summary is
-    /// finalised the moment its last replicate lands), but addressed by
-    /// point index, so the report is byte-identical for any worker
-    /// count. A panic inside `eval` cancels the remaining points and
-    /// propagates.
-    pub fn run<F>(&self, eval: F) -> CampaignReport
-    where
-        F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Sync,
-    {
-        self.run_with_progress(eval, &NoProgress)
-    }
-
-    /// [`Campaign::run`] with a [`ProgressSink`] observing the executor:
-    /// the sink hears every task claim and completion as they happen
-    /// (points done, in-flight, per-worker attribution).
+    /// The report is byte-identical for any worker count, pool, or
+    /// concurrent load; a checkpointed run killed and resumed any
+    /// number of times reports the same bytes as an uninterrupted
+    /// checkpointed run. See [`RunOptions`] for what each option
+    /// changes.
     ///
-    /// Progress output is wall-clock and scheduling-dependent; the
-    /// returned report is still byte-identical for any worker count
-    /// (per-point wall times are captured in
-    /// [`CampaignReport::wall_ns`], which is excluded from report
-    /// equality and serialization).
-    pub fn run_with_progress<F>(&self, eval: F, progress: &dyn ProgressSink) -> CampaignReport
-    where
-        F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Sync,
-    {
-        let (points, wall_ns) = self.run_range_buffered(0..self.space.len(), &eval, progress);
-        self.report_of(points, wall_ns)
-    }
-
-    /// Evaluates the campaign on a shared [`Executor`] instead of the
-    /// per-call transient pool — the multi-tenant path behind
-    /// `qic-serve`, where many campaigns share one machine fairly.
-    ///
-    /// The report is **byte-identical** to [`Campaign::run`]'s (same
-    /// buffered per-point fold, same derived seeds, index-addressed),
-    /// whatever the pool size or concurrent load. Differences from
-    /// `run`:
-    ///
-    /// * scheduling is per **point** (one task per point, replicates
-    ///   evaluated in-task), the granularity at which the executor
-    ///   round-robins between concurrent submissions;
-    /// * the campaign's own [`Campaign::workers`] setting is ignored —
-    ///   the pool was sized at [`Executor::new`] (explicit count >
-    ///   `QIC_WORKERS` > default);
-    /// * `eval` must be `Send + 'static` (the pool's threads outlive
-    ///   this call's borrows).
-    ///
-    /// A panic inside `eval` cancels the remaining points of **this**
-    /// campaign and propagates here; concurrent submissions are
+    /// A panic inside `eval` cancels the remaining points of this run
+    /// and propagates here; concurrent submissions to a shared pool are
     /// unaffected.
-    pub fn run_on<F>(&self, exec: &Executor, eval: F) -> CampaignReport
-    where
-        F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Send + Sync + 'static,
-    {
-        self.run_on_observed(exec, eval, Arc::new(NoProgress), &CancelToken::new())
-            .expect("an uncancelled run completes")
-    }
-
-    /// [`Campaign::run_on`] with observability and cancellation:
-    /// `progress` hears every point claim/finish (task indices are
-    /// **point** indices here, with pool-worker attribution), and
-    /// tripping `cancel` stops further point claims — in-flight points
-    /// finish, then the run returns `None`. `Some(report)` is
-    /// byte-identical to [`Campaign::run`]'s.
-    pub fn run_on_observed<F>(
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError`] if the manifest cannot be read, written, or
+    /// does not belong to this campaign. Evaluation work committed
+    /// before the error is preserved in the manifest. A run without a
+    /// checkpoint cannot fail.
+    pub fn run<F>(
         &self,
-        exec: &Executor,
+        opts: &RunOptions<'_>,
         eval: F,
-        progress: Arc<dyn ProgressSink + Send + Sync>,
-        cancel: &CancelToken,
-    ) -> Option<CampaignReport>
+    ) -> Result<CampaignProgress, CheckpointError>
     where
         F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Send + Sync + 'static,
     {
-        let n_points = self.space.len();
-        let campaign = Arc::new(self.clone());
-        let task = {
-            let campaign = Arc::clone(&campaign);
-            move |index: usize| -> PointReport {
-                let point = campaign.space.point(index);
-                // The same replicate-buffering fold as the transient
-                // path (`run_range_buffered`), so the report bytes —
-                // including per-metric `samples` arrays — match.
-                let replicates: Vec<Metrics> = (0..campaign.replicates)
-                    .map(|replicate| eval(&point, campaign.ctx(index, replicate)))
-                    .collect();
-                PointReport::from_replicates(
-                    index,
-                    point_params(&campaign.space, index),
-                    replicates,
-                )
-            }
+        let total = self.space.len();
+        let range = opts.shard.map_or(0..total, |s| s.point_range(total));
+        let manifest = opts
+            .checkpoint
+            .as_ref()
+            .map(|ckpt| (Manifest::new(self, ckpt.path()), ckpt.interval()));
+        let mut slots: Vec<Option<PointReport>> = match &manifest {
+            Some((manifest, _)) => manifest.load(total)?,
+            None => (0..total).map(|_| None).collect(),
         };
-        let mut slots: Vec<Option<(PointReport, u64)>> = Vec::new();
-        slots.resize_with(n_points, || None);
-        let complete = exec.run_indexed_observed(
-            n_points,
-            task,
-            |index, point, wall_ns| slots[index] = Some((point, wall_ns)),
-            progress,
-            cancel,
-        );
-        if !complete {
-            return None;
-        }
-        let (points, wall_ns) = slots
-            .into_iter()
-            .map(|s| s.expect("every point completed"))
-            .unzip();
-        Some(self.report_of(points, wall_ns))
-    }
+        let mut wall_ns: Vec<u64> = vec![0; total];
+        let todo: Arc<[usize]> = range
+            .clone()
+            .filter(|&i| slots[i].is_none())
+            .take(opts.budget.unwrap_or(usize::MAX))
+            .collect();
 
-    /// Evaluates one contiguous shard of the campaign — exactly the
-    /// points of [`Shard::point_range`], full replicate buffering like
-    /// [`Campaign::run`] — and reports only those points.
-    ///
-    /// Per-point seeds derive from the point's **absolute** index, so a
-    /// shard's evaluations are identical to the same points of a serial
-    /// run; merging every shard's report with [`CampaignReport::merge`]
-    /// reproduces the serial report byte for byte (JSON and CSV). This
-    /// is the cross-process fan-out primitive: run shard `i/K` on
-    /// machine `i`, ship the records home, merge.
-    ///
-    /// [`CampaignReport::merge`]: crate::report::CampaignReport::merge
-    pub fn run_shard<F>(&self, shard: Shard, eval: F) -> CampaignReport
-    where
-        F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Sync,
-    {
-        let range = shard.point_range(self.space.len());
-        let (points, wall_ns) = self.run_range_buffered(range, &eval, &NoProgress);
-        self.report_of(points, wall_ns)
-    }
-
-    /// [`Campaign::run_shard`] with streaming (constant-memory)
-    /// aggregation — the shard counterpart of
-    /// [`Campaign::run_streaming`], with the same trade-off: summaries
-    /// identical to the buffered path, raw replicate samples not
-    /// retained.
-    pub fn run_shard_streaming<F>(&self, shard: Shard, eval: F) -> CampaignReport
-    where
-        F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Sync,
-    {
-        let range = shard.point_range(self.space.len());
-        let indices: Vec<usize> = range.collect();
-        let mut points: Vec<PointReport> = Vec::with_capacity(indices.len());
-        let mut wall_ns: Vec<u64> = Vec::with_capacity(indices.len());
-        self.run_point_set(&indices, &eval, |point, wall| {
-            points.push(point);
-            wall_ns.push(wall);
-        });
-        // Completion order is scheduling-dependent; the report is
-        // index-addressed.
-        let mut paired: Vec<(PointReport, u64)> = points.into_iter().zip(wall_ns).collect();
-        paired.sort_by_key(|(p, _)| p.index);
-        let (points, wall_ns) = paired.into_iter().unzip();
-        self.report_of(points, wall_ns)
-    }
-
-    /// Evaluates the whole campaign with **streaming aggregation**: one
-    /// task per point, replicates folded into per-metric Welford
-    /// tallies ([`qic_des::stats::Tally`]) as they are produced, so a
-    /// point's replicates never co-reside in memory.
-    ///
-    /// The resulting summaries (and therefore the CSV emitter's bytes)
-    /// are bit-for-bit identical to [`Campaign::run`]'s — the fold
-    /// visits the same samples in the same order. What streaming gives
-    /// up is the raw replicate list: [`PointReport::replicates`] is
-    /// empty, so [`CampaignReport::to_json`]'s per-metric `samples`
-    /// arrays are empty too. Compare streaming runs against streaming
-    /// runs for JSON byte-identity; CSV is identical across both modes.
-    pub fn run_streaming<F>(&self, eval: F) -> CampaignReport
-    where
-        F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Sync,
-    {
-        let mut slots: Vec<Option<(PointReport, u64)>> = Vec::new();
-        slots.resize_with(self.space.len(), || None);
-        self.run_streaming_with(eval, |point, wall| {
-            let i = point.index;
-            slots[i] = Some((point, wall));
-        });
-        let (points, wall_ns) = slots
-            .into_iter()
-            .map(|s| s.expect("every point completed"))
-            .unzip();
-        self.report_of(points, wall_ns)
-    }
-
-    /// Out-of-core streaming: like [`Campaign::run_streaming`], but
-    /// each completed [`PointReport`] is handed to `sink` (with its
-    /// wall-clock nanoseconds) **in completion order** instead of being
-    /// accumulated — the campaign's memory footprint stays constant in
-    /// the number of points. The sink runs on the caller's thread;
-    /// append each record to an on-disk spill (see
-    /// [`CampaignReport::to_record_json`] for the format) and
-    /// reassemble by point index.
-    ///
-    /// Completion order is scheduling-dependent; the records are not.
-    ///
-    /// [`CampaignReport::to_record_json`]: crate::report::CampaignReport::to_record_json
-    pub fn run_streaming_with<F, S>(&self, eval: F, sink: S)
-    where
-        F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Sync,
-        S: FnMut(PointReport, u64),
-    {
-        let indices: Vec<usize> = (0..self.space.len()).collect();
-        self.run_point_set(&indices, &eval, sink);
-    }
-
-    /// Buffered (replicate-retaining) evaluation of a contiguous point
-    /// range: the engine behind [`Campaign::run`] and
-    /// [`Campaign::run_shard`]. Returns the completed points in index
-    /// order plus their wall times.
-    fn run_range_buffered<F>(
-        &self,
-        range: Range<usize>,
-        eval: &F,
-        progress: &dyn ProgressSink,
-    ) -> (Vec<PointReport>, Vec<u64>)
-    where
-        F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Sync,
-    {
-        let base = range.start;
-        let n_points = range.len();
-        let reps = self.replicates as usize;
-        let tasks = n_points * reps;
-
-        // Replicate slots per point, filled as results stream in; a
-        // point's report is built once its replicate set completes.
-        let mut pending: Vec<Vec<Option<Metrics>>> = vec![vec![None; reps]; n_points];
-        let mut remaining: Vec<usize> = vec![reps; n_points];
-        let mut reports: Vec<Option<PointReport>> = Vec::new();
-        reports.resize_with(n_points, || None);
-        // Per-point wall time: replicate wall times summed. Measurement
-        // noise only — excluded from report equality and serialization.
-        let mut wall_ns: Vec<u64> = vec![0; n_points];
-
-        run_indexed_observed(
-            tasks,
-            self.resolved_workers(),
-            |task| {
-                let point = self.space.point(base + task / reps);
-                let replicate = (task % reps) as u32;
-                eval(&point, self.ctx(point.index(), replicate))
-            },
-            |task, metrics, task_wall_ns| {
-                let (p, r) = (task / reps, task % reps);
-                wall_ns[p] = wall_ns[p].saturating_add(task_wall_ns);
-                pending[p][r] = Some(metrics);
-                remaining[p] -= 1;
-                if remaining[p] == 0 {
-                    let replicates = pending[p]
-                        .iter_mut()
-                        .map(|m| m.take().expect("all replicates landed"))
-                        .collect();
-                    reports[p] = Some(PointReport::from_replicates(
-                        base + p,
-                        point_params(&self.space, base + p),
-                        replicates,
-                    ));
-                }
-            },
-            progress,
-        );
-
-        (
-            reports
-                .into_iter()
-                .map(|r| r.expect("every point completed"))
-                .collect(),
-            wall_ns,
-        )
-    }
-
-    /// Streaming evaluation of an arbitrary point-index set (one task
-    /// per point, replicates folded sequentially into tallies): the
-    /// engine behind [`Campaign::run_streaming`] and checkpoint resume,
-    /// which evaluates exactly the not-yet-completed indices.
-    pub(crate) fn run_point_set<F, S>(&self, indices: &[usize], eval: &F, mut sink: S)
-    where
-        F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Sync,
-        S: FnMut(PointReport, u64),
-    {
-        let reps = self.replicates;
-        run_indexed_observed(
-            indices.len(),
-            self.resolved_workers(),
-            |task| {
-                let point_index = indices[task];
-                let point = self.space.point(point_index);
-                // First-appearance metric order, samples in replicate
-                // order: the same fold `PointReport::from_replicates`
-                // performs, so the summaries are bitwise identical —
-                // but each replicate's metrics are dropped as soon as
-                // they are folded.
-                let mut names: Vec<String> = Vec::new();
-                let mut tallies: Vec<Tally> = Vec::new();
-                for replicate in 0..reps {
-                    let metrics = eval(&point, self.ctx(point_index, replicate));
-                    for (name, v) in metrics.iter() {
-                        match names.iter().position(|n| n == name) {
-                            Some(i) => tallies[i].record(v),
-                            None => {
-                                names.push(name.to_string());
-                                let mut t = Tally::new();
-                                t.record(v);
-                                tallies.push(t);
-                            }
-                        }
+        if !todo.is_empty() {
+            let streaming = manifest.is_some();
+            let campaign = self.clone();
+            let points = Arc::clone(&todo);
+            let task = move |t: usize| campaign.evaluate(points[t], &eval, streaming);
+            // The sink runs on this thread, so committing from it is
+            // ordinary sequential file I/O; an error stops further
+            // commits and surfaces once the in-flight points drain.
+            let mut commit_error: Option<CheckpointError> = None;
+            let mut fresh = 0usize;
+            let sink = |_t: usize, point: PointReport, wall: u64| {
+                let index = point.index;
+                wall_ns[index] = wall;
+                slots[index] = Some(point);
+                fresh += 1;
+                if let Some((manifest, every)) = &manifest {
+                    if commit_error.is_none() && fresh % every == 0 {
+                        commit_error = manifest.commit(&slots).err();
                     }
                 }
-                PointReport::from_tallies(
-                    point_index,
-                    point_params(&self.space, point_index),
-                    names.into_iter().zip(tallies).collect(),
-                )
-            },
-            |_task, point, wall_ns| sink(point, wall_ns),
-            &NoProgress {},
-        );
+            };
+            let progress = opts
+                .progress
+                .clone()
+                .unwrap_or_else(|| Arc::new(NoProgress));
+            let transient;
+            let exec = match opts.exec {
+                Some(shared) => shared,
+                None => {
+                    let workers = if self.workers == 0 {
+                        default_workers()
+                    } else {
+                        self.workers
+                    };
+                    transient = Executor::new(workers.min(todo.len()));
+                    &transient
+                }
+            };
+            exec.run(todo.len(), task, sink, progress, &opts.cancel);
+            if let Some(e) = commit_error {
+                return Err(e);
+            }
+            if let Some((manifest, _)) = &manifest {
+                manifest.commit(&slots)?;
+            }
+        }
+
+        let done = slots[range.clone()].iter().flatten().count();
+        if done < range.len() {
+            return Ok(CampaignProgress::Partial {
+                done,
+                total: range.len(),
+            });
+        }
+        let points = slots
+            .drain(range.clone())
+            .map(|s| s.expect("all points complete"))
+            .collect();
+        Ok(CampaignProgress::Complete(Box::new(
+            self.report_of(points, wall_ns[range].to_vec()),
+        )))
+    }
+
+    /// Evaluates every replicate of point `index` in order and folds
+    /// them into its report: buffered (raw replicates retained) or
+    /// streaming (per-metric Welford tallies, each replicate dropped
+    /// once folded). Both folds visit the same samples in the same
+    /// first-appearance metric order, so their summaries are bitwise
+    /// identical.
+    fn evaluate<F>(&self, index: usize, eval: &F, streaming: bool) -> PointReport
+    where
+        F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics,
+    {
+        let point = self.space.point(index);
+        let params = point_params(&point);
+        let replicates = (0..self.replicates).map(|r| eval(&point, self.ctx(index, r)));
+        if !streaming {
+            return PointReport::from_replicates(index, params, replicates.collect());
+        }
+        let mut names: Vec<String> = Vec::new();
+        let mut tallies: Vec<Tally> = Vec::new();
+        for metrics in replicates {
+            for (name, v) in metrics.iter() {
+                match names.iter().position(|n| n == name) {
+                    Some(i) => tallies[i].record(v),
+                    None => {
+                        names.push(name.to_string());
+                        let mut t = Tally::new();
+                        t.record(v);
+                        tallies.push(t);
+                    }
+                }
+            }
+        }
+        PointReport::from_tallies(index, params, names.into_iter().zip(tallies).collect())
     }
 
     /// Wraps completed points into the campaign's report envelope.
-    pub(crate) fn report_of(&self, points: Vec<PointReport>, wall_ns: Vec<u64>) -> CampaignReport {
+    fn report_of(&self, points: Vec<PointReport>, wall_ns: Vec<u64>) -> CampaignReport {
         CampaignReport {
             name: self.name.clone(),
             seed: self.seed,
@@ -467,9 +361,8 @@ impl Campaign {
     }
 }
 
-fn point_params(space: &ParamSpace, index: usize) -> Vec<(String, AxisValue)> {
-    space
-        .point(index)
+fn point_params(point: &SweepPoint<'_>) -> Vec<(String, AxisValue)> {
+    point
         .params()
         .into_iter()
         .map(|(n, v)| (n.to_string(), v.clone()))
@@ -497,9 +390,35 @@ mod tests {
             .with("rep", f64::from(ctx.replicate))
     }
 
+    /// Runs `campaign` under `opts` and unwraps the finished report.
+    fn run(campaign: &Campaign, opts: &RunOptions<'_>) -> CampaignReport {
+        campaign
+            .run(opts, eval)
+            .expect("manifest usable")
+            .complete()
+            .expect("run completes")
+    }
+
+    fn plain(campaign: &Campaign) -> CampaignReport {
+        run(campaign, &RunOptions::default())
+    }
+
+    /// Checkpointed (streaming) options over a fresh manifest path.
+    fn checkpointed(name: &str) -> RunOptions<'static> {
+        let path = std::env::temp_dir().join(format!(
+            "qic_sweep_campaign_{}_{name}.ckpt.json",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        RunOptions {
+            checkpoint: Some(CheckpointConfig::new(path)),
+            ..RunOptions::default()
+        }
+    }
+
     #[test]
     fn points_land_at_their_index() {
-        let report = Campaign::new("t", toy_space()).workers(3).run(eval);
+        let report = plain(&Campaign::new("t", toy_space()).workers(3));
         assert_eq!(report.points.len(), 6);
         for (i, p) in report.points.iter().enumerate() {
             assert_eq!(p.index, i);
@@ -511,10 +430,7 @@ mod tests {
 
     #[test]
     fn replicates_aggregate() {
-        let report = Campaign::new("t", toy_space())
-            .replicates(3)
-            .workers(2)
-            .run(eval);
+        let report = plain(&Campaign::new("t", toy_space()).replicates(3).workers(2));
         let p = &report.points[0];
         assert_eq!(p.replicates.len(), 3);
         // Replicate numbers 0,1,2 in order.
@@ -531,11 +447,12 @@ mod tests {
         let runs: Vec<CampaignReport> = [1, 2, 4, 8]
             .iter()
             .map(|&w| {
-                Campaign::new("det", toy_space())
-                    .replicates(2)
-                    .seed(42)
-                    .workers(w)
-                    .run(eval)
+                plain(
+                    &Campaign::new("det", toy_space())
+                        .replicates(2)
+                        .seed(42)
+                        .workers(w),
+                )
             })
             .collect();
         for other in &runs[1..] {
@@ -548,32 +465,36 @@ mod tests {
     #[test]
     fn progress_run_matches_plain_run_and_captures_wall_times() {
         use crate::progress::JsonlProgress;
-        let plain = Campaign::new("p", toy_space())
+        let campaign = Campaign::new("p", toy_space())
             .replicates(2)
             .seed(9)
-            .workers(2)
-            .run(eval);
-        let sink = JsonlProgress::new(Vec::new(), 12);
-        let observed = Campaign::new("p", toy_space())
-            .replicates(2)
-            .seed(9)
-            .workers(2)
-            .run_with_progress(eval, &sink);
+            .workers(2);
+        let sink = Arc::new(JsonlProgress::new(Vec::new(), 6));
+        let observed = run(
+            &campaign,
+            &RunOptions {
+                progress: Some(Arc::clone(&sink) as _),
+                ..RunOptions::default()
+            },
+        );
+        let plain = plain(&campaign);
         assert_eq!(plain, observed, "observation must not perturb results");
         assert_eq!(plain.to_json(), observed.to_json());
         assert_eq!(observed.wall_ns.len(), 6, "one wall time per point");
-        assert_eq!(sink.done(), 12, "6 points x 2 replicates");
+        let sink = Arc::into_inner(sink).expect("the run released the sink");
+        assert_eq!(sink.done(), 6, "one task per point, replicates in-task");
         let text = String::from_utf8(sink.into_inner()).unwrap();
-        assert_eq!(text.lines().count(), 24, "a start and done line per task");
+        assert_eq!(text.lines().count(), 12, "a start and done line per task");
     }
 
     #[test]
     fn seeds_differ_by_point_and_replicate() {
-        let report = Campaign::new("t", toy_space())
-            .replicates(2)
-            .seed(7)
-            .workers(1)
-            .run(eval);
+        let report = plain(
+            &Campaign::new("t", toy_space())
+                .replicates(2)
+                .seed(7)
+                .workers(1),
+        );
         let mut lows: Vec<f64> = report
             .points
             .iter()
@@ -590,7 +511,11 @@ mod tests {
     #[test]
     fn empty_space_runs_zero_points() {
         let space = ParamSpace::new().axis(Axis::ints("a", []));
-        let report = Campaign::new("empty", space).run(|_, _| unreachable!());
+        let report = Campaign::new("empty", space)
+            .run(&RunOptions::default(), |_, _| unreachable!())
+            .unwrap()
+            .complete()
+            .unwrap();
         assert!(report.points.is_empty());
         assert!(report.to_csv().starts_with("index,a"));
     }
@@ -601,6 +526,48 @@ mod tests {
         let _ = Campaign::new("t", toy_space()).replicates(0);
     }
 
+    #[test]
+    #[should_panic(expected = "task 3 exploded")]
+    fn worker_panic_propagates() {
+        let space = ParamSpace::new().axis(Axis::ints("i", 0..8));
+        let _ = Campaign::new("boom", space)
+            .workers(2)
+            .run(&RunOptions::default(), |point, _| {
+                if point.index() == 3 {
+                    panic!("task 3 exploded");
+                }
+                Metrics::new()
+            });
+    }
+
+    #[test]
+    fn panic_cancels_outstanding_tasks() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let evaluated = Arc::new(AtomicUsize::new(0));
+        let tasks = 10_000;
+        let space = ParamSpace::new().axis(Axis::ints("i", 0..tasks as i64));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let evaluated = Arc::clone(&evaluated);
+            Campaign::new("boom", space)
+                .workers(4)
+                .run(&RunOptions::default(), move |point, _| {
+                    if point.index() == 0 {
+                        panic!("first task fails");
+                    }
+                    evaluated.fetch_add(1, Ordering::Relaxed);
+                    std::thread::sleep(std::time::Duration::from_micros(20));
+                    Metrics::new()
+                })
+        }));
+        assert!(result.is_err(), "the panic must propagate");
+        // Without cancellation the surviving workers would evaluate every
+        // remaining task before the panic surfaced.
+        assert!(
+            evaluated.load(Ordering::Relaxed) < tasks - 1,
+            "workers kept draining after the panic"
+        );
+    }
+
     fn toy_campaign() -> Campaign {
         Campaign::new("t", toy_space())
             .replicates(3)
@@ -608,12 +575,22 @@ mod tests {
             .workers(3)
     }
 
+    fn shard(campaign: &Campaign, i: usize, k: usize) -> CampaignReport {
+        run(
+            campaign,
+            &RunOptions {
+                shard: Some(Shard::new(i, k)),
+                ..RunOptions::default()
+            },
+        )
+    }
+
     #[test]
     fn merged_shards_reproduce_the_serial_report_byte_for_byte() {
-        let serial = toy_campaign().workers(1).run(eval);
+        let serial = plain(&toy_campaign().workers(1));
         for count in 1..=6usize {
             let parts: Vec<CampaignReport> = (0..count)
-                .map(|i| toy_campaign().run_shard(Shard::new(i, count), eval))
+                .map(|i| shard(&toy_campaign(), i, count))
                 .collect();
             let merged = CampaignReport::merge(parts).unwrap();
             assert_eq!(merged, serial, "{count} shards");
@@ -629,10 +606,8 @@ mod tests {
 
     #[test]
     fn shard_merge_order_does_not_matter() {
-        let serial = toy_campaign().run(eval);
-        let mut parts: Vec<CampaignReport> = (0..3)
-            .map(|i| toy_campaign().run_shard(Shard::new(i, 3), eval))
-            .collect();
+        let serial = plain(&toy_campaign());
+        let mut parts: Vec<CampaignReport> = (0..3).map(|i| shard(&toy_campaign(), i, 3)).collect();
         parts.reverse();
         assert_eq!(CampaignReport::merge(parts).unwrap(), serial);
     }
@@ -640,16 +615,16 @@ mod tests {
     #[test]
     fn shard_merge_rejects_gaps_overlaps_and_foreign_parts() {
         use crate::shard::MergeError;
-        let shard = |i: usize, k: usize| toy_campaign().run_shard(Shard::new(i, k), eval);
+        let half = |i: usize| shard(&toy_campaign(), i, 2);
         // Missing the second half.
-        let err = CampaignReport::merge(vec![shard(0, 2)]).unwrap_err();
+        let err = CampaignReport::merge(vec![half(0)]).unwrap_err();
         assert!(matches!(err, MergeError::Gap { index: 3 }), "{err}");
         // The same half twice.
-        let err = CampaignReport::merge(vec![shard(0, 2), shard(0, 2)]).unwrap_err();
+        let err = CampaignReport::merge(vec![half(0), half(0)]).unwrap_err();
         assert!(matches!(err, MergeError::Overlap { index: 0 }), "{err}");
         // A shard of a different campaign seed.
-        let foreign = toy_campaign().seed(7).run_shard(Shard::new(1, 2), eval);
-        let err = CampaignReport::merge(vec![shard(0, 2), foreign]).unwrap_err();
+        let foreign = shard(&toy_campaign().seed(7), 1, 2);
+        let err = CampaignReport::merge(vec![half(0), foreign]).unwrap_err();
         assert!(
             matches!(err, MergeError::Mismatch { field: "seed" }),
             "{err}"
@@ -659,8 +634,8 @@ mod tests {
 
     #[test]
     fn streaming_matches_buffered_summaries_and_csv() {
-        let buffered = toy_campaign().run(eval);
-        let streamed = toy_campaign().run_streaming(eval);
+        let buffered = plain(&toy_campaign());
+        let streamed = run(&toy_campaign(), &checkpointed("summaries"));
         // Summaries are bitwise identical (same fold, same order)...
         for (b, s) in buffered.points.iter().zip(&streamed.points) {
             assert_eq!(b.index, s.index);
@@ -676,9 +651,9 @@ mod tests {
 
     #[test]
     fn streaming_is_deterministic_across_worker_counts() {
-        let one = toy_campaign().workers(1).run_streaming(eval);
+        let one = run(&toy_campaign().workers(1), &checkpointed("w1"));
         for w in [2, 4, 8] {
-            let many = toy_campaign().workers(w).run_streaming(eval);
+            let many = run(&toy_campaign().workers(w), &checkpointed(&format!("w{w}")));
             assert_eq!(one, many, "{w} workers");
             assert_eq!(one.to_record_json(), many.to_record_json(), "{w} workers");
         }
@@ -686,22 +661,19 @@ mod tests {
 
     #[test]
     fn merged_streaming_shards_match_the_streaming_run() {
-        let whole = toy_campaign().run_streaming(eval);
+        let whole = run(&toy_campaign(), &checkpointed("whole"));
         let parts: Vec<CampaignReport> = (0..4)
-            .map(|i| toy_campaign().run_shard_streaming(Shard::new(i, 4), eval))
+            .map(|i| {
+                let opts = RunOptions {
+                    shard: Some(Shard::new(i, 4)),
+                    ..checkpointed(&format!("shard{i}"))
+                };
+                run(&toy_campaign(), &opts)
+            })
             .collect();
         let merged = CampaignReport::merge(parts).unwrap();
         assert_eq!(merged, whole);
         assert_eq!(merged.to_record_json(), whole.to_record_json());
         assert_eq!(merged.to_csv(), whole.to_csv());
-    }
-
-    #[test]
-    fn streaming_sink_sees_every_point_exactly_once() {
-        let mut seen = vec![0usize; 6];
-        toy_campaign().run_streaming_with(eval, |point, _wall| {
-            seen[point.index] += 1;
-        });
-        assert_eq!(seen, vec![1; 6]);
     }
 }

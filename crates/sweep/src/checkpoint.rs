@@ -32,28 +32,29 @@
 //! # Determinism
 //!
 //! Per-point seeds are pure functions of the campaign seed and the
-//! point index ([`crate::derive_seed`]), and resumed evaluation uses
-//! the same streaming fold as [`Campaign::run_streaming`], so a
-//! resumed report equals a fresh streaming run byte for byte (JSON
-//! record and CSV alike).
+//! point index ([`crate::derive_seed`]), and every checkpointed run
+//! uses the same streaming fold, so a resumed report equals an
+//! uninterrupted checkpointed run byte for byte (JSON record and CSV
+//! alike). Checkpointing is the [`RunOptions::checkpoint`] option of
+//! [`Campaign::run`].
+//!
+//! [`RunOptions::checkpoint`]: crate::campaign::RunOptions::checkpoint
 
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::campaign::{Campaign, RunCtx};
+use crate::campaign::Campaign;
 use crate::json::{check_fields, get, obj, Json, JsonError};
-use crate::report::{axis_to_json, point_from_json, point_to_json, CampaignReport, PointReport};
-use crate::space::SweepPoint;
-use qic_des::metrics::Metrics;
+use crate::report::{axis_to_json, point_from_json, point_to_json, PointReport};
 
 /// Schema version of the checkpoint manifest. Bumped on any
 /// incompatible change; loading surfaces a mismatch instead of
 /// guessing.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
-/// Where and how often a resumable campaign checkpoints.
+/// Where and how often a checkpointed campaign commits its manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointConfig {
     path: PathBuf,
@@ -152,134 +153,17 @@ impl std::error::Error for CheckpointError {
     }
 }
 
-/// Outcome of a budgeted resumable run: either the finished campaign or
-/// how far the manifest now reaches.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CampaignProgress {
-    /// Every point completed; the manifest holds the full campaign and
-    /// this is its report.
-    Complete(Box<CampaignReport>),
-    /// The point budget ran out first; the manifest was committed and a
-    /// later run will pick up from here.
-    Partial {
-        /// Points completed so far (across all runs).
-        done: usize,
-        /// Points in the campaign.
-        total: usize,
-    },
-}
-
-impl Campaign {
-    /// Runs the campaign with streaming aggregation, committing a
-    /// checkpoint manifest as points complete; if `ckpt.path()` already
-    /// holds a manifest of this campaign, the completed points are
-    /// loaded from it and only the missing ones are evaluated.
-    ///
-    /// The returned report is byte-identical (lossless record JSON and
-    /// CSV) to [`Campaign::run_streaming`] on a fresh campaign — kill
-    /// and resume as many times as you like.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError`] if the manifest cannot be read, written, or
-    /// does not belong to this campaign. Evaluation work committed
-    /// before the error is preserved in the manifest.
-    pub fn run_resumable<F>(
-        &self,
-        ckpt: &CheckpointConfig,
-        eval: F,
-    ) -> Result<CampaignReport, CheckpointError>
-    where
-        F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Sync,
-    {
-        match self.run_resumable_budgeted(ckpt, None, eval)? {
-            CampaignProgress::Complete(report) => Ok(*report),
-            CampaignProgress::Partial { .. } => {
-                unreachable!("an unbudgeted resumable run always completes")
-            }
-        }
-    }
-
-    /// [`Campaign::run_resumable`] with a point budget: evaluates at
-    /// most `budget` not-yet-completed points this invocation, then
-    /// commits and reports progress. `None` means no budget — run to
-    /// completion. This is the building block for cooperative
-    /// scheduling (and for the crash-injection tests, which use a
-    /// budget to stop a campaign dead at a checkpoint boundary).
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError`] as for [`Campaign::run_resumable`].
-    pub fn run_resumable_budgeted<F>(
-        &self,
-        ckpt: &CheckpointConfig,
-        budget: Option<usize>,
-        eval: F,
-    ) -> Result<CampaignProgress, CheckpointError>
-    where
-        F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Sync,
-    {
-        let total = self.space().len();
-        let manifest = Manifest::new(self, ckpt.path());
-
-        // Load whatever a previous run committed.
-        let mut slots: Vec<Option<PointReport>> = manifest.load(total)?;
-        let mut wall_ns: Vec<u64> = vec![0; total];
-
-        let missing: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
-        let todo: Vec<usize> = match budget {
-            Some(limit) => missing.iter().copied().take(limit).collect(),
-            None => missing,
-        };
-
-        if !todo.is_empty() {
-            // The sink runs on this thread, so committing from it is
-            // ordinary sequential file I/O; an error aborts the run
-            // after the in-flight points drain.
-            let mut commit_error: Option<CheckpointError> = None;
-            let mut fresh = 0usize;
-            self.run_point_set(&todo, &eval, |point, wall| {
-                if commit_error.is_some() {
-                    return;
-                }
-                let index = point.index;
-                wall_ns[index] = wall;
-                slots[index] = Some(point);
-                fresh += 1;
-                if fresh % ckpt.interval() == 0 {
-                    if let Err(e) = manifest.commit(&slots) {
-                        commit_error = Some(e);
-                    }
-                }
-            });
-            if let Some(e) = commit_error {
-                return Err(e);
-            }
-            manifest.commit(&slots)?;
-        }
-
-        let done = slots.iter().filter(|s| s.is_some()).count();
-        if done < total {
-            return Ok(CampaignProgress::Partial { done, total });
-        }
-        let points: Vec<PointReport> = slots
-            .into_iter()
-            .map(|s| s.expect("all points complete"))
-            .collect();
-        Ok(CampaignProgress::Complete(Box::new(
-            self.report_of(points, wall_ns),
-        )))
-    }
-}
-
-/// The manifest codec bound to one campaign and one path.
-struct Manifest<'a> {
+/// The manifest codec bound to one campaign and one path — the
+/// persistence behind [`RunOptions::checkpoint`].
+///
+/// [`RunOptions::checkpoint`]: crate::campaign::RunOptions::checkpoint
+pub(crate) struct Manifest<'a> {
     campaign: &'a Campaign,
     path: &'a Path,
 }
 
 impl<'a> Manifest<'a> {
-    fn new(campaign: &'a Campaign, path: &'a Path) -> Manifest<'a> {
+    pub(crate) fn new(campaign: &'a Campaign, path: &'a Path) -> Manifest<'a> {
         Manifest { campaign, path }
     }
 
@@ -297,7 +181,7 @@ impl<'a> Manifest<'a> {
 
     /// Loads the manifest into index-addressed slots; all-`None` when
     /// no manifest exists yet (a fresh campaign).
-    fn load(&self, total: usize) -> Result<Vec<Option<PointReport>>, CheckpointError> {
+    pub(crate) fn load(&self, total: usize) -> Result<Vec<Option<PointReport>>, CheckpointError> {
         let mut slots: Vec<Option<PointReport>> = Vec::new();
         slots.resize_with(total, || None);
         if !self.path.exists() {
@@ -434,7 +318,7 @@ impl<'a> Manifest<'a> {
 
     /// Atomically commits the manifest: write `<path>.tmp`, sync,
     /// rename over the manifest.
-    fn commit(&self, slots: &[Option<PointReport>]) -> Result<(), CheckpointError> {
+    pub(crate) fn commit(&self, slots: &[Option<PointReport>]) -> Result<(), CheckpointError> {
         let text = self.encode(slots);
         let tmp = PathBuf::from(format!("{}.tmp", self.path.display()));
         let mut file = fs::File::create(&tmp).map_err(|e| self.io("create", &e))?;

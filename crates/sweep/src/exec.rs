@@ -1,34 +1,30 @@
-//! The multi-threaded task executors behind [`Campaign::run`] and
-//! [`Campaign::run_on`].
+//! The worker pool behind every campaign run: the [`Executor`].
 //!
-//! Two pools live here:
+//! An `Executor` keeps its worker threads alive and multiplexes every
+//! concurrent submission over them with fair round-robin claiming,
+//! bounded admission, cooperative cancellation ([`CancelToken`]) and
+//! panic propagation. [`Campaign::run`] submits to a shared executor
+//! when [`RunOptions::exec`] names one (the multi-tenant path behind
+//! `qic-serve`); otherwise it builds a transient `Executor` sized
+//! `min(workers, points)` and drops it on return.
 //!
-//! * the **transient pool** ([`run_indexed`] / [`run_indexed_observed`])
-//!   that [`Campaign::run`] spins up per call — scoped threads, so the
-//!   task closure may borrow freely;
-//! * the **shared [`Executor`]** — a persistent pool serving many
-//!   concurrent submissions with fair round-robin scheduling, bounded
-//!   admission, cooperative cancellation ([`CancelToken`]) and panic
-//!   propagation, for long-lived services that must not pay a
-//!   thread-spawn per campaign (see `qic-serve`).
-//!
-//! Work distribution is the same in both: a shared cursor per
-//! submission — each worker repeatedly claims the next unclaimed task
-//! index and evaluates it, so stragglers never idle the pool (work
-//! stealing without queues — cheap, fair, and contention-free for
-//! simulator-sized tasks). Finished results stream back to the caller
-//! over a channel tagged with their task index, so aggregation order
-//! never depends on thread scheduling.
+//! Work distribution is a shared cursor per submission: each worker
+//! repeatedly claims the next unclaimed task index and evaluates it,
+//! so stragglers never idle the pool (work stealing without queues —
+//! cheap, fair, and contention-free for simulator-sized tasks).
+//! Finished results stream back to the submitting thread over a
+//! channel tagged with their task index, so aggregation order never
+//! depends on thread scheduling.
 //!
 //! # Worker-count precedence
 //!
-//! Both pools resolve a worker count of `0` through
-//! [`default_workers`]: an explicit count always wins, then the
-//! `QIC_WORKERS` environment variable (parsed by [`parse_workers`]),
-//! then the machine's available parallelism capped at 8.
+//! A worker count of `0` resolves through [`default_workers`]: an
+//! explicit count always wins, then the `QIC_WORKERS` environment
+//! variable (parsed by [`parse_workers`]), then the machine's available
+//! parallelism capped at 8.
 //!
 //! [`Campaign::run`]: crate::campaign::Campaign::run
-//! [`Campaign::run_on`]: crate::campaign::Campaign::run_on
+//! [`RunOptions::exec`]: crate::campaign::RunOptions::exec
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -38,125 +34,7 @@ use std::thread;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crate::progress::{NoProgress, ProgressSink};
-
-/// Flags the shared cancel latch when its worker unwinds, so the other
-/// workers stop claiming tasks instead of draining the whole campaign
-/// before the panic can propagate.
-struct CancelOnPanic<'a>(&'a AtomicBool);
-
-impl Drop for CancelOnPanic<'_> {
-    fn drop(&mut self) {
-        if thread::panicking() {
-            self.0.store(true, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Evaluates `tasks` task indices on `workers` threads, streaming each
-/// `(index, result)` into `sink` as it completes.
-///
-/// The task function runs once per index in `0..tasks`; which thread
-/// runs which index is scheduling-dependent, but `sink` receives every
-/// index exactly once, so an index-addressed collection is
-/// deterministic. A panicking task cancels the pool — the other
-/// workers finish only their in-flight task, claim nothing further —
-/// and then propagates to the caller.
-pub fn run_indexed<R, F, S>(tasks: usize, workers: usize, task: F, mut sink: S)
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-    S: FnMut(usize, R),
-{
-    run_indexed_observed(tasks, workers, task, |i, r, _wall| sink(i, r), &NoProgress);
-}
-
-/// [`run_indexed`] with campaign-level observability: `progress`
-/// receives a claim/finish callback pair per task from the worker that
-/// ran it, and `sink` additionally receives each task's wall-clock
-/// evaluation time in nanoseconds.
-///
-/// The result stream and its index-addressing are identical to
-/// [`run_indexed`] — wall times and progress callbacks are measurement
-/// side channels, scheduling-dependent by nature, and must not feed
-/// anything that claims determinism.
-pub fn run_indexed_observed<R, F, S>(
-    tasks: usize,
-    workers: usize,
-    task: F,
-    mut sink: S,
-    progress: &dyn ProgressSink,
-) where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-    S: FnMut(usize, R, u64),
-{
-    let workers = workers.clamp(1, tasks.max(1));
-    let cursor = AtomicUsize::new(0);
-    let cancelled = AtomicBool::new(false);
-    thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<(usize, R, u64)>();
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                let cancelled = &cancelled;
-                let task = &task;
-                scope.spawn(move || {
-                    let guard = CancelOnPanic(cancelled);
-                    loop {
-                        if cancelled.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= tasks {
-                            break;
-                        }
-                        progress.on_start(i, worker);
-                        let begun = Instant::now();
-                        let result = task(i);
-                        let wall_ns = u64::try_from(begun.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        progress.on_finish(i, worker, wall_ns);
-                        // A closed channel means the receiver is gone
-                        // (caller unwinding); stop claiming work.
-                        if tx.send((i, result, wall_ns)).is_err() {
-                            break;
-                        }
-                    }
-                    drop(guard);
-                })
-            })
-            .collect();
-        drop(tx);
-        // Streams until every worker has dropped its sender.
-        while let Ok((i, r, wall_ns)) = rx.recv() {
-            sink(i, r, wall_ns);
-        }
-        // Join explicitly so a worker's panic payload (not the scope's
-        // generic "a scoped thread panicked") reaches the caller.
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-}
-
-/// Like [`run_indexed`], but collects results into a `Vec` ordered by
-/// task index.
-pub fn collect_indexed<R, F>(tasks: usize, workers: usize, task: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let mut slots: Vec<Option<R>> = Vec::new();
-    slots.resize_with(tasks, || None);
-    run_indexed(tasks, workers, task, |i, r| slots[i] = Some(r));
-    slots
-        .into_iter()
-        .map(|s| s.expect("every task index reported exactly once"))
-        .collect()
-}
+use crate::progress::ProgressSink;
 
 /// Worker count to use when a campaign does not pin one.
 ///
@@ -194,8 +72,8 @@ pub fn parse_workers(v: &str) -> Option<usize> {
 /// [`Executor`] run and the workers evaluating it.
 ///
 /// Cancelling stops further task *claims*; tasks already in flight
-/// finish normally. A cancelled run returns incomplete (see
-/// [`Executor::run_indexed_observed`]), and the token stays tripped —
+/// finish normally. A cancelled run returns incomplete (some indices
+/// never reach [`Executor::run`]'s sink), and the token stays tripped —
 /// tokens are one-shot, one per run.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
@@ -345,11 +223,10 @@ struct Shared {
     space: Condvar,
 }
 
-/// A persistent, shared worker pool serving many concurrent campaign
-/// submissions.
+/// The worker pool every campaign runs on: shared by many concurrent
+/// submissions, or built per call and dropped on return.
 ///
-/// Where [`Campaign::run`] spins a transient scoped pool up per call,
-/// an `Executor` keeps `workers` threads alive and multiplexes every
+/// An `Executor` keeps `workers` threads alive and multiplexes every
 /// concurrent submission over them with **fair round-robin claiming**:
 /// each idle worker takes the next task from the next submission in the
 /// ring, so two concurrent campaigns make interleaved progress instead
@@ -366,16 +243,15 @@ struct Shared {
 ///
 /// # Determinism
 ///
-/// The executor only schedules; results are index-addressed exactly
-/// like the transient pool's, so anything built on it (notably
-/// [`Campaign::run_on`]) inherits the byte-identical determinism
-/// contract regardless of pool size or concurrent load.
+/// The executor only schedules; results are index-addressed, so
+/// anything built on it (notably [`Campaign::run`]) inherits the
+/// byte-identical determinism contract regardless of pool size or
+/// concurrent load.
 ///
 /// Dropping the executor drains in-flight submissions, then joins the
 /// workers.
 ///
 /// [`Campaign::run`]: crate::campaign::Campaign::run
-/// [`Campaign::run_on`]: crate::campaign::Campaign::run_on
 pub struct Executor {
     shared: Arc<Shared>,
     workers: usize,
@@ -441,51 +317,36 @@ impl Executor {
         self.workers
     }
 
-    /// Evaluates `tasks` task indices on the shared pool, streaming
-    /// each `(index, result)` into `sink` as it completes — the
-    /// shared-pool analogue of [`run_indexed`]. Panics inside `task`
-    /// propagate to this caller.
-    pub fn run_indexed<R, F, S>(&self, tasks: usize, task: F, mut sink: S)
-    where
-        R: Send + 'static,
-        F: Fn(usize) -> R + Send + Sync + 'static,
-        S: FnMut(usize, R),
-    {
-        let complete = self.run_indexed_observed(
-            tasks,
-            task,
-            |i, r, _wall| sink(i, r),
-            Arc::new(NoProgress),
-            &CancelToken::new(),
-        );
-        debug_assert!(complete, "an uncancelled run always completes");
-    }
-
-    /// [`Executor::run_indexed`] with observability and cancellation:
-    /// `progress` hears every claim/finish (with pool-worker
-    /// attribution), `sink` additionally receives wall-clock
-    /// nanoseconds per task, and tripping `cancel` stops further claims.
+    /// Evaluates task indices `0..tasks` on the pool, streaming each
+    /// `(index, result, wall_ns)` into `sink` on this thread as it
+    /// completes.
     ///
-    /// Returns `true` when every task ran, `false` when the run was
-    /// cancelled (some indices then never reach `sink`). The submitting
-    /// thread blocks until one or the other. A panicking task cancels
-    /// the rest of **this** submission and re-raises here; concurrent
-    /// submissions are unaffected.
-    pub fn run_indexed_observed<R, F, S>(
+    /// `progress` hears every claim and finish (with pool-worker
+    /// attribution); tripping `cancel` stops further claims, and the
+    /// indices never claimed never reach `sink`. The submitting thread
+    /// blocks until every claimed task has finished. A panicking task
+    /// cancels the rest of **this** submission and re-raises here;
+    /// concurrent submissions are unaffected.
+    ///
+    /// Which worker runs which index is scheduling-dependent, but
+    /// `sink` receives each delivered index exactly once, so an
+    /// index-addressed collection is deterministic. Wall times and
+    /// progress callbacks are measurement side channels and must not
+    /// feed anything that claims determinism.
+    pub fn run<R, F, S>(
         &self,
         tasks: usize,
         task: F,
         mut sink: S,
         progress: Arc<dyn ProgressSink + Send + Sync>,
         cancel: &CancelToken,
-    ) -> bool
-    where
+    ) where
         R: Send + 'static,
         F: Fn(usize) -> R + Send + Sync + 'static,
         S: FnMut(usize, R, u64),
     {
         if tasks == 0 {
-            return true;
+            return;
         }
         let (tx, rx) = mpsc::channel();
         let submission: Arc<Submission<R, F>> = Arc::new(Submission {
@@ -512,16 +373,12 @@ impl Executor {
             ring.sources.push(submission);
             self.shared.work.notify_all();
         }
-        let mut delivered = 0usize;
         let mut payload: Option<Box<dyn Any + Send>> = None;
         // `Closed` always arrives: the ring drops the source once its
         // claims dry up, and the last in-flight task closes the stream.
         while let Ok(verdict) = rx.recv() {
             match verdict {
-                Verdict::Done(i, r, wall_ns) => {
-                    delivered += 1;
-                    sink(i, r, wall_ns);
-                }
+                Verdict::Done(i, r, wall_ns) => sink(i, r, wall_ns),
                 Verdict::Panicked(p) => payload = Some(p),
                 Verdict::Closed => break,
             }
@@ -529,7 +386,6 @@ impl Executor {
         if let Some(payload) = payload {
             resume_unwind(payload);
         }
-        delivered == tasks
     }
 }
 
@@ -590,11 +446,35 @@ fn worker_loop(shared: &Shared, worker: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::progress::{JsonlProgress, NoProgress};
+
+    /// Runs `task` over `0..tasks` on `exec` and collects the results
+    /// by index, asserting each index arrives exactly once.
+    fn collect<F>(exec: &Executor, tasks: usize, task: F) -> Vec<usize>
+    where
+        F: Fn(usize) -> usize + Send + Sync + 'static,
+    {
+        let mut slots = vec![None; tasks];
+        exec.run(
+            tasks,
+            task,
+            |i, r, _wall| {
+                assert!(slots[i].is_none(), "index {i} delivered twice");
+                slots[i] = Some(r);
+            },
+            Arc::new(NoProgress),
+            &CancelToken::new(),
+        );
+        slots
+            .into_iter()
+            .map(|s| s.expect("every task index reported exactly once"))
+            .collect()
+    }
 
     #[test]
     fn covers_every_index_once() {
         for workers in [1, 2, 4, 7] {
-            let got = collect_indexed(23, workers, |i| i * i);
+            let got = collect(&Executor::new(workers), 23, |i| i * i);
             let want: Vec<usize> = (0..23).map(|i| i * i).collect();
             assert_eq!(got, want, "workers={workers}");
         }
@@ -602,32 +482,16 @@ mod tests {
 
     #[test]
     fn zero_tasks_is_fine() {
-        let got: Vec<u32> = collect_indexed(0, 4, |_| unreachable!());
+        let got = collect(&Executor::new(4), 0, |_| unreachable!());
         assert!(got.is_empty());
     }
 
     #[test]
     fn worker_count_is_clamped() {
-        // More workers than tasks must not deadlock or skip work.
-        let got = collect_indexed(3, 64, |i| i);
+        // Idle workers must not deadlock or skip work.
+        let got = collect(&Executor::new(64), 3, |i| i);
         assert_eq!(got, vec![0, 1, 2]);
         assert!(default_workers() >= 1);
-    }
-
-    #[test]
-    fn streams_tagged_results() {
-        let mut seen = [false; 50];
-        run_indexed(
-            50,
-            4,
-            |i| i,
-            |i, r| {
-                assert_eq!(i, r);
-                assert!(!seen[i], "index {i} delivered twice");
-                seen[i] = true;
-            },
-        );
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]
@@ -643,20 +507,20 @@ mod tests {
 
     #[test]
     fn observed_run_reports_progress_and_wall_times() {
-        use crate::progress::JsonlProgress;
-        let sink = JsonlProgress::new(Vec::new(), 6);
+        let sink = Arc::new(JsonlProgress::new(Vec::new(), 6));
         let mut walls = [0u64; 6];
-        run_indexed_observed(
+        Executor::new(2).run(
             6,
-            2,
             |i| i * 10,
             |i, r, wall_ns| {
                 assert_eq!(r, i * 10);
                 walls[i] = wall_ns;
             },
-            &sink,
+            Arc::clone(&sink) as _,
+            &CancelToken::new(),
         );
         assert_eq!(sink.done(), 6);
+        let sink = Arc::into_inner(sink).expect("the pool released the sink");
         let text = String::from_utf8(sink.into_inner()).unwrap();
         assert_eq!(text.lines().count(), 12, "one start + one done per task");
         for i in 0..6 {
@@ -667,44 +531,5 @@ mod tests {
         }
         let final_line = text.lines().last().unwrap();
         assert!(final_line.contains("\"done\":6,\"total\":6,\"in_flight\":0"));
-    }
-
-    #[test]
-    #[should_panic(expected = "task 3 exploded")]
-    fn worker_panic_propagates() {
-        let _ = collect_indexed(8, 2, |i| {
-            if i == 3 {
-                panic!("task 3 exploded");
-            }
-            i
-        });
-    }
-
-    #[test]
-    fn panic_cancels_outstanding_tasks() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let evaluated = AtomicUsize::new(0);
-        let tasks = 10_000;
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_indexed(
-                tasks,
-                4,
-                |i| {
-                    if i == 0 {
-                        panic!("first task fails");
-                    }
-                    evaluated.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(std::time::Duration::from_micros(20));
-                },
-                |_, _| {},
-            );
-        }));
-        assert!(result.is_err(), "the panic must propagate");
-        // Without cancellation the surviving workers would evaluate every
-        // remaining task before the panic surfaced.
-        assert!(
-            evaluated.load(Ordering::Relaxed) < tasks - 1,
-            "workers kept draining after the panic"
-        );
     }
 }

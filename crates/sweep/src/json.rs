@@ -260,11 +260,15 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// [`JsonError`] with the byte offset of the first syntax problem.
+    /// [`JsonError`] with the byte offset of the first syntax problem,
+    /// including arrays and objects nested deeper than [`MAX_DEPTH`]
+    /// (the parser recurses per level, so unbounded nesting would
+    /// overflow the stack instead of failing).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             at: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -336,9 +340,15 @@ pub fn check_fields(
     Ok(())
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. Every
+/// document the workspace writes nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -383,12 +393,27 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one nesting level down, refusing to
+    /// go past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -612,6 +637,16 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+        // Deep nesting is a structured error, not a stack overflow.
+        let deep = "[".repeat(100_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(err.problem.contains("nested deeper"), "{err}");
+        assert_eq!(err.at, MAX_DEPTH);
+        let deep_obj = "{\"a\":".repeat(100_000);
+        assert!(Json::parse(&deep_obj).is_err());
+        // The limit itself still parses.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
     }
 
     #[test]

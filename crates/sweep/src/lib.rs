@@ -11,9 +11,11 @@
 //!    fixed row-major order;
 //! 2. a [`Campaign`] binding the space to replication, seeding and a
 //!    worker budget;
-//! 3. a multi-threaded executor (shared-cursor work stealing over
-//!    `std::thread`) that streams `(point, replicate)` results into a
-//!    [`CampaignReport`];
+//! 3. one entry point, [`Campaign::run`], whose [`RunOptions`] pick
+//!    the pool (shared or per-call), shard, checkpoint, budget,
+//!    progress sink and cancel token, on one multi-threaded
+//!    [`Executor`] (shared-cursor work stealing over `std::thread`)
+//!    that streams per-point results into a [`CampaignReport`];
 //! 4. replicate aggregation (mean / 95% CI via `qic_des::stats`) with
 //!    deterministic CSV and JSON emitters.
 //!
@@ -22,8 +24,8 @@
 //! A campaign's output must not depend on how it was scheduled. Two
 //! mechanisms guarantee that:
 //!
-//! * **Index-addressed aggregation.** Every `(point, replicate)` task
-//!   carries its row-major index; results are placed by index, so the
+//! * **Index-addressed aggregation.** Every point task carries its
+//!   row-major index; results are placed by index, so the
 //!   report — including its JSON/CSV bytes — is identical for 1 worker
 //!   or 64.
 //! * **Derived seeds.** The seed for point `i`, replicate `r` of a
@@ -54,17 +56,20 @@
 //!     .replicates(2)
 //!     .seed(2006)
 //!     .workers(4)
-//!     .run(|point, ctx| {
+//!     .run(&RunOptions::default(), |point, ctx| {
 //!         // A real campaign would build and run a simulator here,
 //!         // seeding it with `ctx.seed`.
 //!         let score = point.f64("depth") / point.f64("error");
 //!         Metrics::new()
 //!             .with("score", score)
 //!             .with("noise", (ctx.seed % 7) as f64)
-//!     });
+//!     })?
+//!     .complete()
+//!     .expect("an unbudgeted run completes");
 //! assert_eq!(report.points.len(), 9);
 //! let csv = report.to_csv();
 //! assert!(csv.starts_with("index,depth,error,score.mean"));
+//! # Ok::<(), CheckpointError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -79,8 +84,8 @@ pub mod report;
 pub mod shard;
 pub mod space;
 
-pub use campaign::{Campaign, RunCtx};
-pub use checkpoint::{CampaignProgress, CheckpointConfig, CheckpointError, CHECKPOINT_VERSION};
+pub use campaign::{Campaign, CampaignProgress, RunCtx, RunOptions};
+pub use checkpoint::{CheckpointConfig, CheckpointError, CHECKPOINT_VERSION};
 pub use exec::{default_workers, parse_workers, CancelToken, Executor};
 pub use progress::{JsonlProgress, NoProgress, ProgressSink};
 // The metric record type lives in `qic-des` (so simulator crates can
@@ -93,8 +98,8 @@ pub use space::{Axis, AxisValue, ParamSpace, SweepPoint};
 
 /// Convenient glob-import surface: `use qic_sweep::prelude::*;`.
 pub mod prelude {
-    pub use crate::campaign::{Campaign, RunCtx};
-    pub use crate::checkpoint::{CampaignProgress, CheckpointConfig, CheckpointError};
+    pub use crate::campaign::{Campaign, CampaignProgress, RunCtx, RunOptions};
+    pub use crate::checkpoint::{CheckpointConfig, CheckpointError};
     pub use crate::derive_seed;
     pub use crate::digest_str;
     pub use crate::exec::{CancelToken, Executor};

@@ -94,19 +94,21 @@ impl<W: Write + Send> ProgressSink for JsonlProgress<W> {
     }
 
     fn on_finish(&self, task: usize, worker: usize, wall_ns: u64) {
+        // Count under the writer lock so lines appear in `done` order:
+        // the last line always reports the final count. A poisoned lock
+        // at worst holds a torn progress line, never a wrong count.
+        let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         let in_flight = self.in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
         let elapsed_ms = self.started.elapsed().as_secs_f64() * 1e3;
         let eta_ms = elapsed_ms / done as f64 * self.total.saturating_sub(done) as f64;
-        if let Ok(mut out) = self.out.lock() {
-            let _ = writeln!(
-                out,
-                "{{\"event\":\"done\",\"task\":{task},\"worker\":{worker},\"wall_ms\":{:.3},\"done\":{done},\"total\":{},\"in_flight\":{in_flight},\"eta_ms\":{:.1}}}",
-                wall_ns as f64 / 1e6,
-                self.total,
-                eta_ms
-            );
-        }
+        let _ = writeln!(
+            out,
+            "{{\"event\":\"done\",\"task\":{task},\"worker\":{worker},\"wall_ms\":{:.3},\"done\":{done},\"total\":{},\"in_flight\":{in_flight},\"eta_ms\":{:.1}}}",
+            wall_ns as f64 / 1e6,
+            self.total,
+            eta_ms
+        );
     }
 }
 

@@ -102,8 +102,8 @@ impl PointReport {
     }
 
     /// Builds a point report from streamed per-metric tallies instead
-    /// of buffered replicates (the constant-memory aggregation path —
-    /// see [`Campaign::run_streaming`]).
+    /// of buffered replicates (the constant-memory aggregation of a
+    /// checkpointed run — see [`RunOptions::checkpoint`]).
     ///
     /// `tallies` must be in first-appearance metric order with samples
     /// recorded in replicate order; the summaries are then bit-for-bit
@@ -111,7 +111,7 @@ impl PointReport {
     /// evaluations. [`PointReport::replicates`] stays empty — raw
     /// samples are exactly what streaming aggregation does not retain.
     ///
-    /// [`Campaign::run_streaming`]: crate::campaign::Campaign::run_streaming
+    /// [`RunOptions::checkpoint`]: crate::campaign::RunOptions::checkpoint
     pub fn from_tallies(
         index: usize,
         params: Vec<(String, AxisValue)>,

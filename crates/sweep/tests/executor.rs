@@ -1,4 +1,4 @@
-//! The shared [`Executor`]: byte-identity with the transient pool,
+//! The shared [`Executor`]: byte-identity with the per-call pool,
 //! fairness between concurrent campaigns, bounded admission,
 //! cancellation, and panic isolation.
 
@@ -29,12 +29,33 @@ fn eval(point: &SweepPoint<'_>, ctx: RunCtx) -> Metrics {
         .with("rep", f64::from(ctx.replicate))
 }
 
+/// Runs `campaign` on the shared pool `exec` to completion.
+fn run_on<F>(campaign: &Campaign, exec: &Executor, eval: F) -> CampaignReport
+where
+    F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Send + Sync + 'static,
+{
+    let opts = RunOptions {
+        exec: Some(exec),
+        ..RunOptions::default()
+    };
+    campaign.run(&opts, eval).unwrap().complete().unwrap()
+}
+
+/// Runs `campaign` on a per-call pool to completion.
+fn run(campaign: &Campaign) -> CampaignReport {
+    campaign
+        .run(&RunOptions::default(), eval)
+        .unwrap()
+        .complete()
+        .unwrap()
+}
+
 #[test]
 fn run_on_matches_run_byte_for_byte() {
-    let transient = toy_campaign().run(eval);
+    let transient = run(&toy_campaign());
     for workers in [1, 2, 4] {
         let exec = Executor::new(workers);
-        let shared = toy_campaign().run_on(&exec, eval);
+        let shared = run_on(&toy_campaign(), &exec, eval);
         assert_eq!(shared, transient, "{workers} pool workers");
         assert_eq!(shared.to_json(), transient.to_json(), "{workers} workers");
         assert_eq!(shared.to_csv(), transient.to_csv(), "{workers} workers");
@@ -49,23 +70,20 @@ fn run_on_matches_run_byte_for_byte() {
 #[test]
 fn one_executor_serves_sequential_campaigns() {
     let exec = Executor::new(2);
-    let first = toy_campaign().run_on(&exec, eval);
-    let second = toy_campaign().run_on(&exec, eval);
+    let first = run_on(&toy_campaign(), &exec, eval);
+    let second = run_on(&toy_campaign(), &exec, eval);
     assert_eq!(first.to_json(), second.to_json());
     // A different campaign on the same pool still matches its own
     // transient run.
     let other = toy_campaign().seed(7);
-    assert_eq!(
-        other.run_on(&exec, eval).to_json(),
-        other.run(eval).to_json()
-    );
+    assert_eq!(run_on(&other, &exec, eval).to_json(), run(&other).to_json());
 }
 
 #[test]
 fn empty_campaign_runs_zero_points() {
     let exec = Executor::new(2);
     let space = ParamSpace::new().axis(Axis::ints("a", []));
-    let report = Campaign::new("empty", space).run_on(&exec, |_, _| unreachable!());
+    let report = run_on(&Campaign::new("empty", space), &exec, |_, _| unreachable!());
     assert!(report.points.is_empty());
 }
 
@@ -83,7 +101,7 @@ fn concurrent_campaigns_interleave_fairly() {
             let log = Arc::clone(&log);
             std::thread::spawn(move || {
                 let campaign = Campaign::new(format!("c{tag}"), toy_space()).seed(u64::from(tag));
-                campaign.run_on(&exec, move |point, _ctx| {
+                run_on(&campaign, &exec, move |point, _ctx| {
                     std::thread::sleep(Duration::from_millis(4));
                     log.lock().unwrap().push(tag);
                     Metrics::new().with("v", point.i64("a") as f64)
@@ -123,7 +141,7 @@ fn admission_bound_serialises_submissions() {
             let log = Arc::clone(&log);
             std::thread::spawn(move || {
                 let campaign = Campaign::new(format!("a{tag}"), toy_space());
-                campaign.run_on(&exec, move |point, _| {
+                run_on(&campaign, &exec, move |point, _| {
                     log.lock().unwrap().push(tag);
                     std::thread::sleep(Duration::from_millis(2));
                     Metrics::new().with("v", point.i64("a") as f64)
@@ -146,8 +164,7 @@ fn admission_bound_serialises_submissions() {
 }
 
 /// Cancelling from inside the evaluation (deterministically, after four
-/// points) stops further claims; `run_on_observed` reports the run
-/// incomplete.
+/// points) stops further claims; the run reports itself partial.
 #[test]
 fn cancellation_stops_further_points() {
     let exec = Executor::new(2);
@@ -157,19 +174,24 @@ fn cancellation_stops_further_points() {
     let result = {
         let trip = token.clone();
         let evaluated = Arc::clone(&evaluated);
-        campaign.run_on_observed(
-            &exec,
-            move |point, _| {
+        let opts = RunOptions {
+            exec: Some(&exec),
+            cancel: token.clone(),
+            ..RunOptions::default()
+        };
+        campaign
+            .run(&opts, move |point, _| {
                 if evaluated.fetch_add(1, Ordering::SeqCst) + 1 >= 4 {
                     trip.cancel();
                 }
                 Metrics::new().with("v", point.i64("a") as f64)
-            },
-            Arc::new(NoProgress),
-            &token,
-        )
+            })
+            .unwrap()
     };
-    assert!(result.is_none(), "cancelled runs yield no report");
+    assert!(
+        result.complete().is_none(),
+        "cancelled runs yield no report"
+    );
     assert!(token.is_cancelled());
     let n = evaluated.load(Ordering::SeqCst);
     assert!((4..8).contains(&n), "claims continued after cancel: {n}");
@@ -180,8 +202,15 @@ fn progress_sink_hears_point_claims() {
     let exec = Executor::new(2);
     let campaign = toy_campaign();
     let sink = Arc::new(JsonlProgress::new(Vec::new(), 8));
+    let opts = RunOptions {
+        exec: Some(&exec),
+        progress: Some(Arc::clone(&sink) as _),
+        ..RunOptions::default()
+    };
     let report = campaign
-        .run_on_observed(&exec, eval, Arc::clone(&sink) as _, &CancelToken::new())
+        .run(&opts, eval)
+        .unwrap()
+        .complete()
         .expect("completes");
     assert_eq!(report.points.len(), 8);
     assert_eq!(sink.done(), 8, "one finish per point (not per replicate)");
@@ -191,7 +220,7 @@ fn progress_sink_hears_point_claims() {
 #[should_panic(expected = "point 3 exploded")]
 fn panic_in_eval_propagates_to_the_submitter() {
     let exec = Executor::new(2);
-    let _ = Campaign::new("boom", toy_space()).run_on(&exec, |point, _| {
+    let _ = run_on(&Campaign::new("boom", toy_space()), &exec, |point, _| {
         if point.index() == 3 {
             panic!("point 3 exploded");
         }
@@ -205,11 +234,15 @@ fn panic_in_eval_propagates_to_the_submitter() {
 fn pool_survives_a_panicked_submission() {
     let exec = Executor::new(2);
     let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Campaign::new("boom", toy_space()).run_on(&exec, |_, _| -> Metrics {
-            panic!("always");
-        })
+        run_on(
+            &Campaign::new("boom", toy_space()),
+            &exec,
+            |_, _| -> Metrics {
+                panic!("always");
+            },
+        )
     }));
     assert!(boom.is_err());
-    let report = toy_campaign().run_on(&exec, eval);
-    assert_eq!(report.to_json(), toy_campaign().run(eval).to_json());
+    let report = run_on(&toy_campaign(), &exec, eval);
+    assert_eq!(report.to_json(), run(&toy_campaign()).to_json());
 }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use qic_sweep::{derive_seed, Axis, Campaign, Metrics, ParamSpace};
+use qic_sweep::{derive_seed, Axis, Campaign, Metrics, ParamSpace, RunOptions};
 
 fn small_space(a: usize, b: usize, c: usize) -> ParamSpace {
     ParamSpace::new()
@@ -54,12 +54,18 @@ proptest! {
             .seed(seed)
             .replicates(reps)
             .workers(1)
-            .run(eval);
+            .run(&RunOptions::default(), eval)
+            .unwrap()
+            .complete()
+            .unwrap();
         let parallel = Campaign::new("p", space)
             .seed(seed)
             .replicates(reps)
             .workers(workers)
-            .run(eval);
+            .run(&RunOptions::default(), eval)
+            .unwrap()
+            .complete()
+            .unwrap();
         prop_assert_eq!(&serial, &parallel);
         prop_assert_eq!(serial.to_json(), parallel.to_json());
     }

@@ -1,5 +1,5 @@
 //! Scenario API end to end: load a spec from a JSON string, run it
-//! through the single `qic::run` entry point, print the report.
+//! through the `qic::run` entry point, print the report.
 //!
 //! The spec below is exactly what `ScenarioSpec::to_json` emits — an
 //! experiment as data. Edit the string (fabric, routing, workload,
@@ -25,7 +25,7 @@
 
 use qic::prelude::*;
 use qic::sweep::{CampaignReport, Shard};
-use qic::CheckpointSpec;
+use qic::{CheckpointSpec, RunOptions};
 use std::path::{Path, PathBuf};
 
 /// A study the pre-scenario API could not express without new code:
@@ -181,7 +181,15 @@ fn main() {
     // --shard i/K: evaluate one contiguous slice, record it for merge.
     if let Some(shard) = cli.shard {
         let dir = out_dir(&cli);
-        let report = qic::run_shard(&spec, shard).expect("spec validates");
+        let opts = RunOptions {
+            shard: Some(shard),
+            ..RunOptions::default()
+        };
+        let ScenarioProgress::Complete(report) =
+            qic::run_with(&spec, &opts).expect("spec validates")
+        else {
+            unreachable!("unbudgeted shard runs complete");
+        };
         let path = shard_path(&dir, &spec.name, shard);
         std::fs::write(&path, report.report.to_record_json()).expect("write shard record");
         println!(
@@ -199,7 +207,11 @@ fn main() {
         let ckpt =
             CheckpointSpec::to_dir(dir.display().to_string()).with_every(cli.every.unwrap_or(16));
         let spec = spec.with_checkpoint(ckpt);
-        match qic::run_budgeted(&spec, cli.budget).expect("spec validates, manifest loads") {
+        let opts = RunOptions {
+            budget: cli.budget,
+            ..RunOptions::default()
+        };
+        match qic::run_with(&spec, &opts).expect("spec validates, manifest loads") {
             ScenarioProgress::Partial { done, total } => {
                 println!("checkpointed {done}/{total} points; rerun with --resume to continue");
             }

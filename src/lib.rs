@@ -32,8 +32,9 @@
 //!
 //! Every experiment is a declarative [`ScenarioSpec`] — *machine ×
 //! fabric × routing × workload × purification strategy, swept* — run
-//! through the single [`run`] entry point. Named presets for the
-//! paper's figures (and beyond) live in the scenario registry:
+//! through [`run`] ([`run_with`] adds shard, budget, shared pool,
+//! progress and cancel options). Named presets for the paper's figures
+//! (and beyond) live in the scenario registry:
 //!
 //! ```
 //! use qic::prelude::*;
@@ -79,9 +80,9 @@ pub use qic_workload as workload;
 pub use qic_core::scenario::{
     CheckpointSpec, ObserveSpec, ScenarioProgress, ScenarioReport, ScenarioSpec, SpecDigest,
 };
-pub use qic_sweep::{Executor, Shard};
+pub use qic_sweep::{CancelToken, Executor, RunOptions, Shard};
 
-/// Runs a scenario: the single entry point for every experiment.
+/// Runs a scenario: the entry point for every experiment.
 ///
 /// Validates the spec (structured errors with scenario context), builds
 /// the campaign its axes describe, evaluates every point on the worker
@@ -91,57 +92,28 @@ pub use qic_sweep::{Executor, Shard};
 ///
 /// # Errors
 ///
-/// [`qic_core::scenario::ScenarioError`] if the spec fails validation.
+/// [`qic_core::scenario::ScenarioError`] if the spec fails validation
+/// or its checkpoint manifest is unusable.
 pub fn run(spec: &ScenarioSpec) -> Result<ScenarioReport, qic_core::scenario::ScenarioError> {
     qic_core::scenario::run(spec)
 }
 
-/// Runs a scenario on a shared [`Executor`] instead of a transient
-/// per-call pool — byte-identical to [`run`], but many concurrent
-/// campaigns interleave fairly on one set of workers. The service layer
-/// ([`serve`]) builds on this. See [`qic_core::scenario::run_on`].
-///
-/// # Errors
-///
-/// [`qic_core::scenario::ScenarioError`] if the spec fails validation
-/// or carries a checkpoint block.
-pub fn run_on(
-    spec: &ScenarioSpec,
-    exec: &Executor,
-) -> Result<ScenarioReport, qic_core::scenario::ScenarioError> {
-    qic_core::scenario::run_on(spec, exec)
-}
-
-/// Runs one contiguous shard `i/K` of a scenario's campaign; merging
-/// all `K` shard reports with [`qic_sweep::CampaignReport::merge`]
-/// reproduces the serial report byte for byte. See
-/// [`qic_core::scenario::run_shard`].
-///
-/// # Errors
-///
-/// [`qic_core::scenario::ScenarioError`] if the spec fails validation
-/// or carries a checkpoint block.
-pub fn run_shard(
-    spec: &ScenarioSpec,
-    shard: Shard,
-) -> Result<ScenarioReport, qic_core::scenario::ScenarioError> {
-    qic_core::scenario::run_shard(spec, shard)
-}
-
-/// Runs a checkpointed scenario with a point budget, committing the
-/// manifest and reporting progress; repeat until
-/// [`ScenarioProgress::Complete`]. See
-/// [`qic_core::scenario::run_budgeted`].
+/// Runs a scenario under explicit [`RunOptions`] — a shared
+/// [`Executor`] (the [`serve`] layer's path), one [`Shard`] of the
+/// sweep, a point budget for checkpointed specs, a progress sink, a
+/// [`CancelToken`]. Every combination reports the bytes [`run`] would.
+/// See [`qic_core::scenario::run_with`].
 ///
 /// # Errors
 ///
 /// [`qic_core::scenario::ScenarioError`] if the spec fails validation,
-/// has no checkpoint block, or the manifest is unusable.
-pub fn run_budgeted(
+/// the options conflict with it (a shard of a checkpointed spec, a
+/// budget without a checkpoint), or setup I/O or the manifest fails.
+pub fn run_with(
     spec: &ScenarioSpec,
-    budget: Option<usize>,
+    opts: &RunOptions<'_>,
 ) -> Result<ScenarioProgress, qic_core::scenario::ScenarioError> {
-    qic_core::scenario::run_budgeted(spec, budget)
+    qic_core::scenario::run_with(spec, opts)
 }
 
 /// One-stop imports for examples and downstream users.

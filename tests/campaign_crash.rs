@@ -6,8 +6,11 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use std::sync::Arc;
+
 use qic::prelude::*;
 use qic::sweep::CheckpointError;
+use qic::RunOptions;
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
@@ -32,6 +35,22 @@ fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("synthetic_stress.ckpt.json")
 }
 
+/// Evaluates at most `budget` more points of `spec`, then stops.
+fn run_budgeted(spec: &ScenarioSpec, budget: usize) -> Result<ScenarioProgress, ScenarioError> {
+    let opts = RunOptions {
+        budget: Some(budget),
+        ..RunOptions::default()
+    };
+    qic::run_with(spec, &opts)
+}
+
+fn complete(progress: ScenarioProgress) -> ScenarioReport {
+    match progress {
+        ScenarioProgress::Complete(report) => *report,
+        ScenarioProgress::Partial { done, total } => panic!("stopped at {done}/{total}"),
+    }
+}
+
 #[test]
 fn killed_scenario_resumes_to_the_byte_identical_report() {
     let dir = tmp_dir("kill_resume");
@@ -40,7 +59,7 @@ fn killed_scenario_resumes_to_the_byte_identical_report() {
     // Kill the campaign dead after 1 of its points: a budgeted run
     // stops exactly at a commit boundary, like a SIGKILL landing right
     // after a manifest rename.
-    let progress = qic::run_budgeted(&spec, Some(1)).unwrap();
+    let progress = run_budgeted(&spec, 1).unwrap();
     let ScenarioProgress::Partial { done, total } = progress else {
         panic!("a 1-point budget cannot finish the sweep");
     };
@@ -72,7 +91,7 @@ fn killed_scenario_resumes_to_the_byte_identical_report() {
 fn a_torn_tmp_from_a_mid_write_crash_does_not_poison_resume() {
     let dir = tmp_dir("torn_tmp");
     let spec = checkpointed(&dir, 1);
-    qic::run_budgeted(&spec, Some(1)).unwrap();
+    run_budgeted(&spec, 1).unwrap();
 
     // A crash mid-commit leaves a torn `.tmp` beside the intact
     // manifest (the rename never happened). Resume must ignore it.
@@ -88,7 +107,7 @@ fn a_torn_tmp_from_a_mid_write_crash_does_not_poison_resume() {
 fn corrupted_manifest_is_a_structured_error_not_a_wrong_report() {
     let dir = tmp_dir("corrupt");
     let spec = checkpointed(&dir, 1);
-    qic::run_budgeted(&spec, Some(1)).unwrap();
+    run_budgeted(&spec, 1).unwrap();
 
     // Truncate the manifest mid-document.
     let path = manifest_path(&dir);
@@ -108,7 +127,7 @@ fn corrupted_manifest_is_a_structured_error_not_a_wrong_report() {
 #[test]
 fn editing_the_spec_under_a_manifest_is_a_mismatch() {
     let dir = tmp_dir("spec_drift");
-    qic::run_budgeted(&checkpointed(&dir, 1), Some(1)).unwrap();
+    run_budgeted(&checkpointed(&dir, 1), 1).unwrap();
 
     // Same scenario, different seed: the manifest no longer matches.
     let mut drifted = checkpointed(&dir, 1);
@@ -125,7 +144,7 @@ fn editing_the_spec_under_a_manifest_is_a_mismatch() {
 
 #[test]
 fn budgeted_runs_without_a_checkpoint_block_are_rejected() {
-    let err = qic::run_budgeted(&preset(), Some(1)).unwrap_err();
+    let err = run_budgeted(&preset(), 1).unwrap_err();
     assert!(matches!(err, ScenarioError::Spec { .. }), "{err}");
 }
 
@@ -136,7 +155,7 @@ fn wall_times_are_excluded_from_equality_and_emitters() {
     // fresh ones carry real measurements — nothing observable differs.
     let dir = tmp_dir("wall_ns");
     let spec = checkpointed(&dir, 1);
-    qic::run_budgeted(&spec, Some(2)).unwrap();
+    run_budgeted(&spec, 2).unwrap();
     let resumed = qic::run(&spec).unwrap();
     let fresh_dir = tmp_dir("wall_ns_fresh");
     let fresh = qic::run(&checkpointed(&fresh_dir, 1)).unwrap();
@@ -146,6 +165,72 @@ fn wall_times_are_excluded_from_equality_and_emitters() {
         "wall_ns must not affect equality"
     );
     assert_eq!(resumed.to_json(), fresh.to_json());
+    assert_eq!(resumed.to_csv(), fresh.to_csv());
+    assert_eq!(
+        resumed.report.to_record_json(),
+        fresh.report.to_record_json()
+    );
+}
+
+#[test]
+fn killed_run_on_a_shared_executor_resumes_to_the_byte_identical_report() {
+    let dir = tmp_dir("shared_exec");
+    let spec = checkpointed(&dir, 1);
+    let pool = Executor::new(2);
+    let on_pool = |budget| RunOptions {
+        exec: Some(&pool),
+        budget,
+        ..RunOptions::default()
+    };
+
+    let progress = qic::run_with(&spec, &on_pool(Some(1))).unwrap();
+    assert!(
+        matches!(progress, ScenarioProgress::Partial { done: 1, .. }),
+        "{progress:?}"
+    );
+    assert!(manifest_path(&dir).exists(), "partial manifest committed");
+
+    let resumed = complete(qic::run_with(&spec, &on_pool(None)).unwrap());
+    let fresh_dir = tmp_dir("shared_exec_fresh");
+    let fresh = qic::run(&checkpointed(&fresh_dir, 1)).unwrap();
+    assert_eq!(resumed.to_csv(), fresh.to_csv());
+    assert_eq!(
+        resumed.report.to_record_json(),
+        fresh.report.to_record_json()
+    );
+}
+
+/// Trips its token as the first point finishes.
+struct CancelOnFirstPoint(CancelToken);
+
+impl ProgressSink for CancelOnFirstPoint {
+    fn on_finish(&self, _task: usize, _worker: usize, _wall_ns: u64) {
+        self.0.cancel();
+    }
+}
+
+#[test]
+fn cancelled_run_is_partial_and_resumes_to_the_byte_identical_report() {
+    let dir = tmp_dir("cancel_resume");
+    // One worker: exactly one point is in flight when the token trips.
+    let spec = checkpointed(&dir, 1).with_workers(1);
+    let cancel = CancelToken::new();
+    let opts = RunOptions {
+        progress: Some(Arc::new(CancelOnFirstPoint(cancel.clone()))),
+        cancel,
+        ..RunOptions::default()
+    };
+    let progress = qic::run_with(&spec, &opts).unwrap();
+    let ScenarioProgress::Partial { done, total } = progress else {
+        panic!("a run cancelled after its first point cannot finish");
+    };
+    assert_eq!(done, 1);
+    assert!(total > done);
+    assert!(manifest_path(&dir).exists(), "cancelled run committed");
+
+    let resumed = qic::run(&spec).unwrap();
+    let fresh_dir = tmp_dir("cancel_resume_fresh");
+    let fresh = qic::run(&checkpointed(&fresh_dir, 1)).unwrap();
     assert_eq!(resumed.to_csv(), fresh.to_csv());
     assert_eq!(
         resumed.report.to_record_json(),

@@ -26,10 +26,19 @@ fn evaluate(point: &SweepPoint<'_>, ctx: RunCtx) -> Metrics {
     machine.run(&Program::qft(8)).net.metrics()
 }
 
+/// Runs `campaign` on a per-call pool to completion.
+fn run(campaign: Campaign) -> CampaignReport {
+    campaign
+        .run(&RunOptions::default(), evaluate)
+        .expect("no checkpoint to fail")
+        .complete()
+        .expect("run completes")
+}
+
 #[test]
 fn serial_and_parallel_runs_are_byte_identical() {
-    let serial = campaign().workers(1).run(evaluate);
-    let parallel = campaign().workers(4).run(evaluate);
+    let serial = run(campaign().workers(1));
+    let parallel = run(campaign().workers(4));
     assert_eq!(serial, parallel, "reports must be value-identical");
     assert_eq!(
         serial.to_json(),
@@ -45,7 +54,7 @@ fn serial_and_parallel_runs_are_byte_identical() {
 
 #[test]
 fn replicates_carry_derived_seeds_into_the_simulator() {
-    let report = campaign().workers(4).run(evaluate);
+    let report = run(campaign().workers(4));
     assert_eq!(report.points.len(), 8);
     for point in &report.points {
         assert_eq!(point.replicates.len(), 2);

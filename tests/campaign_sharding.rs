@@ -7,9 +7,10 @@ use proptest::prelude::*;
 
 use qic::prelude::*;
 use qic::sweep::prelude::{
-    Axis, Campaign, CampaignReport, Metrics, ParamSpace, RunCtx, SweepPoint,
+    Axis, Campaign, CampaignReport, CheckpointConfig, Metrics, ParamSpace, RunCtx, SweepPoint,
 };
 use qic::sweep::Shard;
+use qic::RunOptions;
 
 /// A synthetic evaluation with enough structure to expose index or
 /// seed cross-wiring: every metric depends on the point's values, the
@@ -37,6 +38,34 @@ fn campaign(axes: &[Vec<i64>], replicates: u32, seed: u64, workers: usize) -> Ca
         .workers(workers)
 }
 
+/// Runs `campaign` under `opts` to completion.
+fn run(campaign: &Campaign, opts: &RunOptions<'_>) -> CampaignReport {
+    campaign
+        .run(opts, eval)
+        .expect("manifest usable")
+        .complete()
+        .expect("run completes")
+}
+
+fn shard(i: usize, k: usize) -> RunOptions<'static> {
+    RunOptions {
+        shard: Some(Shard::new(i, k)),
+        ..RunOptions::default()
+    }
+}
+
+/// Streaming aggregation: a checkpointed run over a fresh manifest.
+fn streaming() -> RunOptions<'static> {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("campaign_sharding");
+    std::fs::create_dir_all(&dir).expect("create tmp dir");
+    let path = dir.join("streaming.ckpt.json");
+    let _ = std::fs::remove_file(&path);
+    RunOptions {
+        checkpoint: Some(CheckpointConfig::new(path)),
+        ..RunOptions::default()
+    }
+}
+
 proptest! {
     /// Arbitrary axes x shard count x worker count: the merged shard
     /// reports are byte-identical (JSON and CSV) to the one-worker
@@ -50,12 +79,9 @@ proptest! {
         workers in 1usize..=4,
         seed in any::<u64>(),
     ) {
-        let serial = campaign(&axes, replicates, seed, 1).run(eval);
+        let serial = run(&campaign(&axes, replicates, seed, 1), &RunOptions::default());
         let parts: Vec<CampaignReport> = (0..shards)
-            .map(|i| {
-                campaign(&axes, replicates, seed, workers)
-                    .run_shard(Shard::new(i, shards), eval)
-            })
+            .map(|i| run(&campaign(&axes, replicates, seed, workers), &shard(i, shards)))
             .collect();
         let merged = CampaignReport::merge(parts).unwrap();
         prop_assert_eq!(&merged, &serial);
@@ -74,8 +100,8 @@ proptest! {
         workers in 1usize..=4,
         seed in any::<u64>(),
     ) {
-        let buffered = campaign(&axes, replicates, seed, 1).run(eval);
-        let streamed = campaign(&axes, replicates, seed, workers).run_streaming(eval);
+        let buffered = run(&campaign(&axes, replicates, seed, 1), &RunOptions::default());
+        let streamed = run(&campaign(&axes, replicates, seed, workers), &streaming());
         prop_assert_eq!(buffered.to_csv(), streamed.to_csv());
         for (b, s) in buffered.points.iter().zip(&streamed.points) {
             prop_assert_eq!(&b.summaries, &s.summaries);
@@ -93,10 +119,9 @@ fn every_preset_shards_and_merges_byte_identically() {
         let spec = entry.spec(ScenarioScale::SmallTest);
         let serial = qic::run(&spec).unwrap_or_else(|e| panic!("{}: {e}", entry.name));
         let parts: Vec<CampaignReport> = (0..2)
-            .map(|i| {
-                qic::run_shard(&spec, Shard::new(i, 2))
-                    .unwrap_or_else(|e| panic!("{} shard {i}: {e}", entry.name))
-                    .report
+            .map(|i| match qic::run_with(&spec, &shard(i, 2)) {
+                Ok(ScenarioProgress::Complete(report)) => report.report,
+                other => panic!("{} shard {i}: {other:?}", entry.name),
             })
             .collect();
         let merged = CampaignReport::merge(parts)
@@ -125,7 +150,7 @@ fn sharding_a_checkpointed_spec_is_an_error() {
         .spec("synthetic_stress", ScenarioScale::SmallTest)
         .unwrap()
         .with_checkpoint(CheckpointSpec::to_dir("target/shard_ckpt_conflict"));
-    let err = qic::run_shard(&spec, Shard::new(0, 2)).unwrap_err();
+    let err = qic::run_with(&spec, &shard(0, 2)).unwrap_err();
     assert!(
         matches!(err, ScenarioError::Spec { .. }),
         "expected a spec error, got {err}"

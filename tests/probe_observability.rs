@@ -163,3 +163,23 @@ fn scenario_trace_export_is_deterministic_across_runs_and_workers() {
     }
     let _ = std::fs::remove_dir_all(&base);
 }
+
+#[test]
+fn observe_dir_under_a_regular_file_is_a_setup_error() {
+    let base = std::env::temp_dir().join(format!("qic_probe_blocked_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).expect("create tmp dir");
+    let file = base.join("not_a_dir");
+    std::fs::write(&file, "a regular file").expect("write blocker");
+    let dir = file.join("observe");
+    let spec = ScenarioRegistry::builtin()
+        .spec("synthetic_stress", ScenarioScale::SmallTest)
+        .expect("registered")
+        .with_observe(ObserveSpec::to_dir(dir.display().to_string()));
+    let err = qic::run(&spec).expect_err("the observe directory cannot be created");
+    assert!(
+        matches!(&err, ScenarioError::Io { path, .. } if *path == dir.display().to_string()),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&base);
+}
