@@ -33,6 +33,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::{Duration as WallDuration, Instant};
 
+use qic_sweep::json::{get, get_opt, Json, JsonError};
+
 /// Regression tolerance, in percent, applied by [`gate`].
 pub const TOLERANCE_PCT: f64 = 15.0;
 
@@ -115,16 +117,16 @@ impl Trajectory {
         out.push_str("  \"benches\": {\n");
         let n = self.benches.len();
         for (i, (name, history)) in self.benches.iter().enumerate() {
-            let _ = writeln!(out, "    {}: [", json_string(name));
+            let _ = writeln!(out, "    {}: [", Json::Str(name.clone()).emit());
             for (j, e) in history.iter().enumerate() {
                 let _ = write!(
                     out,
                     "      {{ \"median_ns\": {}, \"samples\": {}, \"date\": {}, \"git_rev\": {}, \"note\": {} }}",
                     fmt_f64(e.median_ns),
                     e.samples,
-                    json_string(&e.date),
-                    json_string(&e.git_rev),
-                    json_string(&e.note),
+                    Json::Str(e.date.clone()).emit(),
+                    Json::Str(e.git_rev.clone()).emit(),
+                    Json::Str(e.note.clone()).emit(),
                 );
                 out.push_str(if j + 1 < history.len() { ",\n" } else { "\n" });
             }
@@ -141,49 +143,38 @@ impl Trajectory {
     /// Returns a message if the text is not valid JSON or does not carry
     /// the expected [`SCHEMA`] marker and field types.
     pub fn parse(text: &str) -> Result<Trajectory, String> {
-        let value = Json::parse(text)?;
-        let top = value.as_object().ok_or("top level is not an object")?;
-        match top.get("schema").and_then(Json::as_str) {
-            Some(s) if s == SCHEMA => {}
+        let value = Json::parse(text).map_err(|e| e.to_string())?;
+        let top = value.obj_of("trajectory").map_err(|e| e.to_string())?;
+        match get_opt(top, "schema") {
+            Some(Json::Str(s)) if s == SCHEMA => {}
             other => return Err(format!("unexpected schema marker {other:?}")),
         }
+        let raw = get(top, "benches", "trajectory")
+            .and_then(|b| b.obj_of("benches"))
+            .map_err(|e| e.to_string())?;
         let mut benches = BTreeMap::new();
-        let raw = top
-            .get("benches")
-            .and_then(Json::as_object)
-            .ok_or("missing \"benches\" object")?;
         for (name, history) in raw {
-            let list = history
-                .as_array()
-                .ok_or_else(|| format!("bench {name:?}: history is not an array"))?;
-            let mut entries = Vec::with_capacity(list.len());
-            for item in list {
-                let obj = item
-                    .as_object()
-                    .ok_or_else(|| format!("bench {name:?}: entry is not an object"))?;
-                let num = |key: &str| -> Result<f64, String> {
-                    obj.get(key)
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| format!("bench {name:?}: missing number {key:?}"))
-                };
-                let text = |key: &str| -> Result<String, String> {
-                    obj.get(key)
-                        .and_then(Json::as_str)
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("bench {name:?}: missing string {key:?}"))
-                };
-                entries.push(BenchEntry {
-                    median_ns: num("median_ns")?,
-                    samples: num("samples")? as u32,
-                    date: text("date")?,
-                    git_rev: text("git_rev")?,
-                    note: text("note")?,
-                });
-            }
+            let entries = history
+                .arr_of("history")
+                .and_then(|list| list.iter().map(entry_of).collect())
+                .map_err(|e| format!("bench {name:?}: {e}"))?;
             benches.insert(name.clone(), entries);
         }
         Ok(Trajectory { benches })
     }
+}
+
+/// Decodes one history entry of the committed format.
+fn entry_of(item: &Json) -> Result<BenchEntry, JsonError> {
+    let fields = item.obj_of("entry")?;
+    let text = |key: &str| get(fields, key, "entry")?.str_of(key).map(str::to_string);
+    Ok(BenchEntry {
+        median_ns: get(fields, "median_ns", "entry")?.f64_of("median_ns")?,
+        samples: get(fields, "samples", "entry")?.u32_of("samples")?,
+        date: text("date")?,
+        git_rev: text("git_rev")?,
+        note: text("note")?,
+    })
 }
 
 /// Formats an f64 so it round-trips (integral values keep a `.0`).
@@ -192,229 +183,6 @@ fn fmt_f64(x: f64) -> String {
         format!("{x:.1}")
     } else {
         format!("{x}")
-    }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A minimal JSON value — just enough to read the baseline file (the
-/// vendored `serde` stub has no wire format, so the harness carries its
-/// own ~100-line reader).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    fn as_object(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = Json::parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                let mut map = BTreeMap::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let key = match Json::parse_value(b, pos)? {
-                        Json::Str(s) => s,
-                        _ => return Err(format!("object key at byte {pos} is not a string")),
-                    };
-                    skip_ws(b, pos);
-                    if b.get(*pos) != Some(&b':') {
-                        return Err(format!("expected ':' at byte {pos}"));
-                    }
-                    *pos += 1;
-                    map.insert(key, Json::parse_value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Json::Obj(map));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut arr = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Json::Arr(arr));
-                }
-                loop {
-                    arr.push(Json::parse_value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Json::Arr(arr));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => {
-                *pos += 1;
-                let mut s = String::new();
-                loop {
-                    match b.get(*pos) {
-                        Some(b'"') => {
-                            *pos += 1;
-                            return Ok(Json::Str(s));
-                        }
-                        Some(b'\\') => {
-                            *pos += 1;
-                            match b.get(*pos) {
-                                Some(b'"') => s.push('"'),
-                                Some(b'\\') => s.push('\\'),
-                                Some(b'/') => s.push('/'),
-                                Some(b'n') => s.push('\n'),
-                                Some(b't') => s.push('\t'),
-                                Some(b'r') => s.push('\r'),
-                                Some(b'u') => {
-                                    let hex = b
-                                        .get(*pos + 1..*pos + 5)
-                                        .and_then(|h| std::str::from_utf8(h).ok())
-                                        .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                        .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
-                                    s.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                                    *pos += 4;
-                                }
-                                other => return Err(format!("bad escape {other:?}")),
-                            }
-                            *pos += 1;
-                        }
-                        Some(&c) => {
-                            // Copy the full UTF-8 sequence starting here.
-                            let start = *pos;
-                            let len = utf8_len(c);
-                            let chunk = b
-                                .get(start..start + len)
-                                .and_then(|c| std::str::from_utf8(c).ok())
-                                .ok_or_else(|| format!("bad UTF-8 at byte {start}"))?;
-                            s.push_str(chunk);
-                            *pos += len;
-                        }
-                        None => return Err("unterminated string".into()),
-                    }
-                }
-            }
-            Some(b't') if b[*pos..].starts_with(b"true") => {
-                *pos += 4;
-                Ok(Json::Bool(true))
-            }
-            Some(b'f') if b[*pos..].starts_with(b"false") => {
-                *pos += 5;
-                Ok(Json::Bool(false))
-            }
-            Some(b'n') if b[*pos..].starts_with(b"null") => {
-                *pos += 4;
-                Ok(Json::Null)
-            }
-            Some(_) => {
-                let start = *pos;
-                while b.get(*pos).is_some_and(|c| {
-                    c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E')
-                }) {
-                    *pos += 1;
-                }
-                std::str::from_utf8(&b[start..*pos])
-                    .ok()
-                    .and_then(|s| s.parse::<f64>().ok())
-                    .map(Json::Num)
-                    .ok_or_else(|| format!("bad number at byte {start}"))
-            }
-            None => Err("unexpected end of input".into()),
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while b
-        .get(*pos)
-        .is_some_and(|c| matches!(c, b' ' | b'\t' | b'\n' | b'\r'))
-    {
-        *pos += 1;
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
     }
 }
 
@@ -611,6 +379,15 @@ mod tests {
     }
 
     #[test]
+    fn committed_trajectory_parses_and_re_emits_byte_for_byte() {
+        let path = workspace_root().join(BASELINE_FILE);
+        let text = std::fs::read_to_string(&path).expect("the trajectory is committed");
+        let t = Trajectory::parse(&text).expect("the committed trajectory parses");
+        assert!(t.baseline(CALIBRATION_BENCH).is_some());
+        assert_eq!(t.to_json(), text);
+    }
+
+    #[test]
     fn parse_rejects_wrong_schema() {
         let err = Trajectory::parse("{\"schema\": \"other\", \"benches\": {}}").unwrap_err();
         assert!(err.contains("schema"), "{err}");
@@ -618,14 +395,16 @@ mod tests {
 
     #[test]
     fn parse_handles_escapes_and_nesting() {
-        let v = Json::parse(r#"{"a": [1, 2.5, "x\n\"y\""], "b": {"c": true, "d": null}}"#).unwrap();
-        let o = v.as_object().unwrap();
-        let arr = o.get("a").unwrap().as_array().unwrap();
-        assert_eq!(arr[1].as_f64(), Some(2.5));
-        assert_eq!(arr[2].as_str(), Some("x\n\"y\""));
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("1 2").is_err());
+        let mut t = Trajectory::default();
+        t.record("a \"quoted\" bench", entry(1.5, "x\n\"y\" — ψ"));
+        let back = Trajectory::parse(&t.to_json()).expect("parses");
+        assert_eq!(back, t);
+        for bad in ["{", "[1,]", "1 2"] {
+            assert!(Trajectory::parse(bad).is_err(), "{bad:?}");
+        }
+        // Nesting has a limit: a corrupt file fails, it cannot overflow
+        // the stack.
+        assert!(Trajectory::parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

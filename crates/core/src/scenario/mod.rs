@@ -128,6 +128,20 @@ mod tests {
     }
 
     #[test]
+    fn a_megabyte_spec_field_decodes_in_linear_time() {
+        let mut spec = ScenarioRegistry::builtin()
+            .spec("design_space", ScenarioScale::SmallTest)
+            .unwrap();
+        spec.name = "n".repeat(1_000_000);
+        let json = spec.to_json();
+        let start = std::time::Instant::now();
+        let back = ScenarioSpec::from_json(&json).unwrap();
+        let took = start.elapsed();
+        assert_eq!(back, spec);
+        assert!(took.as_secs_f64() < 2.0, "a 1 MB name took {took:?}");
+    }
+
+    #[test]
     fn observe_blocks_round_trip_and_validate() {
         let spec = ScenarioRegistry::builtin()
             .spec("synthetic_stress", ScenarioScale::SmallTest)

@@ -3,12 +3,17 @@
 //! One file per scenario identity, named by its digest
 //! (`{digest:016x}.result.json`), each a versioned record that embeds
 //! both the canonical identity document it was keyed on and the
-//! campaign report's lossless record JSON:
+//! campaign report's lossless record, as an object:
 //!
 //! ```json
-//! {"record": "serve_result", "version": 1, "digest": "…16 hex…",
-//!  "scenario": "<canonical identity JSON>", "report": "<record JSON>"}
+//! {"record": "serve_result", "version": 2, "digest": "…16 hex…",
+//!  "scenario": "<canonical identity JSON>",
+//!  "report": {"record": "campaign_report", "version": 1, …}}
 //! ```
+//!
+//! The report is encoded once, so a load parses the file once. Records
+//! of any other version — including version 1, whose report was an
+//! escaped string — fail the version check and are recomputed.
 //!
 //! Embedding the identity makes corruption *checkable*: a load verifies
 //! the envelope shape, re-hashes the embedded identity, and compares it
@@ -33,7 +38,7 @@ use qic_sweep::CampaignReport;
 /// The record-envelope version this build reads and writes. Bump on
 /// incompatible change; records with any other version are structured
 /// misses (old caches are recomputed, not misread).
-pub const CACHE_VERSION: u32 = 1;
+pub const CACHE_VERSION: u32 = 2;
 
 /// Why a cache operation failed. `Corrupt` and `Mismatch` are the
 /// *structured miss* outcomes the service recomputes through; `Io`
@@ -131,7 +136,7 @@ impl CacheDir {
             ("version", Json::Int(i128::from(CACHE_VERSION))),
             ("digest", Json::Str(digest.to_string())),
             ("scenario", Json::Str(SpecDigest::identity_json(spec))),
-            ("report", Json::Str(report.to_record_json())),
+            ("report", report.to_record()),
         ])
         .emit();
         let path = self.path_of(digest);
@@ -228,10 +233,8 @@ impl CacheDir {
                 path: path.display().to_string(),
             });
         }
-        let report = get(fields, "report", "cache record")
-            .and_then(|j| j.str_of("report"))
-            .map_err(|e| corrupt(e.to_string()))?;
-        CampaignReport::from_record_json(report)
+        let report = get(fields, "report", "cache record").map_err(|e| corrupt(e.to_string()))?;
+        CampaignReport::from_record(report)
             .map(Some)
             .map_err(|e| corrupt(format!("embedded report: {e}")))
     }
@@ -302,7 +305,7 @@ mod tests {
         // A wrong envelope version → Corrupt, not a misread.
         std::fs::write(
             &path,
-            original.replacen("\"version\": 1", "\"version\": 99", 1),
+            original.replacen("\"version\": 2", "\"version\": 99", 1),
         )
         .unwrap();
         let err = cache.load(&spec).unwrap_err();

@@ -1,15 +1,16 @@
 //! Service-level guarantees: single-flight, cache-hit byte identity
 //! against direct `qic_core::scenario::run`, backpressure, cancellation,
 //! graceful drain, rejection, disk persistence across instances,
-//! corruption recovery, and the JSONL front-end.
+//! corruption and old-version recovery, and the JSONL front-end.
 
 use std::io::Cursor;
 use std::path::PathBuf;
 
 use qic_core::scenario::{
-    self, CheckpointSpec, ObserveSpec, ScenarioRegistry, ScenarioScale, ScenarioSpec,
+    self, CheckpointSpec, ObserveSpec, ScenarioRegistry, ScenarioScale, ScenarioSpec, SpecDigest,
 };
-use qic_serve::{serve_lines, CacheSource, JobState, Serve, ServeConfig, ServeError};
+use qic_serve::{serve_lines, CacheDir, CacheSource, JobState, Serve, ServeConfig, ServeError};
+use qic_sweep::json::{obj, Json};
 
 fn preset(name: &str) -> ScenarioSpec {
     ScenarioRegistry::builtin()
@@ -351,4 +352,92 @@ fn jsonl_front_end_skips_over_long_and_non_utf8_lines() {
     );
     assert!(lines[2].contains("\"event\": \"metrics\""), "{}", lines[2]);
     assert_eq!(lines[3], "{\"event\": \"bye\"}");
+}
+
+#[test]
+fn jsonl_front_end_answers_a_megabyte_string_promptly() {
+    let serve = Serve::start(ServeConfig::default());
+    let handle = serve.handle();
+    // A submission whose inline spec carries a name that brings the line
+    // just under the limit: the request and the spec inside it are both
+    // parsed, so a quadratic string scan would stall the session.
+    let mut spec = preset("design_space");
+    spec.name = String::new();
+    let request = |spec: &ScenarioSpec| {
+        obj(vec![
+            ("op", Json::Str("submit".into())),
+            ("spec", Json::Str(spec.to_json())),
+        ])
+        .emit()
+    };
+    let slack = qic_serve::front::MAX_LINE - request(&spec).len();
+    spec.name = "n".repeat(slack - 16);
+    let line = request(&spec);
+    assert!(line.len() < qic_serve::front::MAX_LINE);
+    assert!(line.len() > qic_serve::front::MAX_LINE - 64);
+    let script = format!("{line}\n{{\"op\": \"metrics\"}}\n{{\"op\": \"shutdown\"}}\n");
+    let mut output = Vec::new();
+    let start = std::time::Instant::now();
+    serve_lines(&handle, Cursor::new(script), &mut output, None).expect("session runs");
+    let took = start.elapsed();
+    serve.shutdown();
+    let text = String::from_utf8(output).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 3, "one answer per line: {text:.400}");
+    assert!(
+        lines[0].contains("\"event\": \"submitted\"") || lines[0].contains("\"bad_request\""),
+        "{:.400}",
+        lines[0]
+    );
+    assert!(lines[1].contains("\"event\": \"metrics\""), "{}", lines[1]);
+    assert_eq!(lines[2], "{\"event\": \"bye\"}");
+    assert!(took.as_secs_f64() < 10.0, "the session took {took:?}");
+}
+
+#[test]
+fn version_one_cache_records_are_recomputed_and_rewritten() {
+    let dir = tmpdir("v1_record");
+    let spec = preset("topology_faceoff");
+    let direct = scenario::run(&spec).expect("direct run");
+    // A record in the version-1 shape: the report as an escaped string.
+    let path = CacheDir::open(&dir).unwrap().path_of(SpecDigest::of(&spec));
+    let v1 = obj(vec![
+        ("record", Json::Str("serve_result".into())),
+        ("version", Json::Int(1)),
+        ("digest", Json::Str(SpecDigest::of(&spec).to_string())),
+        ("scenario", Json::Str(SpecDigest::identity_json(&spec))),
+        ("report", Json::Str(direct.report.to_record_json())),
+    ])
+    .emit();
+    std::fs::write(&path, v1).unwrap();
+
+    // The old record is a structured miss: computed, counted, rewritten.
+    let serve = Serve::start(ServeConfig::default().with_cache_dir(&dir));
+    let handle = serve.handle();
+    let (fresh, source) = done(handle.wait(handle.submit(spec.clone()).unwrap()).unwrap());
+    assert_eq!(source, CacheSource::Computed, "a v1 record is never served");
+    assert_eq!(
+        fresh.report.to_record_json(),
+        direct.report.to_record_json()
+    );
+    assert_eq!(handle.metrics().get("serve.cache.errors"), Some(1.0));
+    serve.shutdown();
+    let rewritten = std::fs::read_to_string(&path).unwrap();
+    assert!(
+        rewritten.starts_with("{\"record\": \"serve_result\", \"version\": 2, "),
+        "{rewritten:.200}"
+    );
+    assert!(rewritten.contains("\"report\": {"), "{rewritten:.200}");
+
+    // A restarted service serves the rewritten record from disk, with
+    // the direct run's bytes.
+    let serve = Serve::start(ServeConfig::default().with_cache_dir(&dir));
+    let handle = serve.handle();
+    let (disk, source) = done(handle.wait(handle.submit(spec).unwrap()).unwrap());
+    assert_eq!(source, CacheSource::Disk);
+    assert_eq!(disk.report.to_record_json(), direct.report.to_record_json());
+    assert_eq!(disk.report.to_json(), direct.report.to_json());
+    assert_eq!(disk.report.to_csv(), direct.report.to_csv());
+    assert_eq!(handle.metrics().get("serve.cache.errors"), Some(0.0));
+    serve.shutdown();
 }

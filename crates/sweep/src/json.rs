@@ -213,23 +213,7 @@ impl Json {
                     out.push_str("null");
                 }
             }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Json::Str(s) => write_str(s, out),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -246,7 +230,7 @@ impl Json {
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    Json::Str(name.clone()).write(out);
+                    write_str(name, out);
                     out.push_str(": ");
                     value.write(out);
                 }
@@ -266,18 +250,37 @@ impl Json {
     /// overflow the stack instead of failing).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
-            bytes: input.as_bytes(),
+            text: input,
             at: 0,
             depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.at != p.bytes.len() {
+        if p.at != p.text.len() {
             return Err(p.err("trailing characters after the document"));
         }
         Ok(value)
     }
+}
+
+/// Writes `s` as a JSON string literal.
+fn write_str(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Builds an object from `(name, value)` pairs (codec convenience).
@@ -345,7 +348,7 @@ pub fn check_fields(
 pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     at: usize,
     /// Arrays and objects currently open.
     depth: usize,
@@ -360,7 +363,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.at).copied()
+        self.text.as_bytes().get(self.at).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -379,7 +382,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.at..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.at..].starts_with(word.as_bytes()) {
             self.at += word.len();
             Ok(value)
         } else {
@@ -420,59 +423,60 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one step.
+            // Both delimiters are ASCII and the input is a `&str`, so the
+            // run is whole UTF-8 and slicing it never splits a character.
+            let start = self.at;
+            while let Some(c) = self.peek() {
+                match c {
+                    b'"' | b'\\' => break,
+                    c if c < 0x20 => return Err(self.err("unescaped control character in string")),
+                    _ => self.at += 1,
+                }
+            }
+            out.push_str(&self.text[start..self.at]);
             let Some(c) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
             self.at += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.at += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            if self.at + 4 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.at..self.at + 4])
-                                .map_err(|_| self.err("non-UTF8 \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            self.at += 4;
-                            // Basic-plane scalars only (enough for the
-                            // labels these documents use; surrogate pairs
-                            // are rejected explicitly).
-                            let ch = char::from_u32(code)
-                                .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
-                            out.push(ch);
-                        }
-                        other => {
-                            return Err(self.err(format!("unknown escape \\{}", other as char)))
-                        }
-                    }
-                }
-                _ => {
-                    // Re-read the full UTF-8 character starting at c.
-                    let start = self.at - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = s.chars().next().expect("non-empty");
-                    if (ch as u32) < 0x20 {
-                        return Err(self.err("unescaped control character in string"));
-                    }
+            if c == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else {
+                return Err(self.err("unterminated escape"));
+            };
+            self.at += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = self
+                        .text
+                        .as_bytes()
+                        .get(self.at..self.at + 4)
+                        .ok_or_else(|| self.err("truncated \\u escape"))?;
+                    // Exactly four hex digits (`from_str_radix` alone
+                    // would also take a sign).
+                    let code = std::str::from_utf8(hex)
+                        .ok()
+                        .filter(|h| h.bytes().all(|d| d.is_ascii_hexdigit()))
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .ok_or_else(|| self.err("invalid \\u escape"))?;
+                    self.at += 4;
+                    // Basic-plane scalars only (enough for the labels these
+                    // documents use; surrogate pairs are rejected
+                    // explicitly).
+                    let ch = char::from_u32(code)
+                        .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
                     out.push(ch);
-                    self.at = start + ch.len_utf8();
                 }
+                other => return Err(self.err(format!("unknown escape \\{}", other as char))),
             }
         }
     }
@@ -503,8 +507,7 @@ impl Parser<'_> {
                 self.at += 1;
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.at]).expect("number spans are ASCII");
+        let text = &self.text[start..self.at];
         if is_float {
             text.parse::<f64>()
                 .map(Json::Float)
@@ -647,6 +650,62 @@ mod tests {
         // The limit itself still parses.
         let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(Json::parse(&at_limit).is_ok());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A quadratic scan takes tens of seconds on a million characters;
+        // a linear one takes milliseconds, even in a debug build.
+        let long = "x".repeat(1_000_000);
+        let text = format!("{{\"label\": \"{long}\"}}");
+        let start = std::time::Instant::now();
+        let v = Json::parse(&text).unwrap();
+        let took = start.elapsed();
+        assert_eq!(
+            get(v.obj_of("doc").unwrap(), "label", "doc").unwrap(),
+            &Json::Str(long)
+        );
+        assert!(took.as_secs_f64() < 2.0, "1 MB string took {took:?}");
+    }
+
+    #[test]
+    fn control_byte_in_a_long_run_reports_its_own_offset() {
+        let text = format!("\"{}\u{1}{}\"", "a".repeat(5000), "b".repeat(10));
+        let err = Json::parse(&text).unwrap_err();
+        assert!(err.problem.contains("control character"), "{err}");
+        assert_eq!(err.at, 5001, "the quote, then 5000 plain bytes");
+        assert_eq!(text.as_bytes()[err.at], 1);
+    }
+
+    #[test]
+    fn multi_byte_utf8_round_trips() {
+        let label = "Fig. 16 — ψ";
+        let v = obj(vec![("label", Json::Str(label.into()))]);
+        let text = v.emit();
+        assert_eq!(text, format!("{{\"label\": \"{label}\"}}"));
+        assert_eq!(Json::parse(&text).unwrap(), v);
+        // Escapes between multi-byte runs keep both sides whole.
+        assert_eq!(
+            Json::parse("\"ψ\\n—\\u00e9ψ\"").unwrap(),
+            Json::Str("ψ\n—éψ".into())
+        );
+    }
+
+    #[test]
+    fn bad_unicode_escapes_are_structured_errors() {
+        for bad in [
+            "\"\\u\"",
+            "\"\\u12\"",
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u00g0\"",
+            "\"\\ud800\"",
+            "\"\\u00\u{e9}\"",
+        ] {
+            let err = Json::parse(bad).unwrap_err();
+            assert!(err.problem.contains("\\u"), "{bad:?}: {err}");
+        }
+        assert_eq!(Json::parse("\"\\u00E9\"").unwrap(), Json::Str("é".into()));
     }
 
     #[test]

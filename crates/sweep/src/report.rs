@@ -369,6 +369,13 @@ impl CampaignReport {
     /// This is the shard hand-off and checkpoint format;
     /// [`CampaignReport::to_json`] stays the human-facing emitter.
     pub fn to_record_json(&self) -> String {
+        self.to_record().emit()
+    }
+
+    /// The record [`CampaignReport::to_record_json`] emits, as a value,
+    /// for documents that embed it as an object rather than re-encoding
+    /// it as a string.
+    pub fn to_record(&self) -> Json {
         obj(vec![
             ("record", Json::Str("campaign_report".into())),
             ("version", Json::Int(i128::from(RECORD_VERSION))),
@@ -384,7 +391,6 @@ impl CampaignReport {
                 Json::Arr(self.points.iter().map(point_to_json).collect()),
             ),
         ])
-        .emit()
     }
 
     /// Parses a record produced by [`CampaignReport::to_record_json`].
@@ -400,7 +406,16 @@ impl CampaignReport {
     ///
     /// [`JsonError`] on syntax, schema or version problems.
     pub fn from_record_json(text: &str) -> Result<CampaignReport, JsonError> {
-        let value = Json::parse(text)?;
+        CampaignReport::from_record(&Json::parse(text)?)
+    }
+
+    /// Decodes a record value built by [`CampaignReport::to_record`],
+    /// with the same strictness as [`CampaignReport::from_record_json`].
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError`] on schema or version problems.
+    pub fn from_record(value: &Json) -> Result<CampaignReport, JsonError> {
         let fields = value.obj_of("campaign record")?;
         check_fields(
             fields,
