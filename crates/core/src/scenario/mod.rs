@@ -38,15 +38,16 @@
 //! # Ok::<(), qic_core::scenario::ScenarioError>(())
 //! ```
 
+mod codec;
 mod digest;
 mod registry;
 mod runner;
 mod spec;
 
-// The strict JSON model the spec codec is built on lives in `qic-sweep`
-// (`qic_sweep::json`), where the campaign record and checkpoint codecs
-// share it; the error type stays re-exported here so `ScenarioError::Json`
-// keeps its established path.
+// The strict JSON model the spec codec (`codec`) is built on lives in
+// `qic-des` (`qic_des::json`, re-exported as `qic_sweep::json`), where
+// every other document codec shares it; the error type stays
+// re-exported here so `ScenarioError::Json` keeps its established path.
 pub use digest::SpecDigest;
 pub use qic_sweep::json::JsonError;
 pub use registry::{faceoff_spec, fig16_spec, ScenarioEntry, ScenarioRegistry, ScenarioScale};

@@ -6,8 +6,8 @@ use serde::{Deserialize, Serialize};
 
 use qic_analytic::figures::PairMetric;
 use qic_analytic::strategy::PurifyPlacement;
-use qic_fault::{FaultPlan, Hotspot};
-use qic_modular::{Interconnect, ModularSpec};
+use qic_fault::FaultPlan;
+use qic_modular::ModularSpec;
 use qic_net::config::{ConfigError, NetConfig};
 use qic_net::routing::RoutingPolicy;
 use qic_net::topology::TopologyKind;
@@ -15,8 +15,9 @@ use qic_physics::error::ErrorRates;
 use qic_sweep::{Axis, CheckpointError, ParamSpace};
 use qic_workload::Program;
 
+use super::codec::Field;
 use crate::layout::Layout;
-use qic_sweep::json::{check_fields, get, get_opt, ints, obj, Json, JsonError};
+use qic_sweep::json::{Json, JsonError};
 
 /// A named base network configuration a [`MachineSpec`] starts from.
 ///
@@ -1009,7 +1010,7 @@ impl ScenarioSpec {
                 }
             }
         }
-        let names: Vec<&str> = self.axes.iter().map(axis_name).collect();
+        let names: Vec<&str> = self.axes.iter().map(ScenarioAxis::axis_name).collect();
         for (i, n) in names.iter().enumerate() {
             if names[..i].contains(n) {
                 return Err(self.spec_err(format!("duplicate sweep axis {n:?}")));
@@ -1197,789 +1198,7 @@ impl ScenarioSpec {
     /// let `qic::run` do it).
     pub fn from_json(text: &str) -> Result<ScenarioSpec, ScenarioError> {
         let value = Json::parse(text)?;
-        ScenarioSpec::decode(&value).map_err(ScenarioError::Json)
-    }
-
-    fn encode(&self) -> Json {
-        let mut fields = vec![
-            ("name", Json::Str(self.name.clone())),
-            ("seed", Json::Int(i128::from(self.seed))),
-            ("replicates", Json::Int(i128::from(self.replicates))),
-            ("workers", Json::Int(self.workers as i128)),
-            ("experiment", encode_experiment(&self.experiment)),
-            (
-                "axes",
-                Json::Arr(self.axes.iter().map(encode_axis).collect()),
-            ),
-        ];
-        if let Some(obs) = &self.observe {
-            // Emitted only when set, so unobserved specs (and their
-            // documents) are byte-identical to the pre-probe schema.
-            fields.push(("observe", encode_observe(obs)));
-        }
-        if let Some(ckpt) = &self.checkpoint {
-            // Same only-when-set rule as `observe`.
-            fields.push(("checkpoint", encode_checkpoint(ckpt)));
-        }
-        obj(fields)
-    }
-
-    fn decode(value: &Json) -> Result<ScenarioSpec, JsonError> {
-        let fields = value.obj_of("scenario")?;
-        check_fields(
-            fields,
-            &[
-                "name",
-                "seed",
-                "replicates",
-                "workers",
-                "experiment",
-                "axes",
-                "observe",
-                "checkpoint",
-            ],
-            "scenario",
-        )?;
-        Ok(ScenarioSpec {
-            name: get(fields, "name", "scenario")?.str_of("name")?.to_string(),
-            seed: get(fields, "seed", "scenario")?.u64_of("seed")?,
-            replicates: get(fields, "replicates", "scenario")?.u32_of("replicates")?,
-            workers: get(fields, "workers", "scenario")?.usize_of("workers")?,
-            experiment: decode_experiment(get(fields, "experiment", "scenario")?)?,
-            axes: get(fields, "axes", "scenario")?
-                .arr_of("axes")?
-                .iter()
-                .map(decode_axis)
-                .collect::<Result<_, _>>()?,
-            observe: get_opt(fields, "observe").map(decode_observe).transpose()?,
-            checkpoint: get_opt(fields, "checkpoint")
-                .map(decode_checkpoint)
-                .transpose()?,
-        })
-    }
-}
-
-fn axis_name(axis: &ScenarioAxis) -> &'static str {
-    match axis {
-        ScenarioAxis::ResourceRatio { .. } => "ratio",
-        ScenarioAxis::Layouts { .. } => "layout",
-        ScenarioAxis::Topologies { .. } => "topology",
-        ScenarioAxis::Routings { .. } => "routing",
-        ScenarioAxis::GridEdges { .. } => "mesh",
-        ScenarioAxis::PurifyDepths { .. } => "depth",
-        ScenarioAxis::Units { .. } => "units",
-        ScenarioAxis::Teleporters { .. } => "t",
-        ScenarioAxis::Generators { .. } => "g",
-        ScenarioAxis::Purifiers { .. } => "p",
-        ScenarioAxis::Workloads { .. } => "workload",
-        ScenarioAxis::FaultRate { .. } => "fault_rate",
-        ScenarioAxis::Modules { .. } => "modules",
-        ScenarioAxis::InterTierLatency { .. } => "inter_latency",
-        ScenarioAxis::InterTierCost { .. } => "inter_cost",
-        ScenarioAxis::Placements { .. } => "placement",
-        ScenarioAxis::Hops { .. } => "hops",
-        ScenarioAxis::ErrorRateLog { .. } => "error_rate",
-    }
-}
-
-// --- JSON encoding ---------------------------------------------------------
-
-fn encode_machine(m: &MachineSpec) -> Json {
-    let mut fields = vec![
-        ("preset", Json::Str(m.preset.label().into())),
-        ("width", Json::Int(i128::from(m.width))),
-        ("height", Json::Int(i128::from(m.height))),
-        ("topology", Json::Str(m.topology.to_string())),
-        ("routing", Json::Str(m.routing.to_string())),
-        ("layout", Json::Str(m.layout.to_string())),
-        ("teleporters", Json::Int(i128::from(m.teleporters))),
-        ("generators", Json::Int(i128::from(m.generators))),
-        ("purifiers", Json::Int(i128::from(m.purifiers))),
-        ("purify_depth", Json::Int(i128::from(m.purify_depth))),
-        (
-            "outputs_per_comm",
-            Json::Int(i128::from(m.outputs_per_comm)),
-        ),
-    ];
-    if let Some(plan) = &m.fault {
-        // Emitted only when set, so healthy specs (and their documents)
-        // are byte-identical to the pre-fault-layer schema.
-        fields.push(("fault", encode_fault_plan(plan)));
-    }
-    if let Some(modular) = &m.modular {
-        // Same only-when-set rule: flat specs keep the pre-modular
-        // schema byte for byte.
-        fields.push(("modular", encode_modular(modular)));
-    }
-    obj(fields)
-}
-
-fn encode_modular(m: &ModularSpec) -> Json {
-    obj(vec![
-        ("modules", Json::Int(i128::from(m.modules))),
-        ("interconnect", Json::Str(m.interconnect.label())),
-        ("latency_ns", Json::Int(i128::from(m.inter.latency_ns))),
-        (
-            "teleporter_slots",
-            Json::Int(i128::from(m.inter.teleporter_slots)),
-        ),
-        ("fidelity", Json::Float(m.inter.fidelity)),
-        ("intra_fidelity", Json::Float(m.intra_fidelity)),
-        ("inter_unit_cost", Json::Float(m.inter_unit_cost)),
-        ("report_cost", Json::Bool(m.report_cost)),
-    ])
-}
-
-fn decode_modular(value: &Json) -> Result<ModularSpec, JsonError> {
-    let f = value.obj_of("modular")?;
-    check_fields(
-        f,
-        &[
-            "modules",
-            "interconnect",
-            "latency_ns",
-            "teleporter_slots",
-            "fidelity",
-            "intra_fidelity",
-            "inter_unit_cost",
-            "report_cost",
-        ],
-        "modular",
-    )?;
-    let interconnect_label = get(f, "interconnect", "modular")?.str_of("interconnect")?;
-    Ok(ModularSpec {
-        modules: get(f, "modules", "modular")?.u32_of("modules")?,
-        interconnect: Interconnect::parse(interconnect_label).ok_or_else(|| {
-            Json::schema_err(format!("unknown interconnect {interconnect_label:?}"))
-        })?,
-        inter: qic_modular::LinkParams {
-            latency_ns: get(f, "latency_ns", "modular")?.u64_of("latency_ns")?,
-            teleporter_slots: get(f, "teleporter_slots", "modular")?.u32_of("teleporter_slots")?,
-            fidelity: get(f, "fidelity", "modular")?.f64_of("fidelity")?,
-        },
-        intra_fidelity: get(f, "intra_fidelity", "modular")?.f64_of("intra_fidelity")?,
-        inter_unit_cost: get(f, "inter_unit_cost", "modular")?.f64_of("inter_unit_cost")?,
-        report_cost: get(f, "report_cost", "modular")?.bool_of("report_cost")?,
-    })
-}
-
-fn encode_fault_plan(plan: &FaultPlan) -> Json {
-    let mut fields = vec![
-        ("seed", Json::Int(i128::from(plan.seed))),
-        ("link_kill_rate", Json::Float(plan.link_kill_rate)),
-        ("node_loss_rate", Json::Float(plan.node_loss_rate)),
-        (
-            "teleporter_loss_rate",
-            Json::Float(plan.teleporter_loss_rate),
-        ),
-        ("dead_links", ints(plan.dead_links.iter().copied())),
-        ("dead_nodes", ints(plan.dead_nodes.iter().copied())),
-    ];
-    if !plan.dead_modules.is_empty() {
-        // Emitted only when used, so pre-modular fault documents stay
-        // byte-identical.
-        fields.push(("dead_modules", ints(plan.dead_modules.iter().copied())));
-    }
-    fields.push((
-        "hotspots",
-        Json::Arr(
-            plan.hotspots
-                .iter()
-                .map(|h| {
-                    obj(vec![
-                        ("link", Json::Int(i128::from(h.link))),
-                        ("start_ns", Json::Int(i128::from(h.start_ns))),
-                        ("end_ns", Json::Int(i128::from(h.end_ns))),
-                        ("penalty_ns", Json::Int(i128::from(h.penalty_ns))),
-                    ])
-                })
-                .collect(),
-        ),
-    ));
-    obj(fields)
-}
-
-fn decode_fault_plan(value: &Json) -> Result<FaultPlan, JsonError> {
-    let f = value.obj_of("fault")?;
-    check_fields(
-        f,
-        &[
-            "seed",
-            "link_kill_rate",
-            "node_loss_rate",
-            "teleporter_loss_rate",
-            "dead_links",
-            "dead_nodes",
-            "dead_modules",
-            "hotspots",
-        ],
-        "fault",
-    )?;
-    let u32_list = |field: &str| -> Result<Vec<u32>, JsonError> {
-        get(f, field, "fault")?
-            .arr_of(field)?
-            .iter()
-            .map(|v| v.u32_of(field))
-            .collect()
-    };
-    Ok(FaultPlan {
-        seed: get(f, "seed", "fault")?.u64_of("seed")?,
-        link_kill_rate: get(f, "link_kill_rate", "fault")?.f64_of("link_kill_rate")?,
-        node_loss_rate: get(f, "node_loss_rate", "fault")?.f64_of("node_loss_rate")?,
-        teleporter_loss_rate: get(f, "teleporter_loss_rate", "fault")?
-            .f64_of("teleporter_loss_rate")?,
-        dead_links: u32_list("dead_links")?,
-        dead_nodes: u32_list("dead_nodes")?,
-        dead_modules: match get_opt(f, "dead_modules") {
-            Some(v) => v
-                .arr_of("dead_modules")?
-                .iter()
-                .map(|v| v.u32_of("dead_modules"))
-                .collect::<Result<_, _>>()?,
-            None => Vec::new(),
-        },
-        hotspots: get(f, "hotspots", "fault")?
-            .arr_of("hotspots")?
-            .iter()
-            .map(|v| {
-                let h = v.obj_of("hotspot")?;
-                check_fields(h, &["link", "start_ns", "end_ns", "penalty_ns"], "hotspot")?;
-                Ok(Hotspot {
-                    link: get(h, "link", "hotspot")?.u32_of("link")?,
-                    start_ns: get(h, "start_ns", "hotspot")?.u64_of("start_ns")?,
-                    end_ns: get(h, "end_ns", "hotspot")?.u64_of("end_ns")?,
-                    penalty_ns: get(h, "penalty_ns", "hotspot")?.u64_of("penalty_ns")?,
-                })
-            })
-            .collect::<Result<_, _>>()?,
-    })
-}
-
-fn decode_machine(value: &Json) -> Result<MachineSpec, JsonError> {
-    let f = value.obj_of("machine")?;
-    check_fields(
-        f,
-        &[
-            "preset",
-            "width",
-            "height",
-            "topology",
-            "routing",
-            "layout",
-            "teleporters",
-            "generators",
-            "purifiers",
-            "purify_depth",
-            "outputs_per_comm",
-            "fault",
-            "modular",
-        ],
-        "machine",
-    )?;
-    let preset_label = get(f, "preset", "machine")?.str_of("preset")?;
-    let topology_label = get(f, "topology", "machine")?.str_of("topology")?;
-    let routing_label = get(f, "routing", "machine")?.str_of("routing")?;
-    let layout_label = get(f, "layout", "machine")?.str_of("layout")?;
-    Ok(MachineSpec {
-        preset: NetPreset::parse(preset_label)
-            .ok_or_else(|| Json::schema_err(format!("unknown preset {preset_label:?}")))?,
-        width: get(f, "width", "machine")?.u16_of("width")?,
-        height: get(f, "height", "machine")?.u16_of("height")?,
-        topology: TopologyKind::parse(topology_label)
-            .ok_or_else(|| Json::schema_err(format!("unknown topology {topology_label:?}")))?,
-        routing: RoutingPolicy::parse(routing_label)
-            .ok_or_else(|| Json::schema_err(format!("unknown routing {routing_label:?}")))?,
-        layout: Layout::parse(layout_label)
-            .ok_or_else(|| Json::schema_err(format!("unknown layout {layout_label:?}")))?,
-        teleporters: get(f, "teleporters", "machine")?.u32_of("teleporters")?,
-        generators: get(f, "generators", "machine")?.u32_of("generators")?,
-        purifiers: get(f, "purifiers", "machine")?.u32_of("purifiers")?,
-        purify_depth: get(f, "purify_depth", "machine")?.u32_of("purify_depth")?,
-        outputs_per_comm: get(f, "outputs_per_comm", "machine")?.u32_of("outputs_per_comm")?,
-        fault: get_opt(f, "fault").map(decode_fault_plan).transpose()?,
-        modular: get_opt(f, "modular")
-            .map(|v| decode_modular(v).map(Box::new))
-            .transpose()?,
-    })
-}
-
-fn encode_observe(o: &ObserveSpec) -> Json {
-    obj(vec![
-        ("dir", Json::Str(o.dir.clone())),
-        ("events", Json::Bool(o.events)),
-        ("chrome_trace", Json::Bool(o.chrome_trace)),
-        ("bins", Json::Int(i128::from(o.bins))),
-    ])
-}
-
-fn decode_observe(value: &Json) -> Result<ObserveSpec, JsonError> {
-    let f = value.obj_of("observe")?;
-    check_fields(f, &["dir", "events", "chrome_trace", "bins"], "observe")?;
-    Ok(ObserveSpec {
-        dir: get(f, "dir", "observe")?.str_of("dir")?.to_string(),
-        events: get(f, "events", "observe")?.bool_of("events")?,
-        chrome_trace: get(f, "chrome_trace", "observe")?.bool_of("chrome_trace")?,
-        bins: get(f, "bins", "observe")?.u32_of("bins")?,
-    })
-}
-
-fn encode_checkpoint(c: &CheckpointSpec) -> Json {
-    obj(vec![
-        ("dir", Json::Str(c.dir.clone())),
-        ("every", Json::Int(i128::from(c.every))),
-    ])
-}
-
-fn decode_checkpoint(value: &Json) -> Result<CheckpointSpec, JsonError> {
-    let f = value.obj_of("checkpoint")?;
-    check_fields(f, &["dir", "every"], "checkpoint")?;
-    Ok(CheckpointSpec {
-        dir: get(f, "dir", "checkpoint")?.str_of("dir")?.to_string(),
-        every: get(f, "every", "checkpoint")?.u32_of("every")?,
-    })
-}
-
-fn encode_workload(w: &WorkloadSpec) -> Json {
-    match w {
-        WorkloadSpec::Qft { qubits } => obj(vec![
-            ("kind", Json::Str("qft".into())),
-            ("qubits", Json::Int(i128::from(*qubits))),
-        ]),
-        WorkloadSpec::ModMul { register } => obj(vec![
-            ("kind", Json::Str("mod_mul".into())),
-            ("register", Json::Int(i128::from(*register))),
-        ]),
-        WorkloadSpec::ModExp { register, steps } => obj(vec![
-            ("kind", Json::Str("mod_exp".into())),
-            ("register", Json::Int(i128::from(*register))),
-            ("steps", Json::Int(i128::from(*steps))),
-        ]),
-        WorkloadSpec::Shor { register, steps } => obj(vec![
-            ("kind", Json::Str("shor".into())),
-            ("register", Json::Int(i128::from(*register))),
-            ("steps", Json::Int(i128::from(*steps))),
-        ]),
-        WorkloadSpec::Synthetic {
-            qubits,
-            comms,
-            seed,
-        } => obj(vec![
-            ("kind", Json::Str("synthetic".into())),
-            ("qubits", Json::Int(i128::from(*qubits))),
-            ("comms", Json::Int(i128::from(*comms))),
-            ("seed", Json::Int(i128::from(*seed))),
-        ]),
-        WorkloadSpec::Batch { comms } => obj(vec![
-            ("kind", Json::Str("batch".into())),
-            (
-                "comms",
-                Json::Arr(
-                    comms
-                        .iter()
-                        .map(|&((sx, sy), (dx, dy))| {
-                            Json::Arr(vec![ints([sx, sy]), ints([dx, dy])])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-    }
-}
-
-fn decode_workload(value: &Json) -> Result<WorkloadSpec, JsonError> {
-    let f = value.obj_of("workload")?;
-    let kind = get(f, "kind", "workload")?.str_of("kind")?;
-    match kind {
-        "qft" => {
-            check_fields(f, &["kind", "qubits"], "workload")?;
-            Ok(WorkloadSpec::Qft {
-                qubits: get(f, "qubits", "workload")?.u32_of("qubits")?,
-            })
-        }
-        "mod_mul" => {
-            check_fields(f, &["kind", "register"], "workload")?;
-            Ok(WorkloadSpec::ModMul {
-                register: get(f, "register", "workload")?.u32_of("register")?,
-            })
-        }
-        "mod_exp" | "shor" => {
-            check_fields(f, &["kind", "register", "steps"], "workload")?;
-            let register = get(f, "register", "workload")?.u32_of("register")?;
-            let steps = get(f, "steps", "workload")?.u32_of("steps")?;
-            Ok(if kind == "mod_exp" {
-                WorkloadSpec::ModExp { register, steps }
-            } else {
-                WorkloadSpec::Shor { register, steps }
-            })
-        }
-        "synthetic" => {
-            check_fields(f, &["kind", "qubits", "comms", "seed"], "workload")?;
-            Ok(WorkloadSpec::Synthetic {
-                qubits: get(f, "qubits", "workload")?.u32_of("qubits")?,
-                comms: get(f, "comms", "workload")?.u32_of("comms")?,
-                seed: get(f, "seed", "workload")?.u64_of("seed")?,
-            })
-        }
-        "batch" => {
-            check_fields(f, &["kind", "comms"], "workload")?;
-            let comms = get(f, "comms", "workload")?
-                .arr_of("comms")?
-                .iter()
-                .map(|pair| {
-                    let ends = pair.arr_of("batch comm")?;
-                    if ends.len() != 2 {
-                        return Err(Json::schema_err("batch comms are [[sx,sy],[dx,dy]] pairs"));
-                    }
-                    let coord = |v: &Json| -> Result<(u16, u16), JsonError> {
-                        let xy = v.arr_of("batch site")?;
-                        if xy.len() != 2 {
-                            return Err(Json::schema_err("batch sites are [x, y] pairs"));
-                        }
-                        Ok((xy[0].u16_of("x")?, xy[1].u16_of("y")?))
-                    };
-                    Ok((coord(&ends[0])?, coord(&ends[1])?))
-                })
-                .collect::<Result<_, _>>()?;
-            Ok(WorkloadSpec::Batch { comms })
-        }
-        other => Err(Json::schema_err(format!("unknown workload kind {other:?}"))),
-    }
-}
-
-fn encode_experiment(e: &ExperimentSpec) -> Json {
-    match e {
-        ExperimentSpec::Machine { machine, workload } => obj(vec![
-            ("kind", Json::Str("machine".into())),
-            ("machine", encode_machine(machine)),
-            ("workload", encode_workload(workload)),
-        ]),
-        ExperimentSpec::Channel {
-            placement,
-            hops,
-            metric,
-        } => obj(vec![
-            ("kind", Json::Str("channel".into())),
-            ("placement", Json::Str(placement.label())),
-            ("hops", Json::Int(i128::from(*hops))),
-            ("metric", Json::Str(metric.label().into())),
-        ]),
-    }
-}
-
-fn decode_experiment(value: &Json) -> Result<ExperimentSpec, JsonError> {
-    let f = value.obj_of("experiment")?;
-    let kind = get(f, "kind", "experiment")?.str_of("kind")?;
-    match kind {
-        "machine" => {
-            check_fields(f, &["kind", "machine", "workload"], "experiment")?;
-            Ok(ExperimentSpec::Machine {
-                machine: decode_machine(get(f, "machine", "experiment")?)?,
-                workload: decode_workload(get(f, "workload", "experiment")?)?,
-            })
-        }
-        "channel" => {
-            check_fields(f, &["kind", "placement", "hops", "metric"], "experiment")?;
-            let placement_label = get(f, "placement", "experiment")?.str_of("placement")?;
-            let metric_label = get(f, "metric", "experiment")?.str_of("metric")?;
-            Ok(ExperimentSpec::Channel {
-                placement: PurifyPlacement::parse(placement_label).ok_or_else(|| {
-                    Json::schema_err(format!("unknown placement {placement_label:?}"))
-                })?,
-                hops: get(f, "hops", "experiment")?.u32_of("hops")?,
-                metric: PairMetric::parse(metric_label)
-                    .ok_or_else(|| Json::schema_err(format!("unknown metric {metric_label:?}")))?,
-            })
-        }
-        other => Err(Json::schema_err(format!(
-            "unknown experiment kind {other:?}"
-        ))),
-    }
-}
-
-fn encode_axis(axis: &ScenarioAxis) -> Json {
-    match axis {
-        ScenarioAxis::ResourceRatio { area, ratios } => obj(vec![
-            ("axis", Json::Str("resource_ratio".into())),
-            ("area", Json::Int(i128::from(*area))),
-            ("ratios", ints(ratios.iter().copied())),
-        ]),
-        ScenarioAxis::Layouts { layouts } => obj(vec![
-            ("axis", Json::Str("layout".into())),
-            (
-                "layouts",
-                Json::Arr(layouts.iter().map(|l| Json::Str(l.to_string())).collect()),
-            ),
-        ]),
-        ScenarioAxis::Topologies { kinds } => obj(vec![
-            ("axis", Json::Str("topology".into())),
-            (
-                "kinds",
-                Json::Arr(kinds.iter().map(|k| Json::Str(k.to_string())).collect()),
-            ),
-        ]),
-        ScenarioAxis::Routings { policies } => obj(vec![
-            ("axis", Json::Str("routing".into())),
-            (
-                "policies",
-                Json::Arr(policies.iter().map(|p| Json::Str(p.to_string())).collect()),
-            ),
-        ]),
-        ScenarioAxis::GridEdges { edges } => obj(vec![
-            ("axis", Json::Str("grid_edge".into())),
-            ("edges", ints(edges.iter().copied())),
-        ]),
-        ScenarioAxis::PurifyDepths { depths } => obj(vec![
-            ("axis", Json::Str("purify_depth".into())),
-            ("depths", ints(depths.iter().copied())),
-        ]),
-        ScenarioAxis::Units { units } => obj(vec![
-            ("axis", Json::Str("units".into())),
-            ("units", ints(units.iter().copied())),
-        ]),
-        ScenarioAxis::Teleporters { values } => obj(vec![
-            ("axis", Json::Str("teleporters".into())),
-            ("values", ints(values.iter().copied())),
-        ]),
-        ScenarioAxis::Generators { values } => obj(vec![
-            ("axis", Json::Str("generators".into())),
-            ("values", ints(values.iter().copied())),
-        ]),
-        ScenarioAxis::Purifiers { values } => obj(vec![
-            ("axis", Json::Str("purifiers".into())),
-            ("values", ints(values.iter().copied())),
-        ]),
-        ScenarioAxis::Workloads { workloads } => obj(vec![
-            ("axis", Json::Str("workload".into())),
-            (
-                "workloads",
-                Json::Arr(workloads.iter().map(encode_workload).collect()),
-            ),
-        ]),
-        ScenarioAxis::FaultRate { rates } => obj(vec![
-            ("axis", Json::Str("fault_rate".into())),
-            (
-                "rates",
-                Json::Arr(rates.iter().map(|&r| Json::Float(r)).collect()),
-            ),
-        ]),
-        ScenarioAxis::Modules { counts } => obj(vec![
-            ("axis", Json::Str("modules".into())),
-            ("counts", ints(counts.iter().copied())),
-        ]),
-        ScenarioAxis::InterTierLatency { latencies_ns } => obj(vec![
-            ("axis", Json::Str("inter_latency".into())),
-            ("latencies_ns", ints(latencies_ns.iter().copied())),
-        ]),
-        ScenarioAxis::InterTierCost { costs } => obj(vec![
-            ("axis", Json::Str("inter_cost".into())),
-            (
-                "costs",
-                Json::Arr(costs.iter().map(|&c| Json::Float(c)).collect()),
-            ),
-        ]),
-        ScenarioAxis::Placements { placements } => obj(vec![
-            ("axis", Json::Str("placement".into())),
-            (
-                "placements",
-                Json::Arr(placements.iter().map(|p| Json::Str(p.label())).collect()),
-            ),
-        ]),
-        ScenarioAxis::Hops { hops } => obj(vec![
-            ("axis", Json::Str("hops".into())),
-            ("hops", ints(hops.iter().copied())),
-        ]),
-        ScenarioAxis::ErrorRateLog {
-            start_exp,
-            stop_exp,
-            per_decade,
-        } => obj(vec![
-            ("axis", Json::Str("error_rate_log".into())),
-            ("start_exp", Json::Int(i128::from(*start_exp))),
-            ("stop_exp", Json::Int(i128::from(*stop_exp))),
-            ("per_decade", Json::Int(i128::from(*per_decade))),
-        ]),
-    }
-}
-
-fn decode_axis(value: &Json) -> Result<ScenarioAxis, JsonError> {
-    let f = value.obj_of("axis")?;
-    let kind = get(f, "axis", "axis")?.str_of("axis")?;
-    let u32_list = |field: &str| -> Result<Vec<u32>, JsonError> {
-        get(f, field, "axis")?
-            .arr_of(field)?
-            .iter()
-            .map(|v| v.u32_of(field))
-            .collect()
-    };
-    match kind {
-        "resource_ratio" => {
-            check_fields(f, &["axis", "area", "ratios"], "axis")?;
-            Ok(ScenarioAxis::ResourceRatio {
-                area: get(f, "area", "axis")?.u32_of("area")?,
-                ratios: get(f, "ratios", "axis")?
-                    .arr_of("ratios")?
-                    .iter()
-                    .map(|v| v.i64_of("ratios"))
-                    .collect::<Result<_, _>>()?,
-            })
-        }
-        "layout" => {
-            check_fields(f, &["axis", "layouts"], "axis")?;
-            Ok(ScenarioAxis::Layouts {
-                layouts: get(f, "layouts", "axis")?
-                    .arr_of("layouts")?
-                    .iter()
-                    .map(|v| {
-                        let label = v.str_of("layouts")?;
-                        Layout::parse(label)
-                            .ok_or_else(|| Json::schema_err(format!("unknown layout {label:?}")))
-                    })
-                    .collect::<Result<_, _>>()?,
-            })
-        }
-        "topology" => {
-            check_fields(f, &["axis", "kinds"], "axis")?;
-            Ok(ScenarioAxis::Topologies {
-                kinds: get(f, "kinds", "axis")?
-                    .arr_of("kinds")?
-                    .iter()
-                    .map(|v| {
-                        let label = v.str_of("kinds")?;
-                        TopologyKind::parse(label)
-                            .ok_or_else(|| Json::schema_err(format!("unknown topology {label:?}")))
-                    })
-                    .collect::<Result<_, _>>()?,
-            })
-        }
-        "routing" => {
-            check_fields(f, &["axis", "policies"], "axis")?;
-            Ok(ScenarioAxis::Routings {
-                policies: get(f, "policies", "axis")?
-                    .arr_of("policies")?
-                    .iter()
-                    .map(|v| {
-                        let label = v.str_of("policies")?;
-                        RoutingPolicy::parse(label)
-                            .ok_or_else(|| Json::schema_err(format!("unknown routing {label:?}")))
-                    })
-                    .collect::<Result<_, _>>()?,
-            })
-        }
-        "grid_edge" => {
-            check_fields(f, &["axis", "edges"], "axis")?;
-            Ok(ScenarioAxis::GridEdges {
-                edges: get(f, "edges", "axis")?
-                    .arr_of("edges")?
-                    .iter()
-                    .map(|v| v.u16_of("edges"))
-                    .collect::<Result<_, _>>()?,
-            })
-        }
-        "purify_depth" => {
-            check_fields(f, &["axis", "depths"], "axis")?;
-            Ok(ScenarioAxis::PurifyDepths {
-                depths: u32_list("depths")?,
-            })
-        }
-        "units" => {
-            check_fields(f, &["axis", "units"], "axis")?;
-            Ok(ScenarioAxis::Units {
-                units: u32_list("units")?,
-            })
-        }
-        "teleporters" => {
-            check_fields(f, &["axis", "values"], "axis")?;
-            Ok(ScenarioAxis::Teleporters {
-                values: u32_list("values")?,
-            })
-        }
-        "generators" => {
-            check_fields(f, &["axis", "values"], "axis")?;
-            Ok(ScenarioAxis::Generators {
-                values: u32_list("values")?,
-            })
-        }
-        "purifiers" => {
-            check_fields(f, &["axis", "values"], "axis")?;
-            Ok(ScenarioAxis::Purifiers {
-                values: u32_list("values")?,
-            })
-        }
-        "workload" => {
-            check_fields(f, &["axis", "workloads"], "axis")?;
-            Ok(ScenarioAxis::Workloads {
-                workloads: get(f, "workloads", "axis")?
-                    .arr_of("workloads")?
-                    .iter()
-                    .map(decode_workload)
-                    .collect::<Result<_, _>>()?,
-            })
-        }
-        "fault_rate" => {
-            check_fields(f, &["axis", "rates"], "axis")?;
-            Ok(ScenarioAxis::FaultRate {
-                rates: get(f, "rates", "axis")?
-                    .arr_of("rates")?
-                    .iter()
-                    .map(|v| v.f64_of("rates"))
-                    .collect::<Result<_, _>>()?,
-            })
-        }
-        "modules" => {
-            check_fields(f, &["axis", "counts"], "axis")?;
-            Ok(ScenarioAxis::Modules {
-                counts: u32_list("counts")?,
-            })
-        }
-        "inter_latency" => {
-            check_fields(f, &["axis", "latencies_ns"], "axis")?;
-            Ok(ScenarioAxis::InterTierLatency {
-                latencies_ns: get(f, "latencies_ns", "axis")?
-                    .arr_of("latencies_ns")?
-                    .iter()
-                    .map(|v| v.u64_of("latencies_ns"))
-                    .collect::<Result<_, _>>()?,
-            })
-        }
-        "inter_cost" => {
-            check_fields(f, &["axis", "costs"], "axis")?;
-            Ok(ScenarioAxis::InterTierCost {
-                costs: get(f, "costs", "axis")?
-                    .arr_of("costs")?
-                    .iter()
-                    .map(|v| v.f64_of("costs"))
-                    .collect::<Result<_, _>>()?,
-            })
-        }
-        "placement" => {
-            check_fields(f, &["axis", "placements"], "axis")?;
-            Ok(ScenarioAxis::Placements {
-                placements: get(f, "placements", "axis")?
-                    .arr_of("placements")?
-                    .iter()
-                    .map(|v| {
-                        let label = v.str_of("placements")?;
-                        PurifyPlacement::parse(label)
-                            .ok_or_else(|| Json::schema_err(format!("unknown placement {label:?}")))
-                    })
-                    .collect::<Result<_, _>>()?,
-            })
-        }
-        "hops" => {
-            check_fields(f, &["axis", "hops"], "axis")?;
-            Ok(ScenarioAxis::Hops {
-                hops: u32_list("hops")?,
-            })
-        }
-        "error_rate_log" => {
-            check_fields(f, &["axis", "start_exp", "stop_exp", "per_decade"], "axis")?;
-            Ok(ScenarioAxis::ErrorRateLog {
-                start_exp: get(f, "start_exp", "axis")?.i32_of("start_exp")?,
-                stop_exp: get(f, "stop_exp", "axis")?.i32_of("stop_exp")?,
-                per_decade: get(f, "per_decade", "axis")?.u32_of("per_decade")?,
-            })
-        }
-        other => Err(Json::schema_err(format!("unknown axis kind {other:?}"))),
+        ScenarioSpec::decode(&value, "scenario").map_err(ScenarioError::Json)
     }
 }
 

@@ -1,6 +1,7 @@
 //! Property tests for the Scenario API: every spec — arbitrary
-//! topology × routing × workload × scale — round-trips losslessly
-//! through JSON, and valid specs stay valid across the round trip.
+//! topology × routing × workload × scale × sweep axis, with or without
+//! a fault plan and a modular block — round-trips losslessly through
+//! JSON, and valid specs stay valid across the round trip.
 
 use proptest::prelude::*;
 
@@ -8,11 +9,15 @@ use qic_analytic::figures::PairMetric;
 use qic_analytic::strategy::PurifyPlacement;
 use qic_core::scenario::{MachineSpec, NetPreset, ScenarioAxis, ScenarioSpec, WorkloadSpec};
 use qic_core::Layout;
+use qic_fault::{FaultPlan, Hotspot};
+use qic_modular::{Interconnect, ModularSpec};
 use qic_net::routing::RoutingPolicy;
 use qic_net::topology::TopologyKind;
 
 const PRESETS: [NetPreset; 3] = [NetPreset::Paper, NetPreset::Reduced, NetPreset::SmallTest];
 const PLACEMENTS: [PurifyPlacement; 5] = PurifyPlacement::FIGURE_SET;
+/// Distinct kinds `machine_axis_from` builds.
+const MACHINE_AXES: u8 = 15;
 
 fn workload_from(kind: u8, a: u32, b: u32, seed: u64) -> WorkloadSpec {
     // Parameters stay in range for validation-minded cases but are NOT
@@ -49,7 +54,7 @@ fn workload_from(kind: u8, a: u32, b: u32, seed: u64) -> WorkloadSpec {
 }
 
 fn machine_axis_from(kind: u8, x: u32, y: u32, seed: u64) -> ScenarioAxis {
-    match kind % 11 {
+    match kind % MACHINE_AXES {
         0 => ScenarioAxis::ResourceRatio {
             area: 10 + x % 100,
             ratios: vec![0, 1 + i64::from(y % 7)],
@@ -81,13 +86,65 @@ fn machine_axis_from(kind: u8, x: u32, y: u32, seed: u64) -> ScenarioAxis {
         9 => ScenarioAxis::Purifiers {
             values: vec![1 + x % 16],
         },
-        _ => ScenarioAxis::Workloads {
+        10 => ScenarioAxis::Workloads {
             workloads: vec![
                 workload_from(x as u8, x, y, seed),
-                workload_from(x as u8 + 1, y, x, seed ^ 0xabcd),
+                workload_from((x as u8).wrapping_add(1), y, x, seed ^ 0xabcd),
             ],
         },
+        11 => ScenarioAxis::FaultRate {
+            rates: vec![0.0, f64::from(x % 101) / 100.0, f64::from(y) / 1e6],
+        },
+        12 => ScenarioAxis::Modules {
+            counts: vec![1, 1 + x % 8],
+        },
+        13 => ScenarioAxis::InterTierLatency {
+            latencies_ns: vec![u64::from(x) * 10, seed >> 1],
+        },
+        _ => ScenarioAxis::InterTierCost {
+            costs: vec![f64::from(x) * 0.5, f64::from(y) / 7.0],
+        },
     }
+}
+
+/// A fault plan drawn from the case's parameters; `dead_modules` stays
+/// empty (and out of the document) on every other plan.
+fn fault_from(x: u32, y: u32, seed: u64) -> FaultPlan {
+    let mut plan = FaultPlan::healthy()
+        .with_seed(seed)
+        .with_link_kill(f64::from(x % 50) / 100.0)
+        .with_node_loss(f64::from(y % 20) / 400.0)
+        .with_teleporter_loss(f64::from(x % 7) / 8.0)
+        .with_dead_link(x % 5)
+        .with_dead_node(y % 5);
+    if x % 2 == 1 {
+        plan = plan.with_dead_module(y % 2);
+    }
+    if y % 3 != 0 {
+        plan = plan.with_hotspot(Hotspot {
+            link: y % 4,
+            start_ns: u64::from(x),
+            end_ns: u64::from(x) + 1 + seed % 1_000_000,
+            penalty_ns: u64::from(y) * 3,
+        });
+    }
+    plan
+}
+
+fn modular_from(x: u32, y: u32) -> ModularSpec {
+    ModularSpec::single()
+        .with_modules(1 + x % 4)
+        .with_interconnect(if y % 2 == 0 {
+            Interconnect::OpticalSwitch
+        } else {
+            Interconnect::FatTree { radix: 2 + y % 6 }
+        })
+        .with_latency_ns(u64::from(y) * 100)
+        .with_teleporter_slots(1 + x % 3)
+        .with_inter_fidelity(1.0 - f64::from(x % 100) / 1e4)
+        .with_intra_fidelity(1.0 - f64::from(y % 100) / 1e5)
+        .with_inter_unit_cost(f64::from(x) * 0.25)
+        .with_report_cost(y % 3 != 0)
 }
 
 fn channel_axis_from(kind: u8, x: u32, y: u32) -> ScenarioAxis {
@@ -124,11 +181,19 @@ fn spec_from(
     axis_kinds: (u8, u8),
     axis_params: (u32, u32),
     seed: u64,
+    blocks: u8,
 ) -> ScenarioSpec {
     let (k1, k2) = axis_kinds;
     let (x, y) = axis_params;
     if family % 2 == 0 {
-        let machine = machine_spec_from(sel);
+        // Bit 0 attaches a fault plan, bit 1 a modular block.
+        let mut machine = machine_spec_from(sel);
+        if blocks & 1 != 0 {
+            machine = machine.with_fault(fault_from(x, y, seed));
+        }
+        if blocks & 2 != 0 {
+            machine = machine.with_modular(modular_from(y, x));
+        }
         let workload = workload_from(sel as u8, x, y, seed);
         let mut spec = ScenarioSpec::machine(format!("prop_machine_{sel}"), machine, workload)
             .with_seed(seed)
@@ -137,7 +202,7 @@ fn spec_from(
             .with_axis(machine_axis_from(k1, x, y, seed));
         // A second axis of a different kind (duplicates are a
         // validation concern, not a serialization one).
-        if k2 % 11 != k1 % 11 {
+        if k2 % MACHINE_AXES != k1 % MACHINE_AXES {
             spec = spec.with_axis(machine_axis_from(k2, y, x, seed));
         }
         spec
@@ -169,8 +234,9 @@ proptest! {
         kinds in (0u8..32, 0u8..32),
         params in (0u32..1_000, 0u32..1_000),
         seed in 0u64..u64::MAX,
+        blocks in 0u8..4,
     ) {
-        let spec = spec_from(family, sel, kinds, params, seed);
+        let spec = spec_from(family, sel, kinds, params, seed, blocks);
         let json = spec.to_json();
         let back = ScenarioSpec::from_json(&json)
             .unwrap_or_else(|e| panic!("{e}\n{json}"));
@@ -186,11 +252,12 @@ proptest! {
         kinds in (0u8..32, 0u8..32),
         params in (0u32..1_000, 0u32..1_000),
         seed in 0u64..1_000_000,
+        blocks in 0u8..4,
     ) {
         // Whatever validate() says about a spec, it must say the same
         // about its JSON round trip (no information loss that flips
         // validity either way).
-        let spec = spec_from(family, sel, kinds, params, seed);
+        let spec = spec_from(family, sel, kinds, params, seed, blocks);
         let back = ScenarioSpec::from_json(&spec.to_json()).expect("round trip parses");
         prop_assert_eq!(
             spec.validate().is_ok(),

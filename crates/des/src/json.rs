@@ -1,10 +1,14 @@
 //! A minimal, deterministic JSON value model for strict codecs.
 //!
 //! The vendored `serde` stand-in provides trait names but no wire
-//! format (see `vendor/README.md`), so the workspace's serializable
-//! documents — scenario specs in `qic-core`, campaign shard records and
-//! checkpoint manifests here — format and parse JSON through this
-//! model. It is deliberately small:
+//! format (see `vendor/README.md`), so every JSON document the workspace
+//! writes or reads goes through this model: scenario specs (`qic-core`),
+//! campaign records and checkpoint manifests (`qic-sweep`), cache
+//! records and service requests (`qic-serve`), the bench trajectory
+//! (`qic-bench`) and the trace validators (`qic-probe`). It lives here,
+//! at the bottom of the crate graph, so each of them can use it;
+//! `qic_sweep::json` re-exports it under its established path. It is
+//! deliberately small:
 //!
 //! * integers are kept apart from floats (`i128` holds every `u64`
 //!   seed and every `i64` ratio losslessly);
@@ -293,11 +297,6 @@ pub fn obj(fields: Vec<(&str, Json)>) -> Json {
     )
 }
 
-/// Builds an integer array (codec convenience).
-pub fn ints<I: Into<i128>>(values: impl IntoIterator<Item = I>) -> Json {
-    Json::Arr(values.into_iter().map(|v| Json::Int(v.into())).collect())
-}
-
 /// Looks a required field up in an object; the object is expected to
 /// have been vetted by [`check_fields`] first.
 ///
@@ -580,7 +579,7 @@ mod tests {
         let v = obj(vec![
             ("name", Json::Str("fig16:\"Tiny\"".into())),
             ("seed", Json::Int(u64::MAX as i128)),
-            ("ratio", ints([0i64, 1, 2, 4, 8])),
+            ("ratio", Json::Arr([0, 1, 2, 4, 8].map(Json::Int).to_vec())),
             ("rate", Json::Float(1e-9)),
             ("whole", Json::Float(2.0)),
             ("flag", Json::Bool(true)),

@@ -17,6 +17,8 @@
 //! * **Measurements built in** — [`stats`] provides counters, tallies,
 //!   time-weighted averages and log histograms used by the network
 //!   simulator's reports.
+//! * **One JSON reader** — [`json`] is the strict, depth-limited
+//!   reader and deterministic writer every workspace document uses.
 //!
 //! # Example
 //!
@@ -40,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
 pub mod metrics;
 pub mod queue;
 pub mod rng;

@@ -3,231 +3,27 @@
 //! CI's observability smoke test (and `examples/trace_run.rs`) parse
 //! every emitted file back and check it against the expected shape, so
 //! a malformed exporter fails loudly instead of producing a trace that
-//! silently will not load. The parser is a tiny self-contained
-//! recursive-descent JSON reader — validation must not trust the code
-//! that did the writing.
+//! silently will not load. The exporters format their output by hand;
+//! the validators read it with the workspace's strict JSON reader
+//! ([`qic_des::json`]) and check structure, so the writer still never
+//! grades its own work. The reader caps nesting, so a hostile file is
+//! an `Err`, never a stack overflow.
 
-use std::collections::BTreeMap;
+use qic_des::json::{get_opt, Json, JsonError};
 
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (parsed as `f64`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object (key order is irrelevant to validation).
-    Obj(BTreeMap<String, Value>),
-}
-
-impl Value {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Num(_) => "number",
-            Value::Str(_) => "string",
-            Value::Arr(_) => "array",
-            Value::Obj(_) => "object",
-        }
-    }
-
-    fn obj(&self, ctx: &str) -> Result<&BTreeMap<String, Value>, String> {
-        match self {
-            Value::Obj(m) => Ok(m),
-            other => Err(format!("{ctx}: expected object, got {}", other.type_name())),
-        }
-    }
-
-    fn num(&self, ctx: &str) -> Result<f64, String> {
-        match self {
-            Value::Num(n) => Ok(*n),
-            other => Err(format!("{ctx}: expected number, got {}", other.type_name())),
-        }
-    }
-
-    fn str(&self, ctx: &str) -> Result<&str, String> {
-        match self {
-            Value::Str(s) => Ok(s),
-            other => Err(format!("{ctx}: expected string, got {}", other.type_name())),
-        }
-    }
-}
-
-/// Parses a complete JSON document (rejects trailing garbage).
-pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing characters at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-        Some(_) => parse_num(b, pos),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
+/// Renders a reader error: syntax errors keep their byte offset, shape
+/// errors are the problem alone.
+fn message(err: JsonError) -> String {
+    if err.at == 0 {
+        err.problem
     } else {
-        Err(format!("invalid literal at byte {pos}", pos = *pos))
+        err.to_string()
     }
 }
 
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    if matches!(b.get(*pos), Some(b'-')) {
-        *pos += 1;
-    }
-    while matches!(b.get(*pos), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(Value::Num)
-        .map_err(|_| format!("invalid number {text:?} at byte {start}"))
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(b[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    other => return Err(format!("invalid escape {other:?}")),
-                }
-                *pos += 1;
-            }
-            Some(&c) => {
-                // Multi-byte UTF-8 sequences pass through untouched.
-                let len = utf8_len(c);
-                let chunk = b
-                    .get(*pos..*pos + len)
-                    .ok_or("truncated UTF-8 sequence".to_string())?;
-                out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                *pos += len;
-            }
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if matches!(b.get(*pos), Some(b']')) {
-        *pos += 1;
-        return Ok(Value::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            other => return Err(format!("expected ',' or ']', got {other:?}")),
-        }
-    }
-}
-
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    *pos += 1; // '{'
-    let mut map = BTreeMap::new();
-    skip_ws(b, pos);
-    if matches!(b.get(*pos), Some(b'}')) {
-        *pos += 1;
-        return Ok(Value::Obj(map));
-    }
-    loop {
-        skip_ws(b, pos);
-        if !matches!(b.get(*pos), Some(b'"')) {
-            return Err(format!("expected object key at byte {pos}", pos = *pos));
-        }
-        let key = parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if !matches!(b.get(*pos), Some(b':')) {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        map.insert(key, parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(map));
-            }
-            other => return Err(format!("expected ',' or '}}', got {other:?}")),
-        }
-    }
+/// Field `name` of `fields`, or an error naming `ctx`.
+fn field<'a>(fields: &'a [(String, Json)], name: &str, ctx: &str) -> Result<&'a Json, String> {
+    get_opt(fields, name).ok_or(format!("{ctx}: missing {name:?}"))
 }
 
 /// Every event label the JSONL log may carry, with its required numeric
@@ -258,37 +54,35 @@ pub fn validate_events_jsonl(text: &str) -> Result<u64, String> {
         if line.is_empty() {
             continue;
         }
-        let n = i + 1;
-        let v = parse(line).map_err(|e| format!("line {n}: {e}"))?;
-        let obj = v.obj(&format!("line {n}"))?;
-        let t = obj
-            .get("t_ns")
-            .ok_or(format!("line {n}: missing t_ns"))?
-            .num(&format!("line {n}: t_ns"))?;
+        let ctx = format!("line {}", i + 1);
+        let v = Json::parse(line).map_err(|e| format!("{ctx}: {}", message(e)))?;
+        let obj = v.obj_of(&ctx).map_err(message)?;
+        let num = |at: &str, f: &str| -> Result<f64, String> {
+            field(obj, f, at)?
+                .f64_of(&format!("{at}: {f}"))
+                .map_err(message)
+        };
+        let t = num(&ctx, "t_ns")?;
         if t < last_t {
-            return Err(format!(
-                "line {n}: t_ns {t} goes backwards (after {last_t})"
-            ));
+            return Err(format!("{ctx}: t_ns {t} goes backwards (after {last_t})"));
         }
         last_t = t;
-        let ev = obj
-            .get("ev")
-            .ok_or(format!("line {n}: missing ev"))?
-            .str(&format!("line {n}: ev"))?;
+        let ev = field(obj, "ev", &ctx)?
+            .str_of(&format!("{ctx}: ev"))
+            .map_err(message)?;
         let fields = EVENT_FIELDS
             .iter()
             .find(|(label, _)| *label == ev)
             .map(|(_, f)| *f)
-            .ok_or(format!("line {n}: unknown event {ev:?}"))?;
+            .ok_or(format!("{ctx}: unknown event {ev:?}"))?;
+        let at = format!("{ctx}: {ev}");
         for f in fields {
-            obj.get(*f)
-                .ok_or(format!("line {n}: {ev} missing field {f:?}"))?
-                .num(&format!("line {n}: {ev}.{f}"))?;
+            num(&at, f)?;
         }
         if ev == "stall" {
-            obj.get("cause")
-                .ok_or(format!("line {n}: stall missing cause"))?
-                .str(&format!("line {n}: stall.cause"))?;
+            field(obj, "cause", &at)?
+                .str_of(&format!("{at}: cause"))
+                .map_err(message)?;
         }
         lines += 1;
     }
@@ -300,33 +94,19 @@ pub fn validate_events_jsonl(text: &str) -> Result<u64, String> {
 /// requires (`X` spans, `M` metadata, `i` instants, `C` counters).
 /// Returns the event count.
 pub fn validate_chrome_trace(text: &str) -> Result<u64, String> {
-    let v = parse(text)?;
-    let obj = v.obj("top level")?;
-    let events = match obj.get("traceEvents") {
-        Some(Value::Arr(a)) => a,
-        Some(other) => {
-            return Err(format!(
-                "traceEvents: expected array, got {}",
-                other.type_name()
-            ))
-        }
-        None => return Err("missing traceEvents".into()),
-    };
+    let v = Json::parse(text).map_err(message)?;
+    let top = v.obj_of("top level").map_err(message)?;
+    let events = field(top, "traceEvents", "top level")?
+        .arr_of("traceEvents")
+        .map_err(message)?;
     for (i, ev) in events.iter().enumerate() {
         let ctx = format!("traceEvents[{i}]");
-        let obj = ev.obj(&ctx)?;
-        let need_num = |f: &str| -> Result<f64, String> {
-            obj.get(f)
-                .ok_or(format!("{ctx}: missing {f:?}"))?
-                .num(&format!("{ctx}: {f}"))
-        };
-        let need_str = |f: &str| -> Result<&str, String> {
-            obj.get(f)
-                .ok_or(format!("{ctx}: missing {f:?}"))?
-                .str(&format!("{ctx}: {f}"))
-        };
-        let ph = need_str("ph")?;
-        match ph {
+        let obj = ev.obj_of(&ctx).map_err(message)?;
+        let need = |f: &str| field(obj, f, &ctx);
+        let need_num = |f: &str| need(f)?.f64_of(&format!("{ctx}: {f}")).map_err(message);
+        let need_str = |f: &str| need(f)?.str_of(&format!("{ctx}: {f}")).map_err(message);
+        let need_obj = |f: &str| need(f)?.obj_of(&format!("{ctx}: {f}")).map_err(message);
+        match need_str("ph")? {
             "X" => {
                 need_str("name")?;
                 need_num("ts")?;
@@ -336,9 +116,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<u64, String> {
             }
             "M" => {
                 need_str("name")?;
-                obj.get("args")
-                    .ok_or(format!("{ctx}: missing \"args\""))?
-                    .obj(&format!("{ctx}: args"))?;
+                need_obj("args")?;
             }
             "i" => {
                 need_num("ts")?;
@@ -349,9 +127,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<u64, String> {
                 need_str("name")?;
                 need_num("ts")?;
                 need_num("pid")?;
-                obj.get("args")
-                    .ok_or(format!("{ctx}: missing \"args\""))?
-                    .obj(&format!("{ctx}: args"))?;
+                need_obj("args")?;
             }
             other => return Err(format!("{ctx}: unknown phase {other:?}")),
         }
@@ -362,31 +138,6 @@ pub fn validate_chrome_trace(text: &str) -> Result<u64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parser_round_trips_basic_documents() {
-        let v = parse(r#"{"a":[1,2.5,-3],"b":"x\"y","c":true,"d":null}"#).unwrap();
-        let obj = v.obj("t").unwrap();
-        assert_eq!(
-            obj.get("a"),
-            Some(&Value::Arr(vec![
-                Value::Num(1.0),
-                Value::Num(2.5),
-                Value::Num(-3.0)
-            ]))
-        );
-        assert_eq!(obj.get("b"), Some(&Value::Str("x\"y".into())));
-        assert_eq!(obj.get("c"), Some(&Value::Bool(true)));
-        assert_eq!(obj.get("d"), Some(&Value::Null));
-    }
-
-    #[test]
-    fn parser_rejects_malformed_input() {
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("{}extra").is_err());
-        assert!(parse("\"unterminated").is_err());
-    }
 
     #[test]
     fn jsonl_validator_enforces_shape() {
@@ -421,5 +172,19 @@ mod tests {
             .contains("traceEvents"));
         let bad = r#"{"traceEvents":[{"name":"s","ph":"X","ts":0.0,"pid":0,"tid":0}]}"#;
         assert!(validate_chrome_trace(bad).unwrap_err().contains("dur"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = format!("{{\"traceEvents\": {}", "[".repeat(100_000));
+        assert!(validate_chrome_trace(&deep)
+            .unwrap_err()
+            .contains("nested deeper"));
+        let line = format!("{{\"t_ns\": {}\n", "[".repeat(100_000));
+        let err = validate_events_jsonl(&line).unwrap_err();
+        assert!(
+            err.starts_with("line 1: ") && err.contains("nested deeper"),
+            "{err}"
+        );
     }
 }

@@ -78,7 +78,6 @@
 pub mod campaign;
 pub mod checkpoint;
 pub mod exec;
-pub mod json;
 pub mod progress;
 pub mod report;
 pub mod shard;
@@ -88,6 +87,9 @@ pub use campaign::{Campaign, CampaignProgress, RunCtx, RunOptions};
 pub use checkpoint::{CheckpointConfig, CheckpointError, CHECKPOINT_VERSION};
 pub use exec::{default_workers, parse_workers, CancelToken, Executor};
 pub use progress::{JsonlProgress, NoProgress, ProgressSink};
+/// The strict JSON reader and writer every workspace document goes
+/// through; it lives in `qic-des` and keeps this established path.
+pub use qic_des::json;
 // The metric record type lives in `qic-des` (so simulator crates can
 // produce it without depending on the orchestration layer); campaigns
 // consume and aggregate it.
