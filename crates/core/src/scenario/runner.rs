@@ -1,7 +1,7 @@
 //! The scenario entry points: `run(&spec)` and `run_with(&spec, &opts)`.
 
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use qic_analytic::cost::{ComponentCounts, CostModel, NetworkShape};
 use qic_analytic::figures::{pair_budget, PairMetric};
@@ -12,7 +12,7 @@ use qic_modular::{ModularFabric, ModularSpec};
 use qic_net::config::NetConfig;
 use qic_net::report::NetReport;
 use qic_net::sim::{BatchDriver, NetworkSim};
-use qic_net::topology::{Coord, Topology, TopologyKind};
+use qic_net::topology::{Coord, Fabric, Topology, TopologyKind};
 use qic_probe::RecordingProbe;
 use qic_sweep::{
     Campaign, CampaignProgress, CampaignReport, CheckpointConfig, CheckpointError, JsonlProgress,
@@ -261,7 +261,17 @@ struct MachineEval {
     /// instructions).
     base_program: Option<Program>,
     observe: Option<ObserveSpec>,
+    /// The modular fabrics this run has built, each under its
+    /// [`FabricKey`]. Points that differ only in what the fabric never
+    /// reads (the cost knobs, or any non-structural axis) share one
+    /// build; a campaign holds a handful of keys, so a linear scan
+    /// serves.
+    fabrics: Mutex<Vec<(FabricKey, ModularFabric<Fabric>)>>,
 }
+
+/// What a modular fabric is built from: the base kind and grid, and
+/// the modular spec with the report-only cost knobs at their defaults.
+type FabricKey = (TopologyKind, u16, u16, ModularSpec);
 
 impl MachineEval {
     /// Clones the evaluation state out of a validated spec.
@@ -282,7 +292,37 @@ impl MachineEval {
             workload: workload.clone(),
             base_program,
             observe: spec.observe.clone(),
+            fabrics: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The composed fabric for `net`'s base grid and `m`, built at most
+    /// once per run (two points racing on a new key may both build it;
+    /// the builds are equal and the first one stored is kept). The
+    /// fabric is built from the key's spec: only this runner reads
+    /// `inter_unit_cost` and `report_cost`, and it reads them from `m`.
+    fn modular_fabric(&self, net: &NetConfig, m: &ModularSpec) -> ModularFabric<Fabric> {
+        let defaults = ModularSpec::single();
+        let key: FabricKey = (
+            net.topology,
+            net.mesh_width,
+            net.mesh_height,
+            ModularSpec {
+                inter_unit_cost: defaults.inter_unit_cost,
+                report_cost: defaults.report_cost,
+                ..m.clone()
+            },
+        );
+        let memo = || self.fabrics.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, fabric)) = memo().iter().find(|(k, _)| *k == key) {
+            return fabric.clone();
+        }
+        let fabric = ModularFabric::new(net.fabric(), &key.3);
+        let mut built = memo();
+        if !built.iter().any(|(k, _)| *k == key) {
+            built.push((key, fabric.clone()));
+        }
+        fabric
     }
 
     /// Evaluates one `(point, replicate)`: applies every axis to the
@@ -418,7 +458,7 @@ impl MachineEval {
         fault: Option<FaultPlan>,
         trace_tag: (usize, u32),
     ) -> Metrics {
-        let fabric = ModularFabric::new(net.fabric(), m);
+        let fabric = self.modular_fabric(&net, m);
         if m.modules > 1 {
             // The driver addresses the composed grid: modules tile side
             // by side, so placement snakes across the full width. A
@@ -574,5 +614,50 @@ impl ChannelEval {
             model = model.with_rates(rates);
         }
         Metrics::new().with("pairs", pair_budget(&model, hops, self.metric))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::{ScenarioRegistry, ScenarioScale};
+
+    #[test]
+    fn points_differing_only_in_cost_share_one_modular_fabric() {
+        let spec = ScenarioRegistry::builtin()
+            .spec("cost_fidelity_pareto", ScenarioScale::SmallTest)
+            .expect("registered");
+        let ExperimentSpec::Machine { machine, workload } = &spec.experiment else {
+            panic!("cost_fidelity_pareto is a machine experiment");
+        };
+        let eval = MachineEval::new(&spec, machine, workload);
+        let net = machine.net_config();
+        let m = machine.modular.as_deref().expect("modular preset").clone();
+        let builds = || eval.fabrics.lock().expect("memo").len();
+        for cost in [1.0, 4.0, 16.0] {
+            for report in [true, false] {
+                let fabric = eval.modular_fabric(
+                    &net,
+                    &m.clone()
+                        .with_inter_unit_cost(cost)
+                        .with_report_cost(report),
+                );
+                assert_eq!(
+                    fabric.spec().inter_unit_cost,
+                    ModularSpec::single().inter_unit_cost
+                );
+            }
+        }
+        assert_eq!(builds(), 1, "the cost knobs build no new fabric");
+        let four = eval.modular_fabric(&net, &m.clone().with_modules(4));
+        assert_eq!(
+            (builds(), four.modules()),
+            (2, 4),
+            "a new module count does"
+        );
+        let mut torus = net.clone();
+        torus.topology = TopologyKind::Torus;
+        eval.modular_fabric(&torus, &m);
+        assert_eq!(builds(), 3, "so does a new base fabric");
     }
 }

@@ -1,6 +1,6 @@
 //! `DegradedFabric`: a fault-masking [`Topology`] wrapper.
 
-use qic_net::topology::{Coord, Port, Topology};
+use qic_net::topology::{all_pairs_bfs, Coord, Port, Topology};
 
 use crate::plan::{FaultPlan, FaultSchedule, Hotspot};
 
@@ -89,6 +89,8 @@ pub struct DegradedFabric<T: Topology> {
     dist: Vec<u32>,
     diameter: u32,
     reachable_pairs: u64,
+    /// Sum of the finite surviving distances (only while `masks`).
+    total_distance: u64,
     alive_nodes: usize,
     surviving_links: usize,
     bisection: usize,
@@ -140,6 +142,7 @@ impl<T: Topology> DegradedFabric<T> {
             dist: Vec::new(),
             diameter: 0,
             reachable_pairs: 0,
+            total_distance: 0,
             alive_nodes: nodes,
             surviving_links: links,
             bisection: 0,
@@ -168,43 +171,22 @@ impl<T: Topology> DegradedFabric<T> {
             self.reachable_pairs = (nodes * nodes.saturating_sub(1)) as u64;
             return;
         }
-        let mut dist = vec![UNREACHABLE; nodes * nodes];
-        let mut queue = std::collections::VecDeque::new();
-        for src in 0..nodes {
-            if self.dead_node[src] {
-                continue;
-            }
-            let row = &mut dist[src * nodes..(src + 1) * nodes];
-            row[src] = 0;
-            queue.clear();
-            queue.push_back(src);
-            while let Some(at) = queue.pop_front() {
-                let d = row[at];
-                for p in 0..self.base.ports_per_node() {
-                    let port = Port(p as u8);
-                    if let Some(nb) = self.base.neighbor(at, port) {
-                        if !self.dead_link[self.base.link_index(at, port)] && row[nb] == UNREACHABLE
-                        {
-                            row[nb] = d + 1;
-                            queue.push_back(nb);
-                        }
-                    }
-                }
-            }
-        }
-        let mut diameter = 0;
-        let mut reachable = 0u64;
-        for src in 0..nodes {
-            for d in &dist[src * nodes..(src + 1) * nodes] {
-                if *d != UNREACHABLE && *d != 0 {
-                    reachable += 1;
-                    diameter = diameter.max(*d);
-                }
-            }
-        }
-        self.dist = dist;
-        self.diameter = diameter;
-        self.reachable_pairs = reachable;
+        // Dead links are left out of the adjacency; a dead source's
+        // row stays all UNREACHABLE, its diagonal included.
+        let all = all_pairs_bfs(
+            nodes,
+            self.base.ports_per_node(),
+            |node, port| {
+                self.base
+                    .neighbor(node, port)
+                    .filter(|_| !self.dead_link[self.base.link_index(node, port)])
+            },
+            |src| !self.dead_node[src],
+        );
+        self.dist = all.dist;
+        self.diameter = all.diameter;
+        self.reachable_pairs = all.reachable_pairs;
+        self.total_distance = all.total_distance;
     }
 
     /// Surviving links crossing one side-predicate cut.
@@ -483,13 +465,7 @@ impl<T: Topology> Topology for DegradedFabric<T> {
         if self.reachable_pairs == 0 {
             return 0.0;
         }
-        let mut total = 0u64;
-        for d in &self.dist {
-            if *d != UNREACHABLE {
-                total += u64::from(*d);
-            }
-        }
-        total as f64 / self.reachable_pairs as f64
+        self.total_distance as f64 / self.reachable_pairs as f64
     }
 }
 

@@ -1,6 +1,9 @@
 //! Property tests for the fault layer's core guarantees:
 //! determinism of compiled schedules, masked-link avoidance by every
-//! router, and exact healthy behaviour for zero-rate plans.
+//! router, exact healthy behaviour for zero-rate plans, and the
+//! surviving distance table against a naive BFS oracle.
+
+use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
@@ -19,7 +22,64 @@ fn fabrics(w: u16, h: u16) -> Vec<Fabric> {
     ]
 }
 
+/// Surviving hop distances from `src` by a textbook `VecDeque` BFS
+/// over the masked [`Topology::neighbor`]; a dead source reaches
+/// nothing, itself included.
+fn naive_bfs(degraded: &DegradedFabric<Fabric>, src: usize) -> Vec<u32> {
+    let mut dist = vec![UNREACHABLE; degraded.nodes()];
+    if degraded.node_is_dead(src) {
+        return dist;
+    }
+    dist[src] = 0;
+    let mut queue = VecDeque::from([src]);
+    while let Some(at) = queue.pop_front() {
+        for p in 0..degraded.ports_per_node() {
+            if let Some(nb) = degraded.neighbor(at, Port(p as u8)) {
+                if dist[nb] == UNREACHABLE {
+                    dist[nb] = dist[at] + 1;
+                    queue.push_back(nb);
+                }
+            }
+        }
+    }
+    dist
+}
+
 proptest! {
+    #[test]
+    fn surviving_distances_match_a_naive_bfs(
+        w in 2u16..7, h in 2u16..7,
+        seed in 0u64..1_000_000,
+        link_pct in 0u32..50, node_pct in 0u32..30,
+    ) {
+        for fabric in fabrics(w, h) {
+            let degraded = FaultPlan::healthy()
+                .with_seed(seed)
+                .with_link_kill(f64::from(link_pct) / 100.0)
+                .with_node_loss(f64::from(node_pct) / 100.0)
+                .compile(fabric);
+            let (mut diameter, mut reachable, mut total) = (0, 0u64, 0u64);
+            for src in 0..degraded.nodes() {
+                for (dst, d) in naive_bfs(&degraded, src).into_iter().enumerate() {
+                    prop_assert_eq!(Topology::distance(&degraded, src, dst), d, "{} -> {}", src, dst);
+                    if d != UNREACHABLE && d != 0 {
+                        diameter = diameter.max(d);
+                        reachable += 1;
+                        total += u64::from(d);
+                    }
+                }
+            }
+            prop_assert_eq!(degraded.diameter(), diameter);
+            let pairs = degraded.nodes() * (degraded.nodes() - 1);
+            prop_assert_eq!(
+                degraded.reachable_fraction().to_bits(),
+                (reachable as f64 / pairs as f64).to_bits()
+            );
+            let mean = if reachable == 0 { 0.0 } else { total as f64 / reachable as f64 };
+            prop_assert_eq!(degraded.avg_distance().to_bits(), mean.to_bits());
+        }
+    }
+
     #[test]
     fn same_seed_compiles_a_byte_identical_schedule(
         w in 2u16..8, h in 2u16..8,

@@ -28,7 +28,9 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use qic_net::topology::{Coord, Port, Topology};
+use std::sync::Arc;
+
+use qic_net::topology::{all_pairs_bfs, Coord, Port, Topology};
 use serde::{Deserialize, Serialize};
 
 /// The inter-module tier technology.
@@ -293,8 +295,9 @@ pub struct RouteProfile {
 ///   module `j` local node `i mod N`, spreading gateways across each
 ///   module. Intra links keep their base indices per module
 ///   (`m·links(base) + base link`); inter links follow densely.
-/// * **Routing.** Distances are exact (all-pairs BFS over the composed
-///   graph, precomputed at construction); [`Topology::min_ports`]
+/// * **Routing.** Distances are exact (one all-pairs BFS over the
+///   composed graph's flat adjacency at construction, which also fills
+///   the diameter and mean distance); [`Topology::min_ports`]
 ///   returns the BFS-minimal ports in ascending order, so every
 ///   existing router works unchanged and stays minimal and loop-free.
 /// * **Flow control.** With K > 1 the composed channel-dependency graph
@@ -305,6 +308,10 @@ pub struct RouteProfile {
 /// * **Degenerate case.** K = 1 delegates every method to the base
 ///   fabric — same name, ports, links and hooks — so composed reports
 ///   reproduce flat reports byte for byte.
+///
+/// Clones share the distance table, so cloning a built fabric is
+/// cheap; the scenario runner builds each fabric once per campaign and
+/// hands every point a clone.
 #[derive(Debug, Clone)]
 pub struct ModularFabric<T> {
     base: T,
@@ -320,10 +327,12 @@ pub struct ModularFabric<T> {
     uplink_ports: usize,
     /// Precomputed `latency_ns × tier_hops` for inter links.
     inter_penalty_ns: u64,
-    /// All-pairs hop distances (empty when K = 1).
-    dist: Vec<u32>,
+    /// All-pairs hop distances (empty when K = 1), shared by clones.
+    dist: Arc<[u32]>,
     /// Max finite distance (unused when K = 1).
     diameter: u32,
+    /// Mean distance over ordered distinct pairs (unused when K = 1).
+    avg_distance: f64,
 }
 
 impl<T: Topology> ModularFabric<T> {
@@ -367,47 +376,27 @@ impl<T: Topology> ModularFabric<T> {
             base_links,
             uplink_ports,
             inter_penalty_ns,
-            dist: Vec::new(),
+            dist: Arc::new([]),
             diameter: 0,
+            avg_distance: 0.0,
         };
         if k > 1 {
-            fabric.compute_distances();
+            // One BFS over the composed port graph fills the distance
+            // table, the diameter and the mean distance. The module
+            // graph is complete and every base is connected, so every
+            // pair is reachable and the mean is the trait default's.
+            let nodes = k * n;
+            let all = all_pairs_bfs(
+                nodes,
+                fabric.ports_per_node(),
+                |node, port| fabric.neighbor_raw(node, port),
+                |_| true,
+            );
+            fabric.dist = all.dist.into();
+            fabric.diameter = all.diameter;
+            fabric.avg_distance = all.total_distance as f64 / (nodes * (nodes - 1)) as f64;
         }
         fabric
-    }
-
-    /// All-pairs BFS over the composed port graph. Metadata-scale work
-    /// (`O(nodes²)` memory, `O(nodes · links)` time), done once at
-    /// construction so the routing hot path is a table lookup.
-    fn compute_distances(&mut self) {
-        let nodes = self.k * self.n;
-        let ports = self.base_ports + self.uplink_ports;
-        let mut dist = vec![u32::MAX; nodes * nodes];
-        let mut queue = std::collections::VecDeque::new();
-        for src in 0..nodes {
-            let row = &mut dist[src * nodes..(src + 1) * nodes];
-            row[src] = 0;
-            queue.clear();
-            queue.push_back(src);
-            while let Some(at) = queue.pop_front() {
-                let d = row[at];
-                for p in 0..ports {
-                    if let Some(nb) = self.neighbor_raw(at, Port(p as u8)) {
-                        if row[nb] == u32::MAX {
-                            row[nb] = d + 1;
-                            queue.push_back(nb);
-                        }
-                    }
-                }
-            }
-        }
-        self.diameter = dist
-            .iter()
-            .copied()
-            .filter(|&d| d != u32::MAX)
-            .max()
-            .unwrap_or(0);
-        self.dist = dist;
     }
 
     /// Neighbor lookup that works before the distance table exists.
@@ -668,6 +657,14 @@ impl<T: Topology> Topology for ModularFabric<T> {
             self.base.diameter()
         } else {
             self.diameter
+        }
+    }
+
+    fn avg_distance(&self) -> f64 {
+        if self.k == 1 {
+            self.base.avg_distance()
+        } else {
+            self.avg_distance
         }
     }
 

@@ -1,13 +1,16 @@
 //! Property-based tests for the composed two-tier fabric: route
 //! minimality/loop-freedom/determinism over every base fabric and both
-//! routing policies, metric laws for the BFS distance table, and
-//! hand-computed diameter/bisection values for small module counts.
+//! routing policies, metric laws for the BFS distance table, the table
+//! against a naive BFS oracle, and hand-computed diameter/bisection
+//! values for small module counts.
+
+use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
 use qic_modular::{Interconnect, ModularFabric, ModularSpec};
 use qic_net::routing::RoutingPolicy;
-use qic_net::topology::{Fabric, Hypercube, Mesh, Topology, Torus};
+use qic_net::topology::{Fabric, Hypercube, Mesh, Port, Topology, Torus};
 
 /// A composing spec with a nonzero inter tier (so the penalty and slot
 /// paths are live) at `k` modules.
@@ -37,7 +40,64 @@ fn composed(w: u16, h: u16, k: u32, fat: bool) -> Vec<ModularFabric<Fabric>> {
     .collect()
 }
 
+/// Hop distances from `src` by a textbook `VecDeque` BFS over
+/// [`Topology::neighbor`] (`u32::MAX` where unreached): the oracle the
+/// fabric's precomputed table must reproduce.
+fn naive_bfs(topo: &impl Topology, src: usize) -> Vec<u32> {
+    let mut dist = vec![u32::MAX; topo.nodes()];
+    dist[src] = 0;
+    let mut queue = VecDeque::from([src]);
+    while let Some(at) = queue.pop_front() {
+        for p in 0..topo.ports_per_node() {
+            if let Some(nb) = topo.neighbor(at, Port(p as u8)) {
+                if dist[nb] == u32::MAX {
+                    dist[nb] = dist[at] + 1;
+                    queue.push_back(nb);
+                }
+            }
+        }
+    }
+    dist
+}
+
+/// The trait-default mean distance, written out: the sum over ordered
+/// distinct pairs divided by their count.
+fn default_avg_distance(topo: &impl Topology) -> f64 {
+    let n = topo.nodes();
+    let mut total = 0u64;
+    for a in 0..n {
+        for b in (0..n).filter(|&b| b != a) {
+            total += u64::from(topo.distance(a, b));
+        }
+    }
+    total as f64 / (n * (n - 1)) as f64
+}
+
 proptest! {
+    #[test]
+    fn distance_table_matches_a_naive_bfs(
+        w in 2u16..5, h in 2u16..5, k in 1u32..10, fat in any::<bool>(),
+    ) {
+        // k up to 9 on bases as small as 2×2 (4 nodes) reaches K > N,
+        // where a node carries several uplink ports.
+        for topo in composed(w, h, k, fat) {
+            let mut diameter = 0;
+            for src in 0..topo.nodes() {
+                let oracle = naive_bfs(&topo, src);
+                for (dst, &d) in oracle.iter().enumerate() {
+                    prop_assert_eq!(topo.distance(src, dst), d, "{} -> {} over {} modules", src, dst, k);
+                    diameter = diameter.max(d);
+                }
+            }
+            prop_assert_eq!(topo.diameter(), diameter);
+            prop_assert_eq!(
+                topo.avg_distance().to_bits(),
+                default_avg_distance(&topo).to_bits(),
+                "mean distance over {} modules", k
+            );
+        }
+    }
+
     #[test]
     fn routes_are_minimal_loop_free_and_deterministic(
         w in 2u16..5, h in 2u16..5, k in 1u32..5, fat in any::<bool>(),

@@ -415,6 +415,94 @@ pub trait Topology {
     }
 }
 
+/// All-pairs hop distances of a port graph, plus the aggregates fabric
+/// wrappers report from them. Produced by [`all_pairs_bfs`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct AllPairs {
+    /// Row-major `nodes × nodes` hop distances; `u32::MAX` where no
+    /// path exists, and across the whole row of a skipped source.
+    pub dist: Vec<u32>,
+    /// Longest finite distance (`0` when no distinct pair is reachable).
+    pub diameter: u32,
+    /// Ordered distinct pairs joined by a path.
+    pub reachable_pairs: u64,
+    /// Sum of the finite distances over those pairs.
+    pub total_distance: u64,
+}
+
+/// All-pairs BFS over the port graph `neighbor` describes.
+///
+/// The graph is flattened once into compressed sparse rows: one
+/// `neighbor(node, port)` call per `(node, port)` pair, `None` meaning
+/// unwired or dead, fills per-node offsets and a flat neighbour list.
+/// Each node accepted by `is_source` is then BFSed over that list with
+/// a `Vec` as the queue; the rows of rejected sources stay all
+/// `u32::MAX`, the diagonal included. Diameter, reachable pairs and the
+/// distance sum are gathered in the same pass.
+///
+/// `O(nodes · ports)` neighbour calls, then `O(nodes · edges)` time and
+/// `O(nodes²)` memory: metadata-scale work, done once when a fabric is
+/// built so routing reads a table.
+///
+/// # Examples
+///
+/// ```
+/// use qic_net::topology::{all_pairs_bfs, Mesh, Topology};
+///
+/// let mesh = Mesh::new(3, 2);
+/// let neighbor = |n, p| mesh.neighbor(n, p);
+/// let all = all_pairs_bfs(mesh.nodes(), mesh.ports_per_node(), neighbor, |_| true);
+/// assert_eq!(all.dist[5], mesh.distance(0, 5));
+/// assert_eq!(all.diameter, mesh.diameter());
+/// assert_eq!(all.reachable_pairs, 6 * 5);
+/// ```
+pub fn all_pairs_bfs(
+    nodes: usize,
+    ports: usize,
+    neighbor: impl Fn(usize, Port) -> Option<usize>,
+    is_source: impl Fn(usize) -> bool,
+) -> AllPairs {
+    let mut offsets = Vec::with_capacity(nodes + 1);
+    let mut targets = Vec::with_capacity(nodes * ports);
+    offsets.push(0);
+    for node in 0..nodes {
+        targets.extend((0..ports).filter_map(|p| neighbor(node, Port(p as u8))));
+        offsets.push(targets.len());
+    }
+    let mut all = AllPairs {
+        dist: vec![u32::MAX; nodes * nodes],
+        diameter: 0,
+        reachable_pairs: 0,
+        total_distance: 0,
+    };
+    let mut queue = Vec::with_capacity(nodes);
+    for src in (0..nodes).filter(|&s| is_source(s)) {
+        let row = &mut all.dist[src * nodes..(src + 1) * nodes];
+        row[src] = 0;
+        queue.clear();
+        queue.push(src);
+        let mut head = 0;
+        while let Some(&at) = queue.get(head) {
+            head += 1;
+            let d = row[at];
+            for &nb in &targets[offsets[at]..offsets[at + 1]] {
+                if row[nb] == u32::MAX {
+                    row[nb] = d + 1;
+                    queue.push(nb);
+                }
+            }
+        }
+        // BFS pops in distance order, so the last node reached is the
+        // farthest.
+        let reached = &queue[1..];
+        all.reachable_pairs += reached.len() as u64;
+        all.total_distance += reached.iter().map(|&n| u64::from(row[n])).sum::<u64>();
+        let farthest = *queue.last().expect("the source is queued");
+        all.diameter = all.diameter.max(row[farthest]);
+    }
+    all
+}
+
 /// Which fabric a [`crate::config::NetConfig`] describes.
 ///
 /// The grid dimensions come from the config's `mesh_width`/`mesh_height`
@@ -677,6 +765,25 @@ mod tests {
         let cube = Hypercube::new(2);
         assert!((cube.avg_distance() - 4.0 / 3.0).abs() < 1e-12);
         assert_eq!(Mesh::new(1, 1).avg_distance(), 0.0);
+    }
+
+    #[test]
+    fn all_pairs_bfs_skips_sources_and_omitted_edges() {
+        // A 3×1 mesh with the 1—2 link left out: node 2 is cut off, and
+        // node 1 is not a source.
+        let mesh = Mesh::new(3, 1);
+        let all = all_pairs_bfs(
+            3,
+            mesh.ports_per_node(),
+            |n, p| mesh.neighbor(n, p).filter(|&nb| n + nb != 3),
+            |s| s != 1,
+        );
+        let max = u32::MAX;
+        assert_eq!(all.dist, vec![0, 1, max, max, max, max, max, max, 0]);
+        assert_eq!(
+            (all.diameter, all.reachable_pairs, all.total_distance),
+            (1, 1, 1)
+        );
     }
 
     #[test]

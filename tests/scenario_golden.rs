@@ -6,6 +6,12 @@
 //! `figure16_campaign`, `topology_faceoff_campaign`) immediately before
 //! the redesign. Any drift in the new path — campaign identity, axis
 //! values, per-point evaluation, emitter formatting — fails here.
+//!
+//! The `*_small` files pin the modular and degraded presets at
+//! `SmallTest` scale, captured before fabric construction moved onto
+//! the shared flat-adjacency BFS and the per-campaign fabric memo: a
+//! fabric build that changed a distance, a port order or a cost column
+//! would move their bytes.
 
 use qic::core::experiment::{FaceoffScale, Fig16Scale};
 use qic::core::scenario::{faceoff_spec, fig16_spec, ScenarioRegistry, ScenarioScale};
@@ -20,12 +26,12 @@ fn assert_matches_golden(report: &ScenarioReport, stem: &str) {
     assert_eq!(
         report.to_csv(),
         golden(&format!("{stem}.csv")),
-        "{stem}: CSV drifted from the pre-redesign output"
+        "{stem}: CSV drifted from its golden file"
     );
     assert_eq!(
         report.to_json(),
         golden(&format!("{stem}.json")),
-        "{stem}: JSON drifted from the pre-redesign output"
+        "{stem}: JSON drifted from its golden file"
     );
 }
 
@@ -56,6 +62,31 @@ fn fig16_is_byte_identical_to_the_legacy_campaign() {
 fn faceoff_is_byte_identical_to_the_legacy_campaign() {
     let report = qic::run(&faceoff_spec(FaceoffScale::Tiny)).expect("preset validates");
     assert_matches_golden(&report, "faceoff_tiny");
+}
+
+/// Runs a registry preset at `SmallTest` scale against its `_small`
+/// golden pair.
+fn assert_small_preset_matches_golden(name: &str) {
+    let spec = ScenarioRegistry::builtin()
+        .spec(name, ScenarioScale::SmallTest)
+        .expect("registered");
+    let report = qic::run(&spec).expect("preset validates");
+    assert_matches_golden(&report, &format!("{name}_small"));
+}
+
+#[test]
+fn cost_fidelity_pareto_is_byte_identical_to_its_golden() {
+    assert_small_preset_matches_golden("cost_fidelity_pareto");
+}
+
+#[test]
+fn modular_faceoff_is_byte_identical_to_its_golden() {
+    assert_small_preset_matches_golden("modular_faceoff");
+}
+
+#[test]
+fn resilience_sweep_is_byte_identical_to_its_golden() {
+    assert_small_preset_matches_golden("resilience_sweep");
 }
 
 #[test]

@@ -53,8 +53,10 @@ fn every_registered_scenario_runs_at_small_test_scale() {
 
 #[test]
 fn full_scale_specs_validate_without_running() {
-    // Full scale is minutes of compute for some presets; validation
-    // must still be instant and clean.
+    // The whole Full registry runs in about 3 s on one worker, but this
+    // test only validates: `degraded_faceoff` still panics at Full
+    // scale (the adaptive-routing deadlock on damaged fabrics, ROADMAP
+    // item 1). Validation must be instant and clean for every preset.
     for entry in ScenarioRegistry::builtin().entries() {
         entry
             .spec(ScenarioScale::Full)
