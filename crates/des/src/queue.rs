@@ -10,12 +10,34 @@
 //! FIFO "now-lane", which makes the self-scheduling cascades a
 //! simulation step produces O(1) instead of O(log n).
 //!
+//! # Delay lanes
+//!
+//! A queue built with [`EventQueue::with_lanes`] also keeps one FIFO
+//! per declared delay. An event scheduled with
+//! [`EventQueue::schedule_after`] at exactly a declared (non-zero) delay
+//! goes to that delay's lane instead of the arena, unless it lands on
+//! the clock's own instant (a saturated delay), which the now-lane
+//! takes as before. Events in one lane are already in `(at, seq)` order:
+//! each is stamped `now + delay` with the clock never going back, and
+//! with a sequence number larger than every earlier one. So the heap
+//! holds **only the head of each non-empty lane**, as a slot tagged with
+//! the lane index. Pushing onto a non-empty lane touches no heap at all,
+//! and popping a lane head replaces the heap top with that lane's next
+//! head in one sift. The global minimum is always in the heap (each
+//! lane's minimum is its head), so pop order is exactly the `(at, seq)`
+//! order of a queue without lanes: lanes change cost, never order.
+//!
+//! A simulator whose hot events recur at a few fixed delays (a teleport
+//! hop's service time, say) thus pays O(1) per such event plus one sift
+//! over a heap whose size no longer grows with the number of in-flight
+//! events of that kind.
+//!
 //! The FIFO tie-break rests on a strictly monotone `u64` sequence
-//! counter. It is incremented once per scheduled event and never
-//! reused, so it cannot collide, and at one event per nanosecond it
-//! would take ~585 years of wall-clock scheduling to wrap — the
-//! property test in `tests/queue_prop.rs` pins the ordering, including
-//! from seeds above `u32::MAX`.
+//! counter. It is incremented once per event scheduled into the future
+//! (heap or lane) and never reused, so it cannot collide, and at one
+//! event per nanosecond it would take ~585 years of wall-clock
+//! scheduling to wrap — the property test in `tests/queue_prop.rs` pins
+//! the ordering, lanes included, from seeds above `u32::MAX`.
 
 use std::collections::VecDeque;
 
@@ -30,10 +52,29 @@ type Ord128 = u128;
 /// The tail of the intrusive free list (and the "no entry" sentinel).
 const FREE_END: u32 = u32::MAX;
 
+/// Heap slots with this bit set name a delay lane (`LANE_TAG | lane`),
+/// not an arena slot; arena slots stay below it.
+const LANE_TAG: u32 = 1 << 31;
+
+/// Heap and arena slots a queue built with [`EventQueue::with_lanes`]
+/// starts with: a handful of in-flight events per live simulated
+/// activity.
+const LANED_HEAP_CAPACITY: usize = 32;
+
+/// Events each delay lane starts with room for.
+const LANE_CAPACITY: usize = 16;
+
 /// An arena slot: a live event, or a link in the free list.
 enum Slot<E> {
     Full(E),
     Free(u32),
+}
+
+/// A declared delay and its pending events, oldest first, each with
+/// its heap order key.
+struct Lane<E> {
+    delay: Duration,
+    events: VecDeque<(Ord128, E)>,
 }
 
 /// A deterministic future-event list.
@@ -46,18 +87,22 @@ pub struct EventQueue<E> {
     /// child scan reads one 64-byte line of four keys and touches the
     /// slot array only on an actual move.
     heap_ord: Vec<Ord128>,
-    /// Arena slot of each heap entry, parallel to `heap_ord`.
+    /// Arena slot of each heap entry, parallel to `heap_ord`, or
+    /// `LANE_TAG | lane` for the head of a delay lane.
     heap_slot: Vec<u32>,
-    /// Event arena: heap/lane entries hold indices into this slab; free
+    /// Event arena: heap entries hold indices into this slab; free
     /// slots chain through [`Slot::Free`] starting at `free_head`.
     slots: Vec<Slot<E>>,
     free_head: u32,
     /// Events scheduled for exactly `now`, in FIFO order. Every entry
     /// here was scheduled *after* the clock reached `now`, so it comes
-    /// after any heap entry at `now` in `(at, seq)` order — the heap
-    /// drains first at each instant, then the lane, preserving global
-    /// FIFO order without heap (or arena) traffic.
-    lane: VecDeque<E>,
+    /// after any heap or lane entry at `now` in `(at, seq)` order — the
+    /// heap drains first at each instant, then the now-lane, preserving
+    /// global FIFO order without heap (or arena) traffic.
+    now_lane: VecDeque<E>,
+    /// Declared delay lanes (distinct, non-zero delays); only the head
+    /// of each non-empty lane is in the heap.
+    lanes: Vec<Lane<E>>,
     seq: u64,
     now: SimTime,
     popped: u64,
@@ -83,11 +128,33 @@ impl<E> EventQueue<E> {
             heap_slot: Vec::with_capacity(capacity),
             slots: Vec::with_capacity(capacity),
             free_head: FREE_END,
-            lane: VecDeque::new(),
+            now_lane: VecDeque::new(),
+            lanes: Vec::new(),
             seq: 0,
             now: SimTime::ZERO,
             popped: 0,
         }
+    }
+
+    /// An empty queue at time zero with one delay lane per distinct
+    /// non-zero entry of `delays` (zeros and repeats are ignored).
+    ///
+    /// [`EventQueue::schedule_after`] with a declared delay appends to
+    /// that delay's lane instead of sifting the heap; pop order is the
+    /// same as without lanes. Declare the few delays most events are
+    /// scheduled at. The queue starts with room for 32 heap events and
+    /// 16 events per lane, so a small simulation never regrows either.
+    pub fn with_lanes(delays: &[Duration]) -> Self {
+        let mut q = EventQueue::with_capacity(LANED_HEAP_CAPACITY);
+        for &delay in delays {
+            if delay > Duration::ZERO && q.lanes.iter().all(|l| l.delay != delay) {
+                q.lanes.push(Lane {
+                    delay,
+                    events: VecDeque::with_capacity(LANE_CAPACITY),
+                });
+            }
+        }
+        q
     }
 
     /// The current simulation time: the timestamp of the last popped event
@@ -98,12 +165,18 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap_ord.len() + self.lane.len()
+        // The heap counts each non-empty lane once, for its head.
+        let lane_tails: usize = self
+            .lanes
+            .iter()
+            .map(|l| l.events.len().saturating_sub(1))
+            .sum();
+        self.heap_ord.len() + lane_tails + self.now_lane.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap_ord.is_empty() && self.lane.is_empty()
+        self.heap_ord.is_empty() && self.now_lane.is_empty()
     }
 
     /// Total events popped so far (a progress measure for run loops).
@@ -117,8 +190,8 @@ impl<E> EventQueue<E> {
         let slot = self.free_head;
         if slot == FREE_END {
             let slot =
-                u32::try_from(self.slots.len()).expect("event arena exceeds u32::MAX live events");
-            assert!(slot != FREE_END, "event arena exceeds u32::MAX live events");
+                u32::try_from(self.slots.len()).expect("event arena exceeds 2^31 live events");
+            assert!(slot < LANE_TAG, "event arena exceeds 2^31 live events");
             self.slots.push(Slot::Full(event));
             slot
         } else {
@@ -144,6 +217,15 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// The order key of a future event at `at`, consuming one sequence
+    /// number.
+    #[inline]
+    fn next_key(&mut self, at: SimTime) -> Ord128 {
+        let seq = self.seq;
+        self.seq = seq.checked_add(1).expect("event sequence counter wrapped");
+        (u128::from(at.as_nanos()) << 64) | u128::from(seq)
+    }
+
     /// Schedules `event` at the absolute instant `at`.
     ///
     /// # Panics
@@ -163,18 +245,29 @@ impl<E> EventQueue<E> {
             // with a smaller sequence number, so draining heap-then-lane
             // preserves exact schedule order with no heap or arena
             // traffic at all.
-            self.lane.push_back(event);
+            self.now_lane.push_back(event);
         } else {
-            let seq = self.seq;
-            self.seq = seq.checked_add(1).expect("event sequence counter wrapped");
+            let key = self.next_key(at);
             let slot = self.alloc(event);
-            self.heap_push((u128::from(at.as_nanos()) << 64) | u128::from(seq), slot);
+            self.heap_push(key, slot);
         }
     }
 
     /// Schedules `event` at `now + delay`.
     pub fn schedule_after(&mut self, delay: Duration, event: E) {
-        self.schedule_at(self.now.saturating_add(delay), event);
+        let at = self.now.saturating_add(delay);
+        if at > self.now {
+            if let Some(lane) = self.lanes.iter().position(|l| l.delay == delay) {
+                let key = self.next_key(at);
+                let events = &mut self.lanes[lane].events;
+                events.push_back((key, event));
+                if events.len() == 1 {
+                    self.heap_push(key, LANE_TAG | lane as u32);
+                }
+                return;
+            }
+        }
+        self.schedule_at(at, event);
     }
 
     /// Schedules `event` at the current instant (after all events already
@@ -186,15 +279,14 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        // Heap entries at `now` predate everything in the lane; lane
-        // entries precede any strictly later heap entry.
+        // Heap entries at `now` predate everything in the now-lane;
+        // now-lane entries precede any strictly later heap entry.
         let event = match self.heap_ord.first() {
-            Some(&top) if self.lane.is_empty() || (top >> 64) as u64 == self.now.as_nanos() => {
+            Some(&top) if self.now_lane.is_empty() || (top >> 64) as u64 == self.now.as_nanos() => {
                 self.now = SimTime::from_nanos((top >> 64) as u64);
-                let slot = self.heap_pop_top();
-                self.take(slot)
+                self.pop_top()
             }
-            _ => self.lane.pop_front()?,
+            _ => self.now_lane.pop_front()?,
         };
         self.popped += 1;
         Some((self.now, event))
@@ -214,13 +306,10 @@ impl<E> EventQueue<E> {
         out.push(first);
         let at_ns = at.as_nanos();
         loop {
-            // Same-instant peers: heap first (smaller seqs), then lane.
+            // Same-instant peers: heap first (smaller seqs), then now-lane.
             let event = match self.heap_ord.first() {
-                Some(&top) if (top >> 64) as u64 == at_ns => {
-                    let slot = self.heap_pop_top();
-                    self.take(slot)
-                }
-                _ => match self.lane.pop_front() {
+                Some(&top) if (top >> 64) as u64 == at_ns => self.pop_top(),
+                _ => match self.now_lane.pop_front() {
                     Some(event) => event,
                     None => break,
                 },
@@ -233,7 +322,7 @@ impl<E> EventQueue<E> {
 
     /// The timestamp of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.lane.is_empty() {
+        if self.now_lane.is_empty() {
             self.heap_ord
                 .first()
                 .map(|&ord| SimTime::from_nanos((ord >> 64) as u64))
@@ -246,7 +335,10 @@ impl<E> EventQueue<E> {
     pub fn clear(&mut self) {
         self.heap_ord.clear();
         self.heap_slot.clear();
-        self.lane.clear();
+        self.now_lane.clear();
+        for lane in &mut self.lanes {
+            lane.events.clear();
+        }
         self.slots.clear();
         self.free_head = FREE_END;
     }
@@ -266,6 +358,27 @@ impl<E> EventQueue<E> {
             "start_seq_at is only valid on a fresh queue"
         );
         self.seq = seq;
+    }
+
+    /// Removes and returns the event at the heap top: an arena event, or
+    /// the head of a delay lane, whose successor (if any) then takes the
+    /// top's place in one sift.
+    #[inline(always)]
+    fn pop_top(&mut self) -> E {
+        let slot = self.heap_slot[0];
+        if slot & LANE_TAG == 0 {
+            let slot = self.heap_pop_top();
+            return self.take(slot);
+        }
+        let events = &mut self.lanes[(slot ^ LANE_TAG) as usize].events;
+        let (_, event) = events.pop_front().expect("a lane in the heap is non-empty");
+        match events.front() {
+            Some(&(next, _)) => self.sift_down(0, next, slot),
+            None => {
+                self.heap_pop_top();
+            }
+        }
+        event
     }
 
     /// Pushes an order key + slot onto the 4-ary heap. Hole-based sift:
@@ -466,6 +579,59 @@ mod tests {
         }
         assert!(q.slots.len() <= 50, "arena grew to {}", q.slots.len());
         assert_eq!(q.events_processed(), 500);
+    }
+
+    #[test]
+    fn with_lanes_ignores_zero_and_repeated_delays() {
+        let d = Duration::from_nanos;
+        let q: EventQueue<()> = EventQueue::with_lanes(&[d(3), d(0), d(7), d(3)]);
+        let delays: Vec<Duration> = q.lanes.iter().map(|l| l.delay).collect();
+        assert_eq!(delays, [d(3), d(7)]);
+    }
+
+    #[test]
+    fn lane_events_interleave_with_heap_events_in_seq_order() {
+        let mut q = EventQueue::with_lanes(&[Duration::from_nanos(10)]);
+        q.schedule_after(Duration::from_nanos(10), "lane@10");
+        q.schedule_at(SimTime::from_nanos(10), "heap@10");
+        q.schedule_after(Duration::from_nanos(4), "heap@4");
+        q.schedule_after(Duration::from_nanos(10), "lane@10'");
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.heap_ord.len(), 3, "one lane head plus two arena events");
+        let (_, first) = q.pop().unwrap();
+        assert_eq!(first, "heap@4");
+        q.schedule_after(Duration::from_nanos(10), "lane@14"); // behind both lane@10s
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ["lane@10", "heap@10", "lane@10'", "lane@14"]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn saturated_lane_delays_keep_order_and_the_now_lane() {
+        let mut q = EventQueue::with_lanes(&[Duration::from_nanos(3)]);
+        q.schedule_at(SimTime::from_nanos(u64::MAX - 1), 0);
+        let _ = q.pop();
+        // Both clamp to `SimTime::MAX`, still in schedule order.
+        q.schedule_after(Duration::from_nanos(3), 1);
+        q.schedule_after(Duration::from_nanos(3), 2);
+        assert_eq!(q.pop(), Some((SimTime::MAX, 1)));
+        // At the end of time a declared delay lands on the clock itself.
+        q.schedule_after(Duration::from_nanos(3), 3);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, [2, 3]);
+        assert_eq!(q.now(), SimTime::MAX);
+    }
+
+    #[test]
+    fn clear_empties_lanes() {
+        let mut q = EventQueue::with_lanes(&[Duration::from_nanos(5)]);
+        q.schedule_after(Duration::from_nanos(5), 1);
+        q.schedule_after(Duration::from_nanos(5), 2);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
+        q.schedule_after(Duration::from_nanos(5), 3);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(5), 3)));
     }
 
     #[test]

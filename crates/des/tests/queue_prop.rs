@@ -6,6 +6,11 @@
 //! events and silently reorder ties, so these tests replay the same
 //! schedules with the counter started at and beyond `u32::MAX` (via the
 //! `start_seq_at` test hook) and demand order-identical behaviour.
+//!
+//! Delay lanes ([`EventQueue::with_lanes`]) must change cost only, so
+//! the last property drives a laned queue through random mixes of every
+//! scheduling and popping call and holds it to the same model, call by
+//! call: pop order, `len()`, `peek_time()` and `events_processed()`.
 
 use proptest::prelude::*;
 
@@ -99,6 +104,110 @@ proptest! {
             drain(&mut q, &mut pending, &mut now, usize::MAX);
             prop_assert!(q.is_empty());
             prop_assert_eq!(q.events_processed(), arrivals as u64);
+        }
+    }
+}
+
+/// Declared lane delays for the laned-queue property: a zero (ignored)
+/// and a repeat (one lane) among them.
+const LANE_DELAYS: [u64; 4] = [3, 0, 7, 3];
+
+/// Delays `schedule_after` draws from: every declared delay, zero, and
+/// undeclared ones.
+const AFTER_DELAYS: [u64; 7] = [3, 7, 0, 3, 7, 2, 11];
+
+/// The stable-sort model of the queue: pending `(at, arrival)` pairs,
+/// popped smallest first, plus the clock and the pop count.
+#[derive(Default)]
+struct Model {
+    pending: Vec<(u64, usize)>,
+    arrivals: usize,
+    now: u64,
+    popped: u64,
+}
+
+impl Model {
+    fn schedule(&mut self, at: u64) -> usize {
+        self.pending.push((at, self.arrivals));
+        self.arrivals += 1;
+        self.arrivals - 1
+    }
+
+    fn peek_time(&self) -> Option<u64> {
+        self.pending.iter().map(|&(at, _)| at).min()
+    }
+
+    fn pop(&mut self) -> Option<(u64, usize)> {
+        let slot = (0..self.pending.len()).min_by_key(|&i| self.pending[i])?;
+        let (at, arrival) = self.pending.remove(slot);
+        self.now = at;
+        self.popped += 1;
+        Some((at, arrival))
+    }
+
+    fn pop_batch(&mut self) -> Option<(u64, Vec<usize>)> {
+        let at = self.peek_time()?;
+        let mut batch = Vec::new();
+        while self.peek_time() == Some(at) {
+            batch.push(self.pop().expect("peeked").1);
+        }
+        Some((at, batch))
+    }
+}
+
+proptest! {
+    /// A queue with delay lanes against the model, under random
+    /// interleavings of `schedule_after` (declared, undeclared and zero
+    /// delays), `schedule_at`, `schedule_now`, `pop` and `pop_batch`,
+    /// for every sequence-counter start. Lanes may change cost, never
+    /// order, and `len()` counts lane entries exactly.
+    #[test]
+    fn laned_queue_matches_model(
+        ops in proptest::collection::vec((0u8..9, 0u64..1_000), 1..200),
+    ) {
+        let lanes: Vec<Duration> = LANE_DELAYS.iter().map(|&d| Duration::from_nanos(d)).collect();
+        for start in SEQ_STARTS {
+            let mut q = EventQueue::with_lanes(&lanes);
+            q.start_seq_at(start);
+            let mut model = Model::default();
+            let mut batch = Vec::new();
+            for &(kind, arg) in &ops {
+                match kind {
+                    0..=3 => {
+                        let d = AFTER_DELAYS[arg as usize % AFTER_DELAYS.len()];
+                        let id = model.schedule(model.now + d);
+                        q.schedule_after(Duration::from_nanos(d), id);
+                    }
+                    4 => {
+                        let at = model.now + arg % 20;
+                        let id = model.schedule(at);
+                        q.schedule_at(SimTime::from_nanos(at), id);
+                    }
+                    5 => {
+                        let id = model.schedule(model.now);
+                        q.schedule_now(id);
+                    }
+                    6 | 7 => {
+                        let real = q.pop().map(|(t, id)| (t.as_nanos(), id));
+                        prop_assert_eq!(real, model.pop(), "pop, seq start {}", start);
+                    }
+                    _ => {
+                        let real = q.pop_batch(&mut batch).map(|t| (t.as_nanos(), batch.clone()));
+                        prop_assert_eq!(real, model.pop_batch(), "pop_batch, seq start {}", start);
+                    }
+                }
+                prop_assert_eq!(q.len(), model.pending.len(), "len, seq start {}", start);
+                prop_assert_eq!(q.is_empty(), model.pending.is_empty());
+                prop_assert_eq!(q.peek_time().map(SimTime::as_nanos), model.peek_time());
+                prop_assert_eq!(q.events_processed(), model.popped);
+                prop_assert_eq!(q.now().as_nanos(), model.now);
+            }
+            while let Some(expected) = model.pop() {
+                prop_assert_eq!(q.pop().map(|(t, id)| (t.as_nanos(), id)), Some(expected));
+                prop_assert_eq!(q.len(), model.pending.len());
+            }
+            prop_assert!(q.pop().is_none());
+            prop_assert_eq!(q.events_processed(), model.popped);
         }
     }
 }

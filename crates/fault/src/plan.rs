@@ -10,18 +10,13 @@
 
 use serde::{Deserialize, Serialize};
 
+use qic_des::rng::{mix64, GOLDEN};
 use qic_net::topology::Topology;
 
-/// The 64-bit golden ratio, SplitMix64's increment (the same constant
-/// `qic-sweep` uses for campaign seed derivation).
-const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// The SplitMix64 finaliser: a bijective avalanche mix of a 64-bit word.
+/// One SplitMix64 step from state `x`: the [`mix64`] finaliser of
+/// `x + GOLDEN`.
 pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(GOLDEN_GAMMA);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(x.wrapping_add(GOLDEN))
 }
 
 /// Independent fault-draw domains, so a link and a node with the same
@@ -40,8 +35,8 @@ pub enum FaultDomain {
 /// The seed for one component's fault draw: a pure function of the
 /// plan seed, the domain, and the component index.
 pub fn component_seed(seed: u64, domain: FaultDomain, index: u64) -> u64 {
-    let domain_seed = splitmix64(seed ^ GOLDEN_GAMMA.wrapping_mul(domain as u64));
-    splitmix64(domain_seed ^ GOLDEN_GAMMA.wrapping_mul(index.wrapping_add(1)))
+    let domain_seed = splitmix64(seed ^ GOLDEN.wrapping_mul(domain as u64));
+    splitmix64(domain_seed ^ GOLDEN.wrapping_mul(index.wrapping_add(1)))
 }
 
 /// Maps a 64-bit word onto `[0, 1)` with 53 uniform mantissa bits.

@@ -315,6 +315,13 @@ impl Waiters {
 
     #[inline]
     fn pop_front(&mut self, id: usize) -> Option<u64> {
+        self.pop_front_node(id).map(|(_, value)| value)
+    }
+
+    /// Pops the first waiter on `id` with the node it occupied (now
+    /// free for reuse).
+    #[inline]
+    fn pop_front_node(&mut self, id: usize) -> Option<(u32, u64)> {
         let head = self.lists[id * 2];
         if head == NO_WAITER {
             return None;
@@ -326,19 +333,13 @@ impl Waiters {
             self.lists[id * 2 + 1] = NO_WAITER;
         }
         self.free.push(head);
-        Some(self.payload[h])
+        Some((head, self.payload[h]))
     }
 
-    /// Queued waiters on `id` — walks the chain; used only to budget
-    /// drains, where chains are short by construction.
-    fn len(&self, id: usize) -> usize {
-        let mut n = 0;
-        let mut at = self.lists[id * 2];
-        while at != NO_WAITER {
-            n += 1;
-            at = self.next[at as usize];
-        }
-        n
+    /// The last queued node on `id`, or `NO_WAITER` if none.
+    #[inline]
+    fn tail(&self, id: usize) -> u32 {
+        self.lists[id * 2 + 1]
     }
 }
 
@@ -774,9 +775,9 @@ impl<T: Topology, P: Probe> World<T, P> {
             bubble,
             fault_aware,
             penalties,
-            // Steady state keeps a handful of events in flight per live
-            // comm; 32 slots absorb the common case without a regrow.
-            queue: EventQueue::with_capacity(32),
+            // Hop completions, most of all events, recur at two delays:
+            // straight and turning hops. Lanes keep them off the heap.
+            queue: EventQueue::with_lanes(&[hop_time, turn_time + hop_time]),
             comms: Vec::new(),
             tokens: Vec::new(),
             free_tokens: Vec::new(),
@@ -1133,17 +1134,24 @@ impl<T: Topology, P: Probe> World<T, P> {
     }
 
     fn drain_storage_waiters(&mut self, storage: usize) {
-        // Budgeted drain: a bubble-reserved waiter can re-enqueue itself
+        // Bounded drain: a bubble-reserved waiter can re-enqueue itself
         // on this same storage while cells remain free, so give each
-        // queued waiter at most one chance per drain.
+        // waiter queued when the drain starts at most one chance: stop
+        // once the tail captured now is popped. Re-enqueued waiters land
+        // behind it and nothing drains inside `wake`, so each waiter
+        // queued at the start gets exactly one chance.
         let id = self.wait_storage0 + storage;
-        let mut budget = self.waiters.len(id);
-        while budget > 0 && self.storage.free_cells(storage) > 0 {
-            match self.waiters.pop_front(id) {
-                Some(w) => self.wake(w),
+        let last = self.waiters.tail(id);
+        while self.storage.free_cells(storage) > 0 {
+            match self.waiters.pop_front_node(id) {
+                Some((node, w)) => {
+                    self.wake(w);
+                    if node == last {
+                        break;
+                    }
+                }
                 None => break,
             }
-            budget -= 1;
         }
     }
 

@@ -1,6 +1,9 @@
-//! Adversarial documents: seeded damage to the three documents the
-//! system reads back from clients or disk — a serialized scenario spec,
-//! a result-cache record and a checkpoint manifest.
+//! Adversarial documents: seeded damage to the documents the system
+//! reads back from clients or disk — a serialized scenario spec, a
+//! result-cache record and a checkpoint manifest — and to the files its
+//! tools read back: the hot-path bench trajectory
+//! (`BENCH_net_hotpath.json`) and a probe's JSONL event log and Chrome
+//! trace.
 //!
 //! Each case truncates the document at every k-th byte, flips one byte,
 //! or splices a hostile value over one of its scalars: nesting deeper
@@ -15,7 +18,13 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
+use qic_bench::hotpath::{workspace_root, Trajectory, BASELINE_FILE};
 use qic_core::scenario::{self, ScenarioRegistry, ScenarioScale, ScenarioSpec};
+use qic_net::config::NetConfig;
+use qic_net::sim::{NetworkSim, OneShotDriver};
+use qic_net::topology::Coord;
+use qic_probe::schema::{validate_chrome_trace, validate_events_jsonl};
+use qic_probe::RecordingProbe;
 use qic_serve::CacheDir;
 use qic_sweep::json::MAX_DEPTH;
 use qic_sweep::prelude::{Axis, Campaign, CheckpointConfig, Metrics, ParamSpace, RunOptions};
@@ -114,14 +123,18 @@ fn payload(kind: u32, b: u64) -> String {
     }
 }
 
-/// The byte ranges of the scalar values that follow `": "` — strings
-/// (escapes honoured) and numbers, including those inside embedded,
-/// escaped documents.
+/// The byte ranges of the scalar values that follow `":` (and an
+/// optional space) — strings (escapes honoured) and numbers, including
+/// those inside embedded, escaped documents.
 fn scalar_slots(doc: &str) -> Vec<Range<usize>> {
     let bytes = doc.as_bytes();
     let mut slots = Vec::new();
-    for (i, _) in doc.match_indices("\": ") {
-        let start = i + 3;
+    for (i, _) in doc.match_indices("\":") {
+        let start = if bytes.get(i + 2) == Some(&b' ') {
+            i + 3
+        } else {
+            i + 2
+        };
         let end = match bytes.get(start) {
             Some(b'"') => {
                 let mut j = start + 1;
@@ -249,6 +262,34 @@ fn manifest_fixture() -> &'static str {
     })
 }
 
+/// The committed hot-path bench trajectory.
+fn trajectory_fixture() -> &'static str {
+    static FIXTURE: OnceLock<String> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        std::fs::read_to_string(workspace_root().join(BASELINE_FILE))
+            .expect("the committed trajectory reads")
+    })
+}
+
+/// The JSONL event log and Chrome trace of one recorded corner-to-corner
+/// communication on the small test fabric.
+fn trace_fixture() -> &'static (String, String) {
+    static FIXTURE: OnceLock<(String, String)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let mut driver = OneShotDriver::new(Coord::new(0, 0), Coord::new(3, 3));
+        let (_, probe) =
+            NetworkSim::with_probe(NetConfig::small_test(), RecordingProbe::with_bins(8))
+                .run_traced(&mut driver);
+        (probe.events_jsonl(), probe.chrome_trace())
+    })
+}
+
+/// Whether `read` accepts `bytes` as text; the trajectory and trace
+/// readers take `&str`, so invalid UTF-8 never reaches them.
+fn read_text<T, E>(bytes: &[u8], read: impl Fn(&str) -> Result<T, E>) -> bool {
+    std::str::from_utf8(bytes).is_ok_and(|text| read(text).is_ok())
+}
+
 proptest! {
     #[test]
     fn damaged_specs_decode_or_fail_structurally(
@@ -301,5 +342,38 @@ proptest! {
                 .run(&checkpoint_options(&path, 0), checkpoint_eval)
                 .is_ok()
         });
+    }
+
+    #[test]
+    fn damaged_bench_trajectories_parse_or_fail_structurally(
+        kind in 0u32..6,
+        a in any::<u64>(),
+        b in any::<u64>(),
+    ) {
+        let doc = trajectory_fixture();
+        let damage = damage(kind, a, b, doc.len());
+        survive(doc, &damage, |bytes| read_text(bytes, Trajectory::parse));
+    }
+
+    #[test]
+    fn damaged_event_logs_validate_or_fail_structurally(
+        kind in 0u32..6,
+        a in any::<u64>(),
+        b in any::<u64>(),
+    ) {
+        let doc = &trace_fixture().0;
+        let damage = damage(kind, a, b, doc.len());
+        survive(doc, &damage, |bytes| read_text(bytes, validate_events_jsonl));
+    }
+
+    #[test]
+    fn damaged_chrome_traces_validate_or_fail_structurally(
+        kind in 0u32..6,
+        a in any::<u64>(),
+        b in any::<u64>(),
+    ) {
+        let doc = &trace_fixture().1;
+        let damage = damage(kind, a, b, doc.len());
+        survive(doc, &damage, |bytes| read_text(bytes, validate_chrome_trace));
     }
 }

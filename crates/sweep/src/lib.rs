@@ -98,6 +98,8 @@ pub use report::{CampaignReport, MetricSummary, PointReport, RECORD_VERSION};
 pub use shard::{MergeError, Shard};
 pub use space::{Axis, AxisValue, ParamSpace, SweepPoint};
 
+use qic_des::rng::{mix64, GOLDEN};
+
 /// Convenient glob-import surface: `use qic_sweep::prelude::*;`.
 pub mod prelude {
     pub use crate::campaign::{Campaign, CampaignProgress, RunCtx, RunOptions};
@@ -112,16 +114,6 @@ pub mod prelude {
     pub use qic_des::metrics::Metrics;
 }
 
-/// The 64-bit golden ratio, SplitMix64's increment constant.
-pub(crate) const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// The SplitMix64 finaliser: a bijective avalanche mix on 64 bits.
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Derives the RNG seed for `(point_index, replicate)` of a campaign.
 ///
 /// This is the scheme documented in the crate docs: a pure function of
@@ -131,8 +123,8 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
 /// external tooling can re-derive the seed of any point (e.g. to replay
 /// one point of a large campaign in isolation).
 pub fn derive_seed(campaign_seed: u64, point_index: u64, replicate: u64) -> u64 {
-    let a = splitmix64(campaign_seed ^ GOLDEN.wrapping_mul(point_index.wrapping_add(1)));
-    splitmix64(a ^ GOLDEN.wrapping_mul(replicate.wrapping_add(2)))
+    let a = mix64(campaign_seed ^ GOLDEN.wrapping_mul(point_index.wrapping_add(1)));
+    mix64(a ^ GOLDEN.wrapping_mul(replicate.wrapping_add(2)))
 }
 
 /// Fingerprints a canonical document: a SplitMix64 fold over its bytes,
@@ -147,7 +139,7 @@ pub fn derive_seed(campaign_seed: u64, point_index: u64, replicate: u64) -> u64 
 pub fn digest_str(text: &str) -> u64 {
     let mut h = GOLDEN;
     for byte in text.bytes() {
-        h = splitmix64(h ^ u64::from(byte));
+        h = mix64(h ^ u64::from(byte));
     }
     h
 }

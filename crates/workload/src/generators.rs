@@ -1,5 +1,7 @@
 //! The paper's benchmark kernels as [`Program`] constructors.
 
+use qic_des::rng::{mix64, GOLDEN};
+
 use crate::program::{Instruction, InstructionKind, LogicalQubit, Program};
 
 impl Program {
@@ -130,11 +132,8 @@ impl Program {
         // per-point seed derivation (see qic-sweep's crate docs).
         let mut state = seed;
         let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
+            state = state.wrapping_add(GOLDEN);
+            mix64(state)
         };
         let instructions = (0..len)
             .map(|_| {
