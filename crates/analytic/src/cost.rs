@@ -38,10 +38,8 @@
 //! assert!(est.predicted_latency_ns > shape.avg_distance * shape.hop_ns as f64);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Hardware component counts of one machine (both tiers).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentCounts {
     /// Teleporter (T′) nodes across all modules.
     pub nodes: u64,
@@ -61,7 +59,7 @@ pub struct ComponentCounts {
 
 /// Static network figures of merit feeding the latency/throughput
 /// predictions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkShape {
     /// Mean hop distance over ordered distinct pairs.
     pub avg_distance: f64,
@@ -79,7 +77,7 @@ pub struct NetworkShape {
 /// Per-unit dollar and area knobs. Dollars are arbitrary units (the
 /// Pareto front only needs consistent relative prices); area is in
 /// trap-cell equivalents.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Dollars per teleporter (T′) node.
     pub node_cost: f64,
@@ -168,7 +166,7 @@ impl CostModel {
 }
 
 /// What a machine costs and what the shape model predicts it delivers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostEstimate {
     /// Total price in (arbitrary, consistent) dollars.
     pub dollars: f64,

@@ -5,14 +5,12 @@
 //! ~600 cells, teleportation wins. This fixes the teleporter-node spacing
 //! of the mesh.
 
-use serde::{Deserialize, Serialize};
-
 use qic_physics::optime::OpTimes;
 use qic_physics::teleport;
 use qic_physics::time::Duration;
 
 /// A `(distance, ballistic, teleport)` latency sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrossoverPoint {
     /// Distance in ballistic cells.
     pub cells: u64,

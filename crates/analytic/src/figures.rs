@@ -4,8 +4,6 @@
 //! with the paper's legend strings, so the bench harness and the plotting
 //! examples stay trivially thin.
 
-use serde::{Deserialize, Serialize};
-
 use qic_physics::error::ErrorRates;
 
 use qic_purify::analysis::figure8_series;
@@ -20,7 +18,7 @@ use crate::plan::ChannelModel;
 use crate::strategy::PurifyPlacement;
 
 /// One labelled data series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Legend label (matches the paper's legends).
     pub label: String,
@@ -92,7 +90,7 @@ pub fn figure9(rates: &ErrorRates, max_hops: u32) -> Vec<Series> {
 pub const PAIR_COUNT_CAP: f64 = 1e12;
 
 /// Which EPR-pair budget a channel sweep reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PairMetric {
     /// Total pairs consumed end to end (Figure 10's y-axis).
     TotalPairs,

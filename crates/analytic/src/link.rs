@@ -8,8 +8,6 @@
 //! T' endpoints ("virtual wire" purification, Section 4.7), trading local
 //! pair consumption for higher channel fidelity.
 
-use serde::{Deserialize, Serialize};
-
 use qic_physics::bell::BellDiagonal;
 use qic_physics::error::ErrorRates;
 use qic_physics::fidelity::Fidelity;
@@ -19,7 +17,7 @@ use qic_physics::transport;
 use qic_purify::protocol::{Protocol, RoundNoise};
 
 /// Geometry and purification policy for one virtual-wire link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Distance between the two T' nodes, in ballistic cells. The
     /// generator sits at the midpoint, so each half travels `hop_cells/2`.

@@ -20,8 +20,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use qic_physics::bell::BellDiagonal;
 use qic_physics::constants::THRESHOLD_ERROR;
 use qic_physics::error::ErrorRates;
@@ -66,7 +64,7 @@ impl fmt::Display for ChannelError {
 impl std::error::Error for ChannelError {}
 
 /// A fully resolved channel budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelPlan {
     /// Hops planned for.
     pub hops: u32,
@@ -123,7 +121,7 @@ impl ChannelPlan {
 /// assert!(b.total_pairs > a.total_pairs);
 /// # Ok::<(), qic_analytic::plan::ChannelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelModel {
     rates: ErrorRates,
     times: OpTimes,

@@ -17,14 +17,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Where purification happens along a channel, beyond the always-present
 /// endpoint purification.
 ///
 /// (Formerly `Placement`; renamed so it no longer collides with the
 /// qubit-to-site `qic_core::layout::Placement`.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PurifyPlacement {
     /// Purify only at the endpoints ("DEJMPS protocol only at end").
     EndpointsOnly,

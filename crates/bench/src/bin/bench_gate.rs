@@ -14,7 +14,9 @@
 //! calibration bench normalizes for uniform machine slowdown (CPU
 //! throttling, busy shared runners), and apparent regressions are
 //! re-measured up to six more times, 20 seconds apart so the retries
-//! outlive a noise burst, keeping each bench's best median.
+//! outlive a noise burst, keeping each bench's best median. A yardstick
+//! that itself spiked past `MAX_CALIBRATION_SCALE` counts as a
+//! regression, so it is re-measured the same way.
 
 use std::hint::black_box;
 
@@ -31,8 +33,7 @@ use qic_net::sim::{NetworkSim, OneShotDriver};
 use qic_net::topology::{Coord, Hypercube, Mesh, Topology, TopologyKind};
 use qic_physics::time::Duration;
 
-/// Runs every hot-path bench (same definitions as the `ops_micro` and
-/// `fault_overhead` criterion targets) and returns the medians.
+/// Runs every hot-path bench and returns the medians.
 fn run_benches(quick: bool) -> Vec<Measured> {
     let mut out = Vec::new();
     let mut push = |name: &'static str, (median_ns, samples): (f64, u32)| {

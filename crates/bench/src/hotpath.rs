@@ -24,16 +24,14 @@
 //! median regressed more than [`TOLERANCE_PCT`] percent against the
 //! baseline.
 //!
-//! The measurement loop mirrors the vendored `criterion` stand-in
-//! (warm-up pass sizes a batch, then a fixed number of timed batches;
-//! the median batch is reported) so numbers recorded here and numbers
-//! printed by `cargo bench` agree.
+//! [`measure`] runs a warm-up pass that sizes a batch, then a fixed
+//! number of timed batches, and reports the median batch.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::{Duration as WallDuration, Instant};
 
-use qic_sweep::json::{get, get_opt, Json, JsonError};
+use qic_des::json::{get, get_opt, Json, JsonError};
 
 /// Regression tolerance, in percent, applied by [`gate`].
 pub const TOLERANCE_PCT: f64 = 15.0;
@@ -46,6 +44,12 @@ pub const TOLERANCE_PCT: f64 = 15.0;
 /// regression still does. On a *faster* machine the clamp keeps raw
 /// numbers, which can only make the gate stricter.
 pub const CALIBRATION_BENCH: &str = "calibration_spin";
+
+/// The largest machine-speed scale [`gate`] accepts. A yardstick slower
+/// than this against its baseline is a noise spike, not a steady host
+/// offset: dividing by it would pass every bench as "improved", so the
+/// gate reports it as a regression and the caller re-measures.
+pub const MAX_CALIBRATION_SCALE: f64 = 1.5;
 
 /// The calibration workload: a serial chain of 256 multiply/xor-shift
 /// steps. The seed must be [`black_box`](std::hint::black_box)ed by
@@ -194,9 +198,8 @@ pub fn quick_mode() -> bool {
         .unwrap_or(false)
 }
 
-/// Times `inner` with the vendored-criterion methodology: a warm-up
-/// pass sizes a batch (~2 ms of work), then `samples` timed batches;
-/// returns `(median_ns, samples)`.
+/// Times `inner`: a warm-up pass sizes a batch (~2 ms of work), then
+/// `samples` timed batches; returns `(median_ns, samples)`.
 pub fn measure<O, F: FnMut() -> O>(quick: bool, mut inner: F) -> (f64, u32) {
     let (warm, batch_ns, samples) = if quick {
         (WallDuration::from_millis(5), 1_000_000.0, 9usize)
@@ -231,7 +234,7 @@ pub fn measure<O, F: FnMut() -> O>(quick: bool, mut inner: F) -> (f64, u32) {
 /// One measured hot-path bench: name and median.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Measured {
-    /// Bench name (matches the `ops_micro` / `fault_overhead` ids).
+    /// Bench name, the key into the trajectory.
     pub name: &'static str,
     /// Median nanoseconds per iteration.
     pub median_ns: f64,
@@ -245,11 +248,12 @@ pub struct Measured {
 /// If both sides carry the [`CALIBRATION_BENCH`] yardstick, every
 /// current median is first divided by the machine-speed scale
 /// `max(1, current_calibration / baseline_calibration)`, so uniform
-/// machine slowdown is factored out of the comparison. The ratio
-/// column shows the scaled ratio; the raw current medians are printed
-/// unscaled. Benches without a baseline entry are listed as `new` and
-/// do not fail the gate; recorded benches that regress more than the
-/// tolerance are returned in `regressions`.
+/// machine slowdown is factored out of the comparison; a scale above
+/// [`MAX_CALIBRATION_SCALE`] is itself returned as a regression. The
+/// ratio column shows the scaled ratio; the raw current medians are
+/// printed unscaled. Benches without a baseline entry are listed as
+/// `new` and do not fail the gate; recorded benches that regress more
+/// than the tolerance are returned in `regressions`.
 pub fn gate(current: &[Measured], baseline: &Trajectory) -> (String, Vec<String>) {
     let scale = match (
         current.iter().find(|m| m.name == CALIBRATION_BENCH),
@@ -268,10 +272,21 @@ pub fn gate(current: &[Measured], baseline: &Trajectory) -> (String, Vec<String>
     for m in current {
         if m.name == CALIBRATION_BENCH {
             let base = baseline.baseline(m.name).map_or(f64::NAN, |b| b.median_ns);
+            let spiked = scale > MAX_CALIBRATION_SCALE;
+            if spiked {
+                regressions.push(format!(
+                    "{}: {:.1} ns vs baseline {:.1} ns (scale {:.2}x above the {:.2}x limit)",
+                    m.name, m.median_ns, base, scale, MAX_CALIBRATION_SCALE
+                ));
+            }
             let _ = writeln!(
                 table,
-                "| {} | {:.1} | {:.1} | — | yardstick (scale {:.2}x) |",
-                m.name, base, m.median_ns, scale
+                "| {} | {:.1} | {:.1} | — | yardstick (scale {:.2}x){} |",
+                m.name,
+                base,
+                m.median_ns,
+                scale,
+                if spiked { " SPIKED" } else { "" }
             );
             continue;
         }
@@ -491,6 +506,35 @@ mod tests {
         let (table, regressions) = gate(&faster, &base);
         assert_eq!(regressions.len(), 1, "{table}");
         assert!(table.contains("scale 1.00x"), "{table}");
+    }
+
+    #[test]
+    fn gate_fails_on_a_calibration_spike() {
+        let mut base = Trajectory::default();
+        base.record(CALIBRATION_BENCH, entry(100.0, ""));
+        base.record("a", entry(100.0, ""));
+        // The yardstick alone spiked 3.74x while `a` is 1.3x slower raw:
+        // dividing by the spike would pass `a` as "improved", so the
+        // spike itself must fail the gate.
+        let current = [
+            Measured {
+                name: CALIBRATION_BENCH,
+                median_ns: 374.0,
+                samples: 9,
+            },
+            Measured {
+                name: "a",
+                median_ns: 130.0,
+                samples: 9,
+            },
+        ];
+        let (table, regressions) = gate(&current, &base);
+        assert_eq!(regressions.len(), 1, "{table}");
+        assert!(
+            regressions[0].starts_with(CALIBRATION_BENCH),
+            "{regressions:?}"
+        );
+        assert!(table.contains("yardstick (scale 3.74x) SPIKED"), "{table}");
     }
 
     #[test]

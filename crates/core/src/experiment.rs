@@ -25,15 +25,13 @@
 //! [`figure16_from_campaign`] remains the supported way to unpack a
 //! Figure 16 campaign report into the paper's normalized dataset.
 
-use serde::{Deserialize, Serialize};
-
 use qic_sweep::CampaignReport;
 
 use crate::layout::Layout;
 use crate::scenario::ratio_resources;
 
 /// Scale of the Figure 16 reproduction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fig16Scale {
     /// The paper's configuration: QFT-256 on a 16×16 grid, 49 qubits per
     /// logical qubit, depth-3 purifiers. Minutes of wall-clock time.
@@ -68,7 +66,7 @@ impl Fig16Scale {
 }
 
 /// One x-axis point of Figure 16.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig16Point {
     /// Human-readable configuration label (e.g. `"t=g=4p"`).
     pub label: String,
@@ -85,7 +83,7 @@ pub struct Fig16Point {
 }
 
 /// The full Figure 16 dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig16Result {
     /// Scale the sweep ran at.
     pub scale: Fig16Scale,
@@ -150,7 +148,7 @@ pub fn figure16_from_campaign(scale: Fig16Scale, report: &CampaignReport) -> Fig
 }
 
 /// Scale of the topology faceoff campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaceoffScale {
     /// 64 nodes (8×8 grid / dimension-6 hypercube), QFT-64, level-1
     /// code. Seconds of wall-clock time.

@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use qic_net::topology::Coord;
 use qic_workload::LogicalQubit;
 
 /// The two machine organisations the paper simulates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Layout {
     /// Each LQ node is a *home base* for one logical qubit, "requiring
     /// each logical qubit to teleport home after each logical operation".
@@ -70,7 +68,7 @@ impl std::error::Error for CapacityError {}
 /// grid — row 0 left-to-right, row 1 right-to-left, and so on — so that
 /// consecutively numbered qubits are physically adjacent. This is exactly
 /// the structure the Mobile-Qubit QFT walk exploits (Figure 15).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     width: u16,
     height: u16,

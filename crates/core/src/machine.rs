@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use qic_net::config::NetConfig;
 use qic_net::report::NetReport;
 use qic_net::routing::RoutingPolicy;
@@ -43,7 +41,7 @@ impl fmt::Display for MachineError {
 impl std::error::Error for MachineError {}
 
 /// Results of one program execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Total simulated execution time.
     pub makespan: Duration,
@@ -66,7 +64,7 @@ impl RunReport {
 ///
 /// Construct via [`Machine::builder`]; run programs with
 /// [`Machine::run`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Machine {
     net: NetConfig,
     layout: Layout,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use qic_analytic::figures::PairMetric;
 use qic_analytic::strategy::PurifyPlacement;
 use qic_fault::FaultPlan;
@@ -24,7 +22,7 @@ use qic_sweep::json::{Json, JsonError};
 /// The preset supplies the physics constants (operation times, error
 /// rates, hop/turn cells, event budget); everything a scenario sweeps
 /// or overrides is an explicit [`MachineSpec`] field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetPreset {
     /// [`NetConfig::paper_scale`] — the paper's 16×16, depth-3 setup.
     Paper,
@@ -66,7 +64,7 @@ impl NetPreset {
 
 /// The machine side of a simulation scenario: scale, fabric, routing,
 /// layout and the Section 5.3 resource knobs, all as data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineSpec {
     /// Base preset supplying physics constants.
     pub preset: NetPreset,
@@ -211,7 +209,7 @@ impl MachineSpec {
 }
 
 /// The workload a simulation scenario drives through the machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadSpec {
     /// The Quantum Fourier Transform on `qubits` logical qubits.
     Qft {
@@ -345,7 +343,7 @@ impl WorkloadSpec {
 /// Each variant both defines a campaign axis (name + values, exactly as
 /// the legacy per-figure campaigns built them) and a binding that
 /// rewrites the per-point configuration before evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioAxis {
     /// Figure 16's joint resource axis: `t = g = R·p` under a fixed
     /// interconnect area budget; ratio `0` encodes the unlimited
@@ -681,7 +679,7 @@ pub fn ratio_resources(ratio: i64, area: u32) -> (u32, u32, u32) {
 /// while the progress stream is wall-clock by design. Scenarios without
 /// an observe block never construct a probe, so their reports and
 /// golden outputs stay byte-identical to the uninstrumented simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObserveSpec {
     /// Directory the trace files are written into (created if missing).
     pub dir: String,
@@ -728,7 +726,7 @@ impl ObserveSpec {
 /// Checkpointed runs use the same streaming aggregation as campaign
 /// sharding: summaries and CSV are byte-identical to a buffered run,
 /// but raw replicate samples are not retained in the report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointSpec {
     /// Directory the manifest is written into (created if missing).
     pub dir: String,
@@ -756,7 +754,7 @@ impl CheckpointSpec {
 
 /// What a scenario measures: a full machine simulation or the
 /// closed-form channel-resource model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ExperimentSpec {
     /// Event-driven simulation: a machine runs a workload; every point
     /// reports the full `NetReport` metric set.
@@ -782,7 +780,7 @@ pub enum ExperimentSpec {
 /// A fully declarative, serializable experiment: one spec describes
 /// everything `qic::run` needs — machine, workload, purification
 /// strategy, sweep axes, replication and seeding.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Campaign name (also the report identity; figure presets use the
     /// legacy campaign names so reports stay byte-identical).

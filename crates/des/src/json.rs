@@ -1,10 +1,8 @@
 //! A minimal, deterministic JSON value model for strict codecs.
 //!
-//! The vendored `serde` stand-in provides trait names but no wire
-//! format (see `vendor/README.md`), so every JSON document the workspace
-//! writes or reads goes through this model: scenario specs (`qic-core`),
-//! campaign records and checkpoint manifests (`qic-sweep`), cache
-//! records and service requests (`qic-serve`), the bench trajectory
+//! Every JSON document the workspace writes or reads goes through this
+//! model: scenario specs (`qic-core`), campaign records and checkpoint
+//! manifests (`qic-sweep`), cache records and service requests (`qic-serve`), the bench trajectory
 //! (`qic-bench`) and the trace validators (`qic-probe`). It lives here,
 //! at the bottom of the crate graph, so each of them can use it;
 //! `qic_sweep::json` re-exports it under its established path. It is

@@ -1,14 +1,12 @@
 //! Named scalar measurement sets.
 
-use serde::{Deserialize, Serialize};
-
 /// An insertion-ordered set of named `f64` metrics — the flat result
 /// record of one simulation run or sweep-point evaluation.
 ///
 /// Producers (e.g. a simulator report) flatten themselves into one of
 /// these; consumers (e.g. the `qic-sweep` campaign engine, which
 /// re-exports this type) aggregate them name-by-name.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Metrics {
     entries: Vec<(String, f64)>,
 }

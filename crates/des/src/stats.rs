@@ -1,13 +1,11 @@
 //! Measurement collectors for simulations.
 
-use serde::{Deserialize, Serialize};
-
 use qic_physics::time::Duration;
 
 use crate::time::SimTime;
 
 /// A monotone event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -39,7 +37,7 @@ impl Counter {
 /// samples with small spread — e.g. microsecond jitter on a `1e8` µs
 /// makespan — where a naive sum-of-squares accumulator would cancel
 /// catastrophically.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tally {
     count: u64,
     sum: f64,
@@ -183,7 +181,7 @@ impl Tally {
 /// Percentiles use the **nearest-rank** definition: the `q`-th
 /// percentile of `n` sorted samples is the sample at rank
 /// `⌈q·n⌉` (1-based), so every reported value is an actual sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Percentiles {
     /// Median (50th percentile).
     pub p50: f64,
@@ -247,7 +245,7 @@ pub fn percentile_of_sorted(sorted: &[f64], q: f64) -> Option<f64> {
 
 /// Time-weighted average of a piecewise-constant signal (e.g. queue
 /// occupancy over simulated time).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeWeighted {
     value: f64,
     since: SimTime,
@@ -296,7 +294,7 @@ impl TimeWeighted {
 }
 
 /// Busy-fraction tracker for a pool of `capacity` servers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Utilization {
     busy: TimeWeighted,
     capacity: f64,
@@ -340,7 +338,7 @@ impl Utilization {
 }
 
 /// A base-2 logarithmic histogram of positive values (latencies, counts).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogHistogram {
     /// `buckets[i]` counts samples in `[2^i, 2^(i+1))` (bucket 0 also takes
     /// everything below 1).

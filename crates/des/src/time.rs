@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use qic_physics::time::Duration;
 
 /// An absolute instant on the simulation clock (nanoseconds since start).
@@ -12,9 +10,7 @@ use qic_physics::time::Duration;
 /// `SimTime` and [`Duration`] form an affine pair: instants differ by
 /// durations, durations add to instants, and instants cannot be added to
 /// each other.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -52,8 +52,8 @@ pub struct DegradationSummary {
 ///
 /// A zero-fault plan changes nothing: every trait method returns
 /// exactly what the base fabric returns, so wrapping is free when
-/// unused (the `fault_overhead` bench and the golden figure outputs
-/// hold that line).
+/// unused (`bench_gate`'s `fault_overhead_zero_fault_wrapper` and the
+/// golden figure outputs hold that line).
 ///
 /// # Examples
 ///

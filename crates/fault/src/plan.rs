@@ -8,8 +8,6 @@
 //! SplitMix64-derived per-component seed, so the same plan produces the
 //! same [`FaultSchedule`] on every run, thread, and machine.
 
-use serde::{Deserialize, Serialize};
-
 use qic_des::rng::{mix64, GOLDEN};
 use qic_net::topology::Topology;
 
@@ -53,7 +51,7 @@ pub fn bernoulli(seed: u64, domain: FaultDomain, index: u64, rate: f64) -> bool 
 /// `[start_ns, end_ns)` pay `penalty_ns` of extra service time
 /// (congestion, recalibration, a flaky junction — anything that slows a
 /// link without killing it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hotspot {
     /// Dense link index on the base fabric.
     pub link: u32,
@@ -95,7 +93,7 @@ impl Hotspot {
 /// );
 /// assert!(degraded.surviving_links() < Mesh::new(8, 8).links());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Root seed every per-component draw derives from.
     pub seed: u64,

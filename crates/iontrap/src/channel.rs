@@ -8,8 +8,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use qic_physics::error::ErrorRates;
 use qic_physics::fidelity::Fidelity;
 use qic_physics::optime::OpTimes;
@@ -19,7 +17,7 @@ use qic_physics::transport;
 use crate::waveform::{ShuttlePlan, WaveformSchedule};
 
 /// Identifier of a physical ion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IonId(pub u64);
 
 impl fmt::Display for IonId {
@@ -72,7 +70,7 @@ impl fmt::Display for ChannelError {
 impl std::error::Error for ChannelError {}
 
 /// A completed shuttle: schedule, timing and fidelity outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShuttleOutcome {
     /// The electrode schedule that was (virtually) executed.
     pub schedule: WaveformSchedule,
@@ -97,7 +95,7 @@ pub struct ShuttleOutcome {
 /// assert_eq!(ch.position(IonId(1)), Some(10));
 /// # Ok::<(), qic_iontrap::channel::ChannelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Channel {
     len: u32,
     times: OpTimes,

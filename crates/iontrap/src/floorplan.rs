@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use qic_physics::error::ErrorRates;
 use qic_physics::optime::OpTimes;
 use qic_physics::time::Duration;
@@ -18,7 +16,7 @@ use qic_physics::transport;
 use crate::junction::{Junction, JunctionKind};
 
 /// A site coordinate on the floorplan grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Site {
     /// Column (x) index.
     pub x: u32,
@@ -53,7 +51,7 @@ impl fmt::Display for SiteOutOfRangeError {
 impl std::error::Error for SiteOutOfRangeError {}
 
 /// A planned physical route between two sites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoutePlan {
     /// Straight-channel cells traversed.
     pub straight_cells: u64,
@@ -81,7 +79,7 @@ impl RoutePlan {
 /// A rectangular grid floorplan: `width × height` sites, adjacent sites
 /// joined by straight channels of `cells_per_edge` trap cells through
 /// cross junctions at every interior site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Floorplan {
     width: u32,
     height: u32,

@@ -8,13 +8,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use qic_physics::optime::OpTimes;
 use qic_physics::time::Duration;
 
 /// Junction geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JunctionKind {
     /// Three-way (T) junction — the Hensinger et al. demonstration.
     Tee,
@@ -32,7 +30,7 @@ impl fmt::Display for JunctionKind {
 }
 
 /// A junction between channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Junction {
     kind: JunctionKind,
     /// Extra cell-equivalents of staging a cornering move costs beyond a

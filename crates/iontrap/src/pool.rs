@@ -9,8 +9,6 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use qic_des::time::SimTime;
 
 use crate::channel::IonId;
@@ -53,7 +51,7 @@ impl std::error::Error for PoolExhaustedError {}
 /// # drop(b);
 /// # Ok::<(), qic_iontrap::pool::PoolExhaustedError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IonPool {
     capacity: u64,
     free: VecDeque<IonId>,

@@ -9,13 +9,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use qic_physics::optime::OpTimes;
 use qic_physics::time::Duration;
 
 /// Drive level of an electrode column during one phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Level {
     /// Grounded (no influence).
     Ground,
@@ -49,7 +47,7 @@ impl std::error::Error for EmptyShuttleError {}
 
 /// A planned shuttle of one ion along a channel, from `from_cell` to
 /// `to_cell` (either direction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShuttlePlan {
     from_cell: u32,
     to_cell: u32,
@@ -121,7 +119,7 @@ impl ShuttlePlan {
 
 /// One phase of a shuttle: the drive state for the duration of a
 /// single-cell move.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Phase {
     /// Phase number (0-based).
     pub index: u32,
@@ -153,7 +151,7 @@ impl Phase {
 }
 
 /// The full electrode schedule for one shuttle (Figure 2's waveform set).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WaveformSchedule {
     plan: ShuttlePlan,
     phases: Vec<Phase>,

@@ -31,7 +31,6 @@
 use std::sync::Arc;
 
 use qic_net::topology::{all_pairs_bfs, Coord, Port, Topology};
-use serde::{Deserialize, Serialize};
 
 /// The inter-module tier technology.
 ///
@@ -39,7 +38,7 @@ use serde::{Deserialize, Serialize};
 /// module pair); they differ in how many switch stages one crossing
 /// traverses, which scales the tier's latency, its fidelity exponent
 /// and its component cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Interconnect {
     /// One non-blocking optical crossbar: every crossing traverses a
     /// single switch stage (the MUSIQC-style ELU interconnect).
@@ -106,7 +105,7 @@ impl Interconnect {
 }
 
 /// Physical parameters of one interconnect tier's links.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
     /// Extra service nanoseconds a hop over this tier pays (per switch
     /// stage; see [`Interconnect::tier_hops`]).
@@ -140,7 +139,7 @@ impl Default for LinkParams {
 /// Plain-data description of a modular machine: how many modules, the
 /// inter-module tier, and the cost/fidelity knobs the scenario layer
 /// turns into report columns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModularSpec {
     /// Number of identical on-module fabrics tiled side by side (≥ 1).
     pub modules: u32,

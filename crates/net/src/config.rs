@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use qic_physics::constants;
 use qic_physics::error::ErrorRates;
 use qic_physics::optime::OpTimes;
@@ -94,7 +92,7 @@ impl std::error::Error for ConfigError {}
 /// The three headline knobs are the paper's `t`, `g` and `p`
 /// (Section 5.3): teleporters per T' node, generators per G node and
 /// queue purifiers per P node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetConfig {
     /// Grid width in T'/LQ sites (the historical field name predates the
     /// multi-topology refactor; it sizes every fabric's addressing grid).

@@ -8,15 +8,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::topology::Coord;
 
 /// A cumulative Pauli-frame correction: the two classical bits per
 /// teleportation, accumulated over a chain (Figure 5: "correction
 /// information … can be accumulated over multiple teleportations and
 /// performed in aggregate at each end").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct PauliFrame {
     /// Accumulated bit-flip (X) correction.
     pub x: bool,
@@ -63,7 +61,7 @@ impl fmt::Display for PauliFrame {
 
 /// The classical packet that accompanies one EPR-pair half through the
 /// network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PairMsg {
     /// ID assigned by the generating G node.
     pub pair_id: u64,

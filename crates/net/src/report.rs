@@ -1,7 +1,5 @@
 //! Simulation reports.
 
-use serde::{Deserialize, Serialize};
-
 use qic_des::metrics::Metrics;
 use qic_des::stats::{Percentiles, Tally};
 use qic_physics::time::Duration;
@@ -11,7 +9,7 @@ use qic_probe::TimelineReport;
 /// `qic-fault` `DegradedFabric`). Healthy runs carry no fault block, so
 /// their reports — and the golden figure outputs derived from them —
 /// are byte-identical to the pre-fault-layer simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultStats {
     /// Communications that reached their destination and teleported
     /// their data (`comms_completed − dropped`).
@@ -29,7 +27,7 @@ pub struct FaultStats {
 }
 
 /// Aggregate results of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetReport {
     /// Total simulated time until the driver finished.
     pub makespan: Duration,

@@ -2,14 +2,12 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use qic_des::time::SimTime;
 use qic_physics::time::Duration;
 
 /// A pool of identical servers (teleporters in one dimension set, or
 /// purifier units at a site) with FIFO admission.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerPool {
     capacity: u32,
     busy: u32,
@@ -104,7 +102,7 @@ impl ServerPool {
 /// every `interval` while the buffer is below capacity; the arithmetic is
 /// integer-exact, so behaviour is independent of when the wire is
 /// observed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkWire {
     interval: Duration,
     cap: u64,
@@ -226,7 +224,7 @@ impl LinkWire {
 
 /// Per-(node, incoming-link) storage: "storage for incoming teleports is
 /// not multiplexed, yielding t storage cells per incoming link" (§5.3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Storage {
     capacity: u32,
     used: u32,

@@ -164,7 +164,7 @@ impl Router for MinimalAdaptive {
 }
 
 /// Which routing policy a [`crate::config::NetConfig`] selects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoutingPolicy {
     /// [`DimensionOrder`]: the paper's oblivious X-then-Y routing.
     DimensionOrder,

@@ -1,7 +1,5 @@
 //! A binary hypercube: log-diameter fabric for teleporter routers.
 
-use serde::{Deserialize, Serialize};
-
 use super::{Port, Topology};
 
 /// A `dim`-dimensional binary hypercube (`2^dim` nodes).
@@ -25,7 +23,7 @@ use super::{Port, Topology};
 /// // Each of the 6 dimensions is its own port class (teleporter set).
 /// assert_eq!(cube.port_classes(), 6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hypercube {
     dim: u32,
 }

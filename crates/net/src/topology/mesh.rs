@@ -1,12 +1,10 @@
 //! The paper's fabric: a rectangular mesh with dimension-order routes.
 
-use serde::{Deserialize, Serialize};
-
 use super::{Coord, Dir, Port, Topology};
 
 /// An undirected mesh edge, identified by its lower-left endpoint and
 /// orientation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EdgeId {
     /// The endpoint with the smaller coordinate.
     pub base: Coord,
@@ -31,7 +29,7 @@ pub struct EdgeId {
 /// let (a, b) = (mesh.node_index(Coord::new(0, 0)), mesh.node_index(Coord::new(3, 2)));
 /// assert_eq!(Topology::distance(&mesh, a, b), 5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mesh {
     width: u16,
     height: u16,

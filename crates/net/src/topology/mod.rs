@@ -55,15 +55,13 @@ pub use torus::Torus;
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A site on the fabric's addressing grid (column `x`, row `y`).
 ///
 /// Every fabric — including the hypercube — exposes a rectangular
 /// `width × height` site grid so placement layers (e.g. the snake
 /// placement in `qic-core`) are topology-agnostic; [`Topology::node_index`]
 /// maps a coordinate onto the fabric's dense node index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Coord {
     /// Column index.
     pub x: u16,
@@ -96,7 +94,7 @@ impl fmt::Display for Coord {
 /// [`Dir`]); on a hypercube, port `i` flips address bit `i`. Fabric-
 /// agnostic code — the simulator, resource indexing, routing policies —
 /// speaks ports; [`Dir`] survives as the mesh-specific vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Port(pub u8);
 
 impl Port {
@@ -116,7 +114,7 @@ impl fmt::Display for Port {
 ///
 /// This is mesh/torus-specific vocabulary kept for readability and
 /// backwards compatibility; fabric-agnostic code uses [`Port`] indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dir {
     /// +x.
     East,
@@ -508,7 +506,7 @@ pub fn all_pairs_bfs(
 /// The grid dimensions come from the config's `mesh_width`/`mesh_height`
 /// fields; a hypercube additionally requires the node count to be a
 /// power of two (its dimension is `log2(width × height)`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TopologyKind {
     /// Rectangular 2D mesh (the paper's fabric).
     Mesh,
@@ -605,7 +603,7 @@ impl std::str::FromStr for TopologyKind {
 /// [`crate::sim::NetworkSim`] is generic over any [`Topology`]; `Fabric`
 /// is its default type parameter, so config-driven callers never name a
 /// concrete fabric while custom topologies still get static dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fabric {
     /// A rectangular mesh.
     Mesh(Mesh),

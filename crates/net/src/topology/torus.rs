@@ -1,7 +1,5 @@
 //! A 2D torus: the mesh with wrap-around links in each dimension.
 
-use serde::{Deserialize, Serialize};
-
 use super::{Coord, Dir, Port, Topology};
 
 /// A `width × height` torus.
@@ -25,7 +23,7 @@ use super::{Coord, Dir, Port, Topology};
 /// // Port 1 is West: node (0,0) wraps to (7,0).
 /// assert_eq!(t.neighbor(a, Port(1)), Some(t.node_index(Coord::new(7, 0))));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Torus {
     width: u16,
     height: u16,

@@ -13,15 +13,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::fidelity::Fidelity;
 
 /// The four Bell states.
 ///
 /// The discriminants match the `(a, b, c, d)` coefficient order of
 /// [`BellDiagonal`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BellState {
     /// `|Φ⁺⟩ = (|00⟩ + |11⟩)/√2` — the reference state produced by
     /// generators.
@@ -122,7 +120,7 @@ const SUM_TOL: f64 = 1e-9;
 /// assert!((w.coeff(BellState::PsiPlus) - 0.1 / 3.0).abs() < 1e-12);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BellDiagonal {
     /// Coefficients in `(Φ⁺, Ψ⁻, Ψ⁺, Φ⁻)` order.
     coeffs: [f64; 4],

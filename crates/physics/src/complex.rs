@@ -8,8 +8,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A complex number with `f64` components.
 ///
 /// # Example
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(i * i, -C64::ONE);
 /// assert_eq!(C64::new(3.0, 4.0).norm(), 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct C64 {
     /// Real part.
     pub re: f64,

@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::bell::{BellDiagonal, BellState};
 use crate::complex::C64;
 use crate::fidelity::Fidelity;
@@ -53,7 +51,7 @@ impl std::error::Error for InvalidDensityError {}
 ///     .apply_to_first(&gates::pauli_z());
 /// assert!((rho.bell_overlap(BellState::PhiMinus) - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairState {
     rho: Mat4,
 }

@@ -12,8 +12,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Error raised when a probability parameter lies outside `[0, 1]` or is not
 /// finite.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,7 +70,7 @@ fn check(name: &'static str, value: f64) -> Result<f64, InvalidProbabilityError>
 /// assert_eq!(u.one_qubit_gate(), u.measure());
 /// # Ok::<(), qic_physics::error::InvalidProbabilityError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorRates {
     one_qubit_gate: f64,
     two_qubit_gate: f64,

@@ -10,8 +10,6 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Error raised when constructing a [`Fidelity`] from a value outside
 /// `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,8 +46,7 @@ impl std::error::Error for InvalidFidelityError {}
 /// assert!(f > Fidelity::from_error(2e-3));
 /// # Ok::<(), qic_physics::fidelity::InvalidFidelityError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-#[serde(try_from = "f64", into = "f64")]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Fidelity(f64);
 
 impl Fidelity {

@@ -8,12 +8,10 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::complex::C64;
 
 /// A 2×2 complex matrix (a single-qubit operator).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Mat2(pub [[C64; 2]; 2]);
 
 impl Mat2 {
@@ -94,7 +92,7 @@ impl Mul for Mat2 {
 }
 
 /// A 4×4 complex matrix (a two-qubit operator or density matrix).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Mat4(pub [[C64; 4]; 4]);
 
 impl Mat4 {

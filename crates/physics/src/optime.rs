@@ -16,8 +16,6 @@
 //! `~` entries of Table 1 are the distance-independent parts, recovered here
 //! by [`OpTimes::teleport_local`] and [`OpTimes::purify_round_local`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Duration;
 
 /// Time constants for the primitive operations of an ion-trap quantum
@@ -38,7 +36,7 @@ use crate::time::Duration;
 /// // One purification round (Eq. 6): t2q + tms = 120 µs plus a classical bit.
 /// assert_eq!(t.purify_round_local(), Duration::from_micros(120));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OpTimes {
     one_qubit_gate: Duration,
     two_qubit_gate: Duration,

@@ -9,8 +9,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A span of simulated time with nanosecond resolution.
 ///
 /// `Duration` is a thin newtype over `u64` nanoseconds. It forms a monoid
@@ -27,9 +25,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(per_cell * 5, Duration::from_micros(1));
 /// assert_eq!((per_cell * 5).as_us_f64(), 1.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(u64);
 
 impl Duration {

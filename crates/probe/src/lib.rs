@@ -40,12 +40,10 @@ pub use record::{
     TraceEvent, TraceEventKind,
 };
 
-use serde::{Deserialize, Serialize};
-
 /// The simulator event classes, as seen by [`Probe::on_event`] at
 /// dispatch time. Mirrors the (private) event enum of the `qic-net`
 /// event loop one-for-one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// A communication's head-of-line pair attempted injection.
     SourceTry,
@@ -95,7 +93,7 @@ impl EventKind {
 
 /// Why a pair-hop could not fire — the three stallable resources of the
 /// simulator's commit check, in check order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StallCause {
     /// Downstream storage had no free cell (or bubble reserve held one).
     Storage,
@@ -121,7 +119,7 @@ impl StallCause {
 /// hook index into this: teleporter pools as `node × port_classes +
 /// class`, storage banks as `node × ports_per_node + incoming port`,
 /// purifier sites and links by their dense indices.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FabricInfo {
     /// Topology name (`"mesh"`, `"torus"`, `"hypercube"`, …).
     pub topology: String,

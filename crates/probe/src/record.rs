@@ -1,7 +1,5 @@
 //! The recording probe and its deterministic time-series report.
 
-use serde::{Deserialize, Serialize};
-
 use qic_des::metrics::Metrics;
 
 use crate::{EventKind, FabricInfo, Probe, StallCause};
@@ -10,7 +8,7 @@ use crate::{EventKind, FabricInfo, Probe, StallCause};
 /// hook-specific payload. The stream is chronological by construction
 /// (simulation time is monotone) and fully deterministic for a given
 /// configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Simulation time in nanoseconds.
     pub t_ns: u64,
@@ -20,7 +18,7 @@ pub struct TraceEvent {
 
 /// Payload of a [`TraceEvent`]. Resource ids follow the
 /// [`FabricInfo`] indexing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEventKind {
     /// A communication entered the system.
     Submit {
@@ -99,7 +97,7 @@ pub enum TraceEventKind {
 }
 
 /// Event-dispatch counters, one per simulator event class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DispatchCounts {
     /// `SourceTry` dispatches.
     pub source_try: u64,
@@ -147,7 +145,7 @@ impl DispatchCounts {
 }
 
 /// Stall-cause breakdown counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StallBreakdown {
     /// Stalls waiting for a teleporter slot.
     pub teleporter: u64,
@@ -158,7 +156,7 @@ pub struct StallBreakdown {
 }
 
 /// One teleport-hop span of a communication's timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HopSpan {
     /// Hop position along the route.
     pub pos: u32,
@@ -172,7 +170,7 @@ pub struct HopSpan {
 
 /// Per-communication timeline: submission, every pair-hop fired on its
 /// behalf, and how it ended.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommTimeline {
     /// Communication id.
     pub comm: u32,
@@ -205,7 +203,7 @@ pub struct CommTimeline {
 /// corresponding end-of-run scalar in the simulator's report to within
 /// float round-off — the property tests in the workspace hold this to
 /// `1e-9`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimelineReport {
     /// Total simulated time covered by the grid.
     pub makespan_ns: u64,

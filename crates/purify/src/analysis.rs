@@ -7,14 +7,12 @@
 //! is therefore `∏ᵢ 2/pᵢ` — "exponential in the number of rounds"
 //! (Section 4.5).
 
-use serde::{Deserialize, Serialize};
-
 use qic_physics::bell::BellDiagonal;
 
 use crate::protocol::{Protocol, RoundNoise};
 
 /// One point of a purification trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundPoint {
     /// Rounds performed so far (0 = the raw input).
     pub round: u32,

@@ -16,15 +16,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use qic_physics::bell::BellDiagonal;
 use qic_physics::error::ErrorRates;
 
 /// The result of one purification attempt on a *kept* pair: the surviving
 /// state (conditioned on success) and the probability that the endpoint
 /// measurements agreed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PurifyOutcome {
     /// Surviving state, conditioned on success.
     pub state: BellDiagonal,
@@ -45,7 +43,7 @@ pub struct PurifyOutcome {
 /// This reproduces the published behaviour: a protocol-dependent fidelity
 /// *floor* set by operation error, and the Figure 12 breakdown near a
 /// uniform error rate of 1e-5 (see `qic-analytic`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundNoise {
     /// Isotropic mix applied per DEJMPS round.
     dejmps_eps: f64,
@@ -106,7 +104,7 @@ impl Default for RoundNoise {
 }
 
 /// The tree purification protocols analysed by the paper (Figure 8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protocol {
     /// Deutsch et al. — the paper's choice for all further analysis.
     Dejmps,

@@ -18,8 +18,6 @@
 //! external RNG (used by the event-driven simulator, which also charges
 //! queue time).
 
-use serde::{Deserialize, Serialize};
-
 use qic_physics::bell::BellDiagonal;
 use qic_physics::optime::OpTimes;
 use qic_physics::time::Duration;
@@ -27,7 +25,7 @@ use qic_physics::time::Duration;
 use crate::protocol::{Protocol, RoundNoise};
 
 /// What happened when a pair was fed into a [`QueuePurifier`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FeedResult {
     /// The pair is parked at some level, waiting for a partner.
     Stored {
@@ -52,7 +50,7 @@ pub enum FeedResult {
 }
 
 /// Running statistics for a queue purifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueueStats {
     /// Raw pairs fed in.
     pub pairs_in: u64,
@@ -82,7 +80,7 @@ pub struct QueueStats {
 /// assert_eq!(outputs, 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueuePurifier {
     protocol: Protocol,
     noise: RoundNoise,

@@ -6,8 +6,6 @@
 //! module models that design so the queue purifier of [`crate::queue`] can
 //! be compared against it quantitatively.
 
-use serde::{Deserialize, Serialize};
-
 use qic_physics::bell::BellDiagonal;
 use qic_physics::optime::OpTimes;
 use qic_physics::time::Duration;
@@ -15,7 +13,7 @@ use qic_physics::time::Duration;
 use crate::protocol::{Protocol, RoundNoise};
 
 /// A hardware tree purifier of fixed depth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreePurifier {
     depth: u32,
     protocol: Protocol,

@@ -1,17 +1,13 @@
 //! Campaign results: per-point records, replicate aggregation, and
 //! deterministic CSV / JSON emitters.
 //!
-//! The vendored `serde` stand-in provides trait names but no wire
-//! format (see `vendor/README.md`), so the emitters here format
-//! directly: floats use Rust's shortest-roundtrip `Display`, non-finite
-//! values become `null` (JSON) or empty cells (CSV), and every
-//! collection is emitted in point-index order. Two runs of the same
+//! The emitters format directly: floats use Rust's shortest-roundtrip
+//! `Display`, non-finite values become `null` (JSON) or empty cells
+//! (CSV), and every collection is emitted in point-index order. Two runs of the same
 //! campaign therefore produce byte-identical output regardless of
 //! worker count.
 
 use std::fmt::Write as _;
-
-use serde::{Deserialize, Serialize};
 
 use qic_des::stats::Tally;
 
@@ -26,7 +22,7 @@ use qic_des::metrics::Metrics;
 pub const RECORD_VERSION: u32 = 1;
 
 /// Replicate aggregate of one metric at one point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricSummary {
     /// Metric name.
     pub name: String,
@@ -44,7 +40,7 @@ pub struct MetricSummary {
 }
 
 /// Results at one sweep point: raw replicates plus their aggregation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PointReport {
     /// The point's row-major index in the campaign's space.
     pub index: usize,
@@ -175,7 +171,7 @@ impl PointReport {
 /// in row-major index order. Worker count is deliberately *not*
 /// recorded — the report of a campaign is identical however it was
 /// scheduled.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignReport {
     /// Campaign name (figure/table identifier).
     pub name: String,

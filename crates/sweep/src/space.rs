@@ -8,15 +8,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// One coordinate value along an axis.
 ///
 /// Axes are heterogeneous: resource counts are integers, error rates are
 /// floats, and layouts or strategies are labels that the campaign
 /// definition maps back onto domain types (usually via
 /// [`SweepPoint::coord`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AxisValue {
     /// An integer coordinate (grid sizes, depths, seeds, ratios).
     Int(i64),
@@ -65,7 +63,7 @@ impl fmt::Display for AxisValue {
 }
 
 /// A named sweep dimension with an explicit, ordered value list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Axis {
     name: String,
     values: Vec<AxisValue>,
@@ -168,7 +166,7 @@ impl Axis {
 ///
 /// An empty space (no axes) has exactly one point: the empty coordinate
 /// tuple. A space containing an empty axis has zero points.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ParamSpace {
     axes: Vec<Axis>,
 }

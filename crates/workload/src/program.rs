@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a logical qubit (0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LogicalQubit(pub u32);
 
 impl LogicalQubit {
@@ -24,7 +22,7 @@ impl fmt::Display for LogicalQubit {
 /// What gate an instruction performs. The communication simulator only
 /// cares that two logical qubits must meet; the kind is carried for
 /// documentation, trace output and gate-latency modelling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstructionKind {
     /// Controlled phase `R_k` (angle `2π/2^k`) — the QFT's gate family.
     ControlledPhase {
@@ -49,7 +47,7 @@ impl fmt::Display for InstructionKind {
 }
 
 /// One two-logical-qubit instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Instruction {
     /// First operand.
     pub a: LogicalQubit,
@@ -127,7 +125,7 @@ impl std::error::Error for ProgramError {}
 /// A logical program: `n_qubits` logical qubits and an ordered instruction
 /// list. Instructions touching a common qubit must execute in program
 /// order; otherwise they may run concurrently.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     n_qubits: u32,
     instructions: Vec<Instruction>,

@@ -85,11 +85,7 @@ fn parallel_workloads_beat_serial_chains() {
 
 #[test]
 fn reports_serialize_round_trip() {
-    // Reports are data (C-SERDE): verify a JSON-ish round trip through
-    // serde's token model using serde_test-free equality via serde_json
-    // being unavailable — use bincode-like manual check through
-    // serde::Serialize to a string via format Debug equality after a
-    // clone. (We avoid extra deps; Clone+PartialEq is the contract here.)
+    // Reports are plain data: Clone + PartialEq is the contract.
     let report = machine(Layout::HomeBase).run(&Program::qft(6));
     let copied = report.clone();
     assert_eq!(report, copied);
