@@ -91,8 +91,8 @@ impl ScenarioRegistry {
 /// The Figure 16 spec for an explicit experiment scale — the one knob
 /// the registry's `fig16` entry does not expose (its `Full` scale is
 /// the CI-friendly `Reduced`; pass [`crate::experiment::Fig16Scale::Paper`]
-/// here for the paper configuration, which takes about 2 min 15 s on two
-/// workers of a 2-core host in release).
+/// here for the paper configuration, which takes about 2 min (122 s) on
+/// two workers of a 2-core host in release).
 pub fn fig16_spec(scale: crate::experiment::Fig16Scale) -> ScenarioSpec {
     use crate::experiment::Fig16Scale;
     let machine = match scale {

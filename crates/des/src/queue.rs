@@ -19,18 +19,21 @@
 //! the clock's own instant (a saturated delay), which the now-lane
 //! takes as before. Events in one lane are already in `(at, seq)` order:
 //! each is stamped `now + delay` with the clock never going back, and
-//! with a sequence number larger than every earlier one. So the heap
-//! holds **only the head of each non-empty lane**, as a slot tagged with
-//! the lane index. Pushing onto a non-empty lane touches no heap at all,
-//! and popping a lane head replaces the heap top with that lane's next
-//! head in one sift. The global minimum is always in the heap (each
-//! lane's minimum is its head), so pop order is exactly the `(at, seq)`
-//! order of a queue without lanes: lanes change cost, never order.
+//! with a sequence number larger than every earlier one. So a lane's
+//! minimum is its head, and the queue keeps the order key of every
+//! lane's head in a small array **beside** the heap, which holds arena
+//! events only. A pop takes the smallest of the heap top and the lane
+//! heads: a lane push appends to its lane (and records the head key if
+//! the lane was empty) and a lane pop advances that lane's head, and
+//! neither touches the heap. Every pending event is the heap top, a
+//! lane head or behind one of them, so pop order is exactly the
+//! `(at, seq)` order of a queue without lanes: lanes change cost, never
+//! order.
 //!
 //! A simulator whose hot events recur at a few fixed delays (a teleport
-//! hop's service time, say) thus pays O(1) per such event plus one sift
-//! over a heap whose size no longer grows with the number of in-flight
-//! events of that kind.
+//! hop's service time, say) thus pays O(1) per such event, and the heap
+//! it still sifts for its other events no longer grows with the number
+//! of in-flight lane events.
 //!
 //! The FIFO tie-break rests on a strictly monotone `u64` sequence
 //! counter. It is incremented once per event scheduled into the future
@@ -49,12 +52,22 @@ use crate::time::SimTime;
 /// one native 128-bit comparison.
 type Ord128 = u128;
 
+/// The instant (ns) of an order key.
+#[inline(always)]
+fn at_of(key: Ord128) -> u64 {
+    (key >> 64) as u64
+}
+
 /// The tail of the intrusive free list (and the "no entry" sentinel).
 const FREE_END: u32 = u32::MAX;
 
-/// Heap slots with this bit set name a delay lane (`LANE_TAG | lane`),
-/// not an arena slot; arena slots stay below it.
-const LANE_TAG: u32 = 1 << 31;
+/// The head key of an empty lane: above every real key, because the
+/// sequence counter refuses to hand out `u64::MAX`.
+const EMPTY: Ord128 = u128::MAX;
+
+/// The source [`EventQueue::next_source`] names for the heap top (lane
+/// heads are named by their lane index).
+const HEAP: usize = usize::MAX;
 
 /// Heap and arena slots a queue built with [`EventQueue::with_lanes`]
 /// starts with: a handful of in-flight events per live simulated
@@ -70,11 +83,25 @@ enum Slot<E> {
     Free(u32),
 }
 
-/// A declared delay and its pending events, oldest first, each with
-/// its heap order key.
+/// A lane event with its order key split in two words, so an entry
+/// of an 8-byte event takes 24 bytes (a `u128` key would align it to 32).
+struct LaneEntry<E> {
+    at: u64,
+    seq: u64,
+    event: E,
+}
+
+impl<E> LaneEntry<E> {
+    #[inline]
+    fn key(&self) -> Ord128 {
+        (u128::from(self.at) << 64) | u128::from(self.seq)
+    }
+}
+
+/// A declared delay and its pending events, oldest first.
 struct Lane<E> {
     delay: Duration,
-    events: VecDeque<(Ord128, E)>,
+    events: VecDeque<LaneEntry<E>>,
 }
 
 /// A deterministic future-event list.
@@ -87,8 +114,7 @@ pub struct EventQueue<E> {
     /// child scan reads one 64-byte line of four keys and touches the
     /// slot array only on an actual move.
     heap_ord: Vec<Ord128>,
-    /// Arena slot of each heap entry, parallel to `heap_ord`, or
-    /// `LANE_TAG | lane` for the head of a delay lane.
+    /// Arena slot of each heap entry, parallel to `heap_ord`.
     heap_slot: Vec<u32>,
     /// Event arena: heap entries hold indices into this slab; free
     /// slots chain through [`Slot::Free`] starting at `free_head`.
@@ -97,12 +123,15 @@ pub struct EventQueue<E> {
     /// Events scheduled for exactly `now`, in FIFO order. Every entry
     /// here was scheduled *after* the clock reached `now`, so it comes
     /// after any heap or lane entry at `now` in `(at, seq)` order — the
-    /// heap drains first at each instant, then the now-lane, preserving
-    /// global FIFO order without heap (or arena) traffic.
+    /// heap and lanes drain first at each instant, then the now-lane,
+    /// preserving global FIFO order without heap (or arena) traffic.
     now_lane: VecDeque<E>,
-    /// Declared delay lanes (distinct, non-zero delays); only the head
-    /// of each non-empty lane is in the heap.
+    /// Declared delay lanes (distinct, non-zero delays); none of their
+    /// events is in the heap.
     lanes: Vec<Lane<E>>,
+    /// Order key of each lane's head, parallel to `lanes`, or [`EMPTY`]:
+    /// the one contiguous array a pop scans besides the heap top.
+    lane_heads: Vec<Ord128>,
     seq: u64,
     now: SimTime,
     popped: u64,
@@ -130,6 +159,7 @@ impl<E> EventQueue<E> {
             free_head: FREE_END,
             now_lane: VecDeque::new(),
             lanes: Vec::new(),
+            lane_heads: Vec::new(),
             seq: 0,
             now: SimTime::ZERO,
             popped: 0,
@@ -152,6 +182,7 @@ impl<E> EventQueue<E> {
                     delay,
                     events: VecDeque::with_capacity(LANE_CAPACITY),
                 });
+                q.lane_heads.push(EMPTY);
             }
         }
         q
@@ -165,18 +196,15 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        // The heap counts each non-empty lane once, for its head.
-        let lane_tails: usize = self
-            .lanes
-            .iter()
-            .map(|l| l.events.len().saturating_sub(1))
-            .sum();
-        self.heap_ord.len() + lane_tails + self.now_lane.len()
+        let in_lanes: usize = self.lanes.iter().map(|l| l.events.len()).sum();
+        self.heap_ord.len() + in_lanes + self.now_lane.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap_ord.is_empty() && self.now_lane.is_empty()
+        self.heap_ord.is_empty()
+            && self.now_lane.is_empty()
+            && self.lane_heads.iter().all(|&head| head == EMPTY)
     }
 
     /// Total events popped so far (a progress measure for run loops).
@@ -189,9 +217,10 @@ impl<E> EventQueue<E> {
     fn alloc(&mut self, event: E) -> u32 {
         let slot = self.free_head;
         if slot == FREE_END {
-            let slot =
-                u32::try_from(self.slots.len()).expect("event arena exceeds 2^31 live events");
-            assert!(slot < LANE_TAG, "event arena exceeds 2^31 live events");
+            let slot = u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&slot| slot != FREE_END)
+                .expect("event arena exceeds 2^32 - 1 live events");
             self.slots.push(Slot::Full(event));
             slot
         } else {
@@ -260,10 +289,14 @@ impl<E> EventQueue<E> {
             if let Some(lane) = self.lanes.iter().position(|l| l.delay == delay) {
                 let key = self.next_key(at);
                 let events = &mut self.lanes[lane].events;
-                events.push_back((key, event));
-                if events.len() == 1 {
-                    self.heap_push(key, LANE_TAG | lane as u32);
+                if events.is_empty() {
+                    self.lane_heads[lane] = key;
                 }
+                events.push_back(LaneEntry {
+                    at: at.as_nanos(),
+                    seq: key as u64,
+                    event,
+                });
                 return;
             }
         }
@@ -279,15 +312,16 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        // Heap entries at `now` predate everything in the now-lane;
-        // now-lane entries precede any strictly later heap entry.
-        let event = match self.heap_ord.first() {
-            Some(&top) if self.now_lane.is_empty() || (top >> 64) as u64 == self.now.as_nanos() => {
-                self.now = SimTime::from_nanos((top >> 64) as u64);
-                self.pop_top()
-            }
-            _ => self.now_lane.pop_front()?,
-        };
+        // Heap and lane entries at `now` predate everything in the
+        // now-lane; now-lane entries precede any strictly later entry.
+        let (key, source) = self.next_source();
+        let event =
+            if key != EMPTY && (self.now_lane.is_empty() || at_of(key) == self.now.as_nanos()) {
+                self.now = SimTime::from_nanos(at_of(key));
+                self.take_from(source)
+            } else {
+                self.now_lane.pop_front()?
+            };
         self.popped += 1;
         Some((self.now, event))
     }
@@ -306,13 +340,16 @@ impl<E> EventQueue<E> {
         out.push(first);
         let at_ns = at.as_nanos();
         loop {
-            // Same-instant peers: heap first (smaller seqs), then now-lane.
-            let event = match self.heap_ord.first() {
-                Some(&top) if (top >> 64) as u64 == at_ns => self.pop_top(),
-                _ => match self.now_lane.pop_front() {
+            // Same-instant peers: heap and lanes first (smaller seqs),
+            // then the now-lane.
+            let (key, source) = self.next_source();
+            let event = if key != EMPTY && at_of(key) == at_ns {
+                self.take_from(source)
+            } else {
+                match self.now_lane.pop_front() {
                     Some(event) => event,
                     None => break,
-                },
+                }
             };
             self.popped += 1;
             out.push(event);
@@ -323,9 +360,8 @@ impl<E> EventQueue<E> {
     /// The timestamp of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         if self.now_lane.is_empty() {
-            self.heap_ord
-                .first()
-                .map(|&ord| SimTime::from_nanos((ord >> 64) as u64))
+            let (key, _) = self.next_source();
+            (key != EMPTY).then(|| SimTime::from_nanos(at_of(key)))
         } else {
             Some(self.now)
         }
@@ -339,6 +375,7 @@ impl<E> EventQueue<E> {
         for lane in &mut self.lanes {
             lane.events.clear();
         }
+        self.lane_heads.fill(EMPTY);
         self.slots.clear();
         self.free_head = FREE_END;
     }
@@ -360,25 +397,37 @@ impl<E> EventQueue<E> {
         self.seq = seq;
     }
 
-    /// Removes and returns the event at the heap top: an arena event, or
-    /// the head of a delay lane, whose successor (if any) then takes the
-    /// top's place in one sift.
+    /// The smallest order key outside the now-lane ([`EMPTY`] if there
+    /// is none) and its source: [`HEAP`] for the heap top, else the lane
+    /// whose head it is.
     #[inline(always)]
-    fn pop_top(&mut self) -> E {
-        let slot = self.heap_slot[0];
-        if slot & LANE_TAG == 0 {
+    fn next_source(&self) -> (Ord128, usize) {
+        let mut min = self.heap_ord.first().copied().unwrap_or(EMPTY);
+        let mut source = HEAP;
+        for (lane, &head) in self.lane_heads.iter().enumerate() {
+            if head < min {
+                min = head;
+                source = lane;
+            }
+        }
+        (min, source)
+    }
+
+    /// Removes and returns the event [`EventQueue::next_source`] named:
+    /// the heap top (one sift), or a lane head, whose successor's key
+    /// (if any) becomes the lane's head key.
+    #[inline(always)]
+    fn take_from(&mut self, source: usize) -> E {
+        if source == HEAP {
             let slot = self.heap_pop_top();
             return self.take(slot);
         }
-        let events = &mut self.lanes[(slot ^ LANE_TAG) as usize].events;
-        let (_, event) = events.pop_front().expect("a lane in the heap is non-empty");
-        match events.front() {
-            Some(&(next, _)) => self.sift_down(0, next, slot),
-            None => {
-                self.heap_pop_top();
-            }
-        }
-        event
+        let events = &mut self.lanes[source].events;
+        let head = events
+            .pop_front()
+            .expect("a lane with a head key is non-empty");
+        self.lane_heads[source] = events.front().map_or(EMPTY, LaneEntry::key);
+        head.event
     }
 
     /// Pushes an order key + slot onto the 4-ary heap. Hole-based sift:
@@ -597,7 +646,7 @@ mod tests {
         q.schedule_after(Duration::from_nanos(4), "heap@4");
         q.schedule_after(Duration::from_nanos(10), "lane@10'");
         assert_eq!(q.len(), 4);
-        assert_eq!(q.heap_ord.len(), 3, "one lane head plus two arena events");
+        assert_eq!(q.heap_ord.len(), 2, "the two arena events, no lane entry");
         let (_, first) = q.pop().unwrap();
         assert_eq!(first, "heap@4");
         q.schedule_after(Duration::from_nanos(10), "lane@14"); // behind both lane@10s

@@ -108,13 +108,18 @@ proptest! {
     }
 }
 
-/// Declared lane delays for the laned-queue property: a zero (ignored)
-/// and a repeat (one lane) among them.
-const LANE_DELAYS: [u64; 4] = [3, 0, 7, 3];
+/// Declared lane delays for the laned-queue property: four lanes whose
+/// delays collide (3 + 5 = 8, 5 + 8 = 13, 5 + 3 + 5 = 13), so heads of
+/// different lanes land on one instant from different push instants,
+/// plus a zero (ignored) and a repeat (one lane) among them.
+const LANE_DELAYS: [u64; 6] = [3, 0, 5, 8, 13, 3];
 
 /// Delays `schedule_after` draws from: every declared delay, zero, and
 /// undeclared ones.
-const AFTER_DELAYS: [u64; 7] = [3, 7, 0, 3, 7, 2, 11];
+const AFTER_DELAYS: [u64; 9] = [3, 5, 8, 13, 0, 3, 5, 2, 11];
+
+/// The declared, non-zero lane delays.
+const DECLARED: [u64; 4] = [3, 5, 8, 13];
 
 /// The stable-sort model of the queue: pending `(at, arrival)` pairs,
 /// popped smallest first, plus the clock and the pop count.
@@ -158,12 +163,14 @@ impl Model {
 proptest! {
     /// A queue with delay lanes against the model, under random
     /// interleavings of `schedule_after` (declared, undeclared and zero
-    /// delays), `schedule_at`, `schedule_now`, `pop` and `pop_batch`,
+    /// delays), `schedule_at` (also onto the instant a lane event pushed
+    /// just before or after it lands on), `schedule_now`, `pop` and
+    /// `pop_batch`,
     /// for every sequence-counter start. Lanes may change cost, never
     /// order, and `len()` counts lane entries exactly.
     #[test]
     fn laned_queue_matches_model(
-        ops in proptest::collection::vec((0u8..9, 0u64..1_000), 1..200),
+        ops in proptest::collection::vec((0u8..10, 0u64..1_000), 1..200),
     ) {
         let lanes: Vec<Duration> = LANE_DELAYS.iter().map(|&d| Duration::from_nanos(d)).collect();
         for start in SEQ_STARTS {
@@ -190,6 +197,20 @@ proptest! {
                     6 | 7 => {
                         let real = q.pop().map(|(t, id)| (t.as_nanos(), id));
                         prop_assert_eq!(real, model.pop(), "pop, seq start {}", start);
+                    }
+                    8 => {
+                        // A lane event and a heap event pushed at the same
+                        // instant onto the same instant, in either order.
+                        let d = DECLARED[(arg / 2) as usize % DECLARED.len()];
+                        let at = model.now + d;
+                        for lane_first in [arg % 2 == 0, arg % 2 != 0] {
+                            let id = model.schedule(at);
+                            if lane_first {
+                                q.schedule_after(Duration::from_nanos(d), id);
+                            } else {
+                                q.schedule_at(SimTime::from_nanos(at), id);
+                            }
+                        }
                     }
                     _ => {
                         let real = q.pop_batch(&mut batch).map(|t| (t.as_nanos(), batch.clone()));

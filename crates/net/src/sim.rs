@@ -156,6 +156,11 @@ impl Driver for BatchDriver {
 // Events and world state
 // ---------------------------------------------------------------------------
 
+/// A simulator event: eight bytes, so the queue moves as little as
+/// possible per event (pinned below). Payloads that do not fit — a
+/// deferred driver call's coordinates and tag — wait in
+/// [`World::calls`], and the purifier site of a [`Event::PurifyDone`]
+/// is its comm's destination site.
 #[derive(Debug, Clone, Copy)]
 enum Event {
     /// The comm's head-of-line pair attempts injection at the source.
@@ -164,19 +169,27 @@ enum Event {
     TeleportDone { token: u32 },
     /// A wire may have produced pairs for its waiters.
     WireWake { edge: u32 },
-    /// A purifier unit finished a cascade job.
-    PurifyDone {
-        site: u32,
-        comm: u32,
-        ops: u32,
-        produces: bool,
-    },
+    /// A purifier unit at the comm's destination site finished a
+    /// cascade job of `ops` rounds (at most the validated depth cap, 20).
+    PurifyDone { comm: u32, ops: u8, produces: bool },
     /// The final data teleport of a communication finished.
     DataTeleportDone { comm: u32 },
     /// A communication with no surviving path is dropped (fault-aware
     /// topologies only).
     Dropped { comm: u32 },
-    /// A deferred driver submission.
+    /// A deferred driver call, by its slot in [`World::calls`].
+    Driver { call: u32 },
+}
+
+const _: () = assert!(std::mem::size_of::<Event>() == 8);
+
+/// A driver call deferred by [`SimApi::submit_after`] or
+/// [`SimApi::notify_after`]. Its payload would triple the size of
+/// [`Event`], and such calls are under 0.2% of a QFT run's events, so
+/// it waits in a slab of [`World`] and the event carries its slot.
+#[derive(Debug, Clone, Copy)]
+enum DriverCall {
+    /// A deferred submission.
     Submit { src: Coord, dst: Coord, tag: u64 },
     /// A driver timer.
     Notify { tag: u64 },
@@ -485,6 +498,12 @@ fn unpack_purify_job(word: u64) -> (u32, u32, bool) {
     )
 }
 
+/// A cascade's round count as [`Event::PurifyDone`] carries it.
+#[inline]
+fn cascade_ops(ops: u32) -> u8 {
+    u8::try_from(ops).expect("cascade depth fits u8")
+}
+
 /// Hasher for the route cache: keys are already well-mixed
 /// `(src << 32) | dst` pairs, so one multiply-rotate round suffices
 /// (no external hash crates in this workspace).
@@ -557,6 +576,10 @@ struct World<T: Topology, P: Probe> {
     /// nothing on the hot path.
     penalties: bool,
     queue: EventQueue<Event>,
+    /// Pending deferred driver calls, by the slot an [`Event::Driver`]
+    /// names; freed slots are reused through `free_calls`.
+    calls: Vec<DriverCall>,
+    free_calls: Vec<u32>,
     comms: Vec<Comm>,
     tokens: Vec<Token>,
     free_tokens: Vec<u32>,
@@ -622,12 +645,11 @@ impl<T: Topology, P: Probe> WorldApi for World<T, P> {
     }
 
     fn schedule_submit(&mut self, delay: Duration, src: Coord, dst: Coord, tag: u64) {
-        self.queue
-            .schedule_after(delay, Event::Submit { src, dst, tag });
+        self.defer(delay, DriverCall::Submit { src, dst, tag });
     }
 
     fn schedule_notify(&mut self, delay: Duration, tag: u64) {
-        self.queue.schedule_after(delay, Event::Notify { tag });
+        self.defer(delay, DriverCall::Notify { tag });
     }
 
     fn live_comms(&self) -> u64 {
@@ -775,9 +797,13 @@ impl<T: Topology, P: Probe> World<T, P> {
             bubble,
             fault_aware,
             penalties,
-            // Hop completions, most of all events, recur at two delays:
-            // straight and turning hops. Lanes keep them off the heap.
+            // Hop completions, three in four events of a QFT run, recur
+            // at two delays: straight and turning hops. Each delay gets a
+            // lane whose head sits beside the heap, so pushing or popping
+            // a hop completion never sifts the heap.
             queue: EventQueue::with_lanes(&[hop_time, turn_time + hop_time]),
+            calls: Vec::new(),
+            free_calls: Vec::new(),
             comms: Vec::new(),
             tokens: Vec::new(),
             free_tokens: Vec::new(),
@@ -807,6 +833,22 @@ impl<T: Topology, P: Probe> World<T, P> {
             comm_latency_us: Tally::new(),
             latency_samples: Vec::new(),
         }
+    }
+
+    /// Parks `call` in the slab and schedules its event after `delay`.
+    fn defer(&mut self, delay: Duration, call: DriverCall) {
+        let slot = match self.free_calls.pop() {
+            Some(slot) => {
+                self.calls[slot as usize] = call;
+                slot
+            }
+            None => {
+                self.calls.push(call);
+                u32::try_from(self.calls.len() - 1).expect("deferred driver calls fit u32")
+            }
+        };
+        self.queue
+            .schedule_after(delay, Event::Driver { call: slot });
     }
 
     fn submit(&mut self, src: Coord, dst: Coord, tag: u64) -> CommId {
@@ -1212,9 +1254,8 @@ impl<T: Topology, P: Probe> World<T, P> {
             self.queue.schedule_after(
                 job_dur,
                 Event::PurifyDone {
-                    site: site_idx as u32,
                     comm: comm_id,
-                    ops,
+                    ops: cascade_ops(ops),
                     produces,
                 },
             );
@@ -1226,7 +1267,8 @@ impl<T: Topology, P: Probe> World<T, P> {
         }
     }
 
-    fn purify_done(&mut self, site_idx: u32, comm_id: u32, ops: u32, produces: bool) {
+    fn purify_done(&mut self, comm_id: u32, ops: u8, produces: bool) {
+        let site_idx = self.comms[comm_id as usize].path.dst_site;
         self.purify_ops += u64::from(ops);
         if produces {
             self.purified_outputs += 1;
@@ -1259,9 +1301,8 @@ impl<T: Topology, P: Probe> World<T, P> {
             self.queue.schedule_after(
                 dur,
                 Event::PurifyDone {
-                    site: site_idx,
                     comm: c,
-                    ops,
+                    ops: cascade_ops(ops),
                     produces,
                 },
             );
@@ -1279,8 +1320,10 @@ impl<T: Topology, P: Probe> World<T, P> {
                 Event::PurifyDone { .. } => EventKind::PurifyDone,
                 Event::DataTeleportDone { .. } => EventKind::DataTeleportDone,
                 Event::Dropped { .. } => EventKind::Dropped,
-                Event::Submit { .. } => EventKind::Submit,
-                Event::Notify { .. } => EventKind::Notify,
+                Event::Driver { call } => match self.calls[call as usize] {
+                    DriverCall::Submit { .. } => EventKind::Submit,
+                    DriverCall::Notify { .. } => EventKind::Notify,
+                },
             };
             self.probe.on_event(self.queue.now().as_nanos(), kind);
         }
@@ -1295,13 +1338,10 @@ impl<T: Topology, P: Probe> World<T, P> {
             Event::TeleportDone { token } => self.teleport_done(token),
             Event::WireWake { edge } => self.wire_wake(edge as usize),
             Event::PurifyDone {
-                site,
                 comm,
                 ops,
                 produces,
-            } => {
-                self.purify_done(site, comm, ops, produces);
-            }
+            } => self.purify_done(comm, ops, produces),
             Event::DataTeleportDone { comm } => {
                 let done = {
                     let c = &mut self.comms[comm as usize];
@@ -1361,11 +1401,17 @@ impl<T: Topology, P: Probe> World<T, P> {
                 }
                 driver.on_complete(done, &mut SimApi { world: self });
             }
-            Event::Submit { src, dst, tag } => {
-                let _ = World::submit(self, src, dst, tag);
-            }
-            Event::Notify { tag } => {
-                driver.on_notify(tag, &mut SimApi { world: self });
+            Event::Driver { call } => {
+                let deferred = self.calls[call as usize];
+                self.free_calls.push(call);
+                match deferred {
+                    DriverCall::Submit { src, dst, tag } => {
+                        let _ = World::submit(self, src, dst, tag);
+                    }
+                    DriverCall::Notify { tag } => {
+                        driver.on_notify(tag, &mut SimApi { world: self });
+                    }
+                }
             }
         }
     }

@@ -91,28 +91,6 @@ fn waveform_dump_path() {
     assert_eq!(fp.diameter_cells(), route.total_cells);
 }
 
-/// `examples/qft_contention.rs`: the Figure 16 sweep at Tiny scale via
-/// the Scenario API, with the paper's qualitative ordering intact.
-#[test]
-fn qft_contention_path() {
-    use qic::core::experiment::{figure16_from_campaign, Fig16Scale};
-    let report = qic::run(&fig16_spec(Fig16Scale::Tiny)).expect("figure presets validate");
-    let result = figure16_from_campaign(Fig16Scale::Tiny, &report.report);
-    assert!(!result.points.is_empty());
-    for p in &result.points {
-        assert!(
-            p.home_base >= 1.0,
-            "{}: constrained >= unlimited baseline",
-            p.label
-        );
-        assert!(
-            p.mobile >= 1.0,
-            "{}: constrained >= unlimited baseline",
-            p.label
-        );
-    }
-}
-
 /// `examples/topology_faceoff.rs`: the fabric metadata table, the
 /// topology × routing scenario at Tiny scale, and its worker-count
 /// independence.

@@ -84,21 +84,3 @@ fn starving_any_resource_slows_the_machine() {
     assert!(run(32, 2, 16) > rich, "generator starvation");
     assert!(run(32, 32, 1) > rich, "purifier starvation");
 }
-
-#[test]
-fn figure16_reproduces_paper_shape_at_tiny_scale() {
-    use qic::core::experiment::{figure16_from_campaign, Fig16Scale};
-    use qic::core::scenario::fig16_spec;
-    let report = qic::run(&fig16_spec(Fig16Scale::Tiny)).expect("figure presets validate");
-    let result = figure16_from_campaign(Fig16Scale::Tiny, &report.report);
-    // All constrained configs are slower than the unlimited baseline.
-    for p in &result.points {
-        assert!(p.home_base >= 1.0);
-        assert!(p.mobile >= 1.0);
-    }
-    // The extreme purifier squeeze hurts Mobile at least as much as the
-    // moderate one (the paper's 4p-vs-8p observation).
-    let g4 = result.points.iter().find(|p| p.label == "t=g=4p").unwrap();
-    let g8 = result.points.iter().find(|p| p.label == "t=g=8p").unwrap();
-    assert!(g8.mobile >= g4.mobile);
-}
