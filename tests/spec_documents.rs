@@ -19,7 +19,10 @@ use qic::core::Layout;
 use qic::fault::{FaultPlan, Hotspot};
 use qic::modular::{Interconnect, ModularSpec};
 use qic::prelude::{PairMetric, PurifyPlacement, RoutingPolicy, TopologyKind};
+use qic::serve::CacheDir;
 use qic::sweep::json::{get, obj, Json};
+use qic::sweep::{Axis, AxisValue, CampaignReport, Metrics, PointReport};
+use qic::{RunOptions, ScenarioProgress};
 
 const GOLDEN: &str = "tests/golden/spec_documents.jsonl";
 
@@ -337,4 +340,179 @@ fn the_cases_cover_every_axis_workload_and_block() {
     assert!(machines.iter().any(|m| m.modular.is_some()));
     assert!(specs.iter().any(|s| s.observe.is_some()));
     assert!(specs.iter().any(|s| s.checkpoint.is_some()));
+}
+
+// --- Record documents ------------------------------------------------------
+//
+// The campaign record, the checkpoint manifest and the serve cache
+// record are compared elsewhere only against other outputs of the same
+// build (shard/merge, kill/resume, cache hits), which a codec change
+// that moves a byte on both sides would pass. `tests/golden/
+// record_documents.jsonl` pins one line per case:
+// `{"case": …, "document": …}`.
+
+const RECORD_GOLDEN: &str = "tests/golden/record_documents.jsonl";
+
+/// The SmallTest preset the record cases run.
+fn record_preset() -> ScenarioSpec {
+    ScenarioRegistry::builtin()
+        .spec("synthetic_stress", ScenarioScale::SmallTest)
+        .expect("a registered preset")
+}
+
+fn record_tmp_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join("record_documents")
+        .join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create tmp dir");
+    dir
+}
+
+/// A record whose replicates carry `-0.0`, `NaN`, `±Inf` and the
+/// smallest subnormal, on a non-finite `F64` axis value.
+fn hostile_floats_report() -> CampaignReport {
+    let point = PointReport::from_replicates(
+        0,
+        vec![("rate".into(), AxisValue::F64(f64::NEG_INFINITY))],
+        vec![
+            Metrics::new()
+                .with("neg_zero", -0.0)
+                .with("nan", f64::NAN)
+                .with("inf", f64::INFINITY)
+                .with("ninf", f64::NEG_INFINITY)
+                .with("tiny", 5e-324),
+            Metrics::new()
+                .with("neg_zero", -0.0)
+                .with("tiny", 0.1 + 0.2),
+        ],
+    );
+    CampaignReport {
+        name: "hostile \"floats\"".into(),
+        seed: u64::MAX,
+        replicates: 2,
+        axes: vec![Axis::list(
+            "rate",
+            vec![
+                AxisValue::F64(f64::NEG_INFINITY),
+                AxisValue::F64(f64::NAN),
+                AxisValue::F64(-0.0),
+                AxisValue::Int(i64::MIN),
+                AxisValue::Text("Inf".into()),
+            ],
+        )],
+        points: vec![point],
+        wall_ns: vec![0],
+    }
+}
+
+/// Runs at most `budget` more points of the checkpointed preset in
+/// `dir` and returns the manifest of the partly finished campaign.
+fn partial_manifest(dir: &std::path::Path, budget: usize) -> String {
+    let spec = record_preset()
+        .with_checkpoint(CheckpointSpec::to_dir(dir.display().to_string()).with_every(1));
+    let opts = RunOptions {
+        budget: Some(budget),
+        ..RunOptions::default()
+    };
+    let progress = qic::run_with(&spec, &opts).expect("a budgeted run");
+    assert!(matches!(progress, ScenarioProgress::Partial { .. }));
+    let text = std::fs::read_to_string(dir.join("synthetic_stress.ckpt.json")).unwrap();
+    text.strip_suffix('\n')
+        .expect("one manifest line")
+        .to_string()
+}
+
+/// Every record case, in file order, as `(case, document bytes)`.
+fn record_cases() -> Vec<(String, String)> {
+    let spec = record_preset();
+    let report = qic::run(&spec).expect("the preset runs").report;
+    let cache = CacheDir::open(record_tmp_dir("cache")).unwrap();
+    let stored = std::fs::read_to_string(cache.store(&spec, &report).unwrap()).unwrap();
+    vec![
+        (
+            "campaign_record/synthetic_stress/small_test".into(),
+            report.to_record_json(),
+        ),
+        (
+            "campaign_record/hostile_floats".into(),
+            hostile_floats_report().to_record_json(),
+        ),
+        (
+            "checkpoint_manifest/synthetic_stress/partial".into(),
+            partial_manifest(&record_tmp_dir("manifest"), 1),
+        ),
+        ("cache_record/synthetic_stress/small_test".into(), stored),
+    ]
+}
+
+fn record_line(case: &str, document: &str) -> String {
+    obj(vec![
+        ("case", Json::Str(case.into())),
+        (
+            "document",
+            Json::parse(document).expect("emitted documents parse"),
+        ),
+    ])
+    .emit()
+}
+
+#[test]
+fn record_documents_match_the_pinned_bytes_and_decode_back() {
+    let path = format!("{}/{RECORD_GOLDEN}", env!("CARGO_MANIFEST_DIR"));
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden file {path}: {e}"));
+    let lines: Vec<&str> = golden.lines().collect();
+    let cases = record_cases();
+    assert_eq!(lines.len(), cases.len(), "one golden line per case");
+    let mut pinned = Vec::new();
+    for ((case, document), line) in cases.iter().zip(lines) {
+        let doc = Json::parse(line).unwrap_or_else(|e| panic!("{case}: {e}"));
+        let fields = doc.obj_of("golden line").unwrap();
+        assert_eq!(
+            get(fields, "case", "golden line")
+                .unwrap()
+                .str_of("case")
+                .unwrap(),
+            case,
+            "case order"
+        );
+        assert_eq!(line, record_line(case, document), "{case}: line drifted");
+        let bytes = get(fields, "document", "golden line").unwrap().emit();
+        assert_eq!(document, &bytes, "{case}: document bytes drifted");
+        pinned.push(bytes);
+    }
+
+    // Each pinned document decodes and re-emits unchanged.
+    for record in &pinned[..2] {
+        let back = CampaignReport::from_record_json(record).expect("pinned records decode");
+        assert_eq!(&back.to_record_json(), record, "record re-emit drifted");
+    }
+
+    // The pinned manifest resumes: a zero-point run accepts it as one
+    // point done, and one more point writes the manifest a fresh
+    // two-point run writes, so its pinned point re-encodes unchanged.
+    let resumed = record_tmp_dir("manifest_resumed");
+    let manifest = resumed.join("synthetic_stress.ckpt.json");
+    std::fs::write(&manifest, format!("{}\n", pinned[2])).unwrap();
+    assert_eq!(partial_manifest(&resumed, 0), pinned[2]);
+    let fresh = partial_manifest(&record_tmp_dir("manifest_fresh"), 2);
+    assert_eq!(
+        partial_manifest(&resumed, 1),
+        fresh,
+        "resumed manifest drifted"
+    );
+
+    // The pinned cache record is a hit, and storing the report it
+    // serves writes the same bytes back.
+    let spec = record_preset();
+    let cache = CacheDir::open(record_tmp_dir("cache_pinned")).unwrap();
+    let file = cache.path_of(SpecDigest::of(&spec));
+    std::fs::write(&file, &pinned[3]).unwrap();
+    let report = cache
+        .load(&spec)
+        .unwrap()
+        .expect("the pinned record is a hit");
+    cache.store(&spec, &report).unwrap();
+    assert_eq!(std::fs::read_to_string(&file).unwrap(), pinned[3]);
 }
