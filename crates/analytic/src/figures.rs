@@ -118,6 +118,10 @@ impl PairMetric {
     }
 }
 
+qic_sweep::json::labels! {
+    PairMetric: "metric", label;
+}
+
 /// The Figure 10–12 per-point evaluation: the chosen pair budget of a
 /// `hops`-teleport channel under `model`, `f64::INFINITY` when the plan
 /// is infeasible or exceeds [`PAIR_COUNT_CAP`].

@@ -112,6 +112,10 @@ impl PurifyPlacement {
     }
 }
 
+qic_sweep::json::labels! {
+    PurifyPlacement: "placement", label;
+}
+
 impl Default for PurifyPlacement {
     /// The paper's recommendation is virtual-wire + endpoint purification;
     /// one virtual-wire round is the default channel configuration.

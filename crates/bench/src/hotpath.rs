@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::{Duration as WallDuration, Instant};
 
-use qic_des::json::{get, get_opt, Json, JsonError};
+use qic_des::json::{record, Field, Json};
 
 /// Regression tolerance, in percent, applied by [`gate`].
 pub const TOLERANCE_PCT: f64 = 15.0;
@@ -90,6 +90,19 @@ pub struct BenchEntry {
     pub note: String,
 }
 
+/// The committed file's fields, as [`Trajectory::parse`] reads them.
+/// `tolerance_pct` is read and ignored: [`gate`] applies [`TOLERANCE_PCT`].
+struct Document {
+    schema: String,
+    tolerance_pct: f64,
+    benches: BTreeMap<String, Vec<BenchEntry>>,
+}
+
+record! {
+    Document "trajectory" { schema, #[optional] tolerance_pct, benches }
+    BenchEntry "entry" { median_ns, samples, date, git_rev, note }
+}
+
 /// The committed trajectory: bench name → history, oldest first.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trajectory {
@@ -126,7 +139,7 @@ impl Trajectory {
                 let _ = write!(
                     out,
                     "      {{ \"median_ns\": {}, \"samples\": {}, \"date\": {}, \"git_rev\": {}, \"note\": {} }}",
-                    fmt_f64(e.median_ns),
+                    Json::Float(e.median_ns).emit(),
                     e.samples,
                     Json::Str(e.date.clone()).emit(),
                     Json::Str(e.git_rev.clone()).emit(),
@@ -144,49 +157,19 @@ impl Trajectory {
     ///
     /// # Errors
     ///
-    /// Returns a message if the text is not valid JSON or does not carry
-    /// the expected [`SCHEMA`] marker and field types.
+    /// Returns a message if the text is not valid JSON, does not carry
+    /// the expected [`SCHEMA`] marker and field types, or has an unknown
+    /// or duplicate field.
     pub fn parse(text: &str) -> Result<Trajectory, String> {
-        let value = Json::parse(text).map_err(|e| e.to_string())?;
-        let top = value.obj_of("trajectory").map_err(|e| e.to_string())?;
-        match get_opt(top, "schema") {
-            Some(Json::Str(s)) if s == SCHEMA => {}
-            other => return Err(format!("unexpected schema marker {other:?}")),
-        }
-        let raw = get(top, "benches", "trajectory")
-            .and_then(|b| b.obj_of("benches"))
+        let doc = Json::parse(text)
+            .and_then(|v| Document::decode(&v, "trajectory"))
             .map_err(|e| e.to_string())?;
-        let mut benches = BTreeMap::new();
-        for (name, history) in raw {
-            let entries = history
-                .arr_of("history")
-                .and_then(|list| list.iter().map(entry_of).collect())
-                .map_err(|e| format!("bench {name:?}: {e}"))?;
-            benches.insert(name.clone(), entries);
+        if doc.schema != SCHEMA {
+            return Err(format!("unexpected schema marker {:?}", doc.schema));
         }
-        Ok(Trajectory { benches })
-    }
-}
-
-/// Decodes one history entry of the committed format.
-fn entry_of(item: &Json) -> Result<BenchEntry, JsonError> {
-    let fields = item.obj_of("entry")?;
-    let text = |key: &str| get(fields, key, "entry")?.str_of(key).map(str::to_string);
-    Ok(BenchEntry {
-        median_ns: get(fields, "median_ns", "entry")?.f64_of("median_ns")?,
-        samples: get(fields, "samples", "entry")?.u32_of("samples")?,
-        date: text("date")?,
-        git_rev: text("git_rev")?,
-        note: text("note")?,
-    })
-}
-
-/// Formats an f64 so it round-trips (integral values keep a `.0`).
-fn fmt_f64(x: f64) -> String {
-    if x == x.trunc() && x.abs() < 1e15 {
-        format!("{x:.1}")
-    } else {
-        format!("{x}")
+        Ok(Trajectory {
+            benches: doc.benches,
+        })
     }
 }
 

@@ -13,8 +13,8 @@ use qic_physics::error::ErrorRates;
 use qic_sweep::{Axis, CheckpointError, ParamSpace};
 use qic_workload::Program;
 
-use super::codec::Field;
 use crate::layout::Layout;
+use qic_sweep::json::Field;
 use qic_sweep::json::{Json, JsonError};
 
 /// A named base network configuration a [`MachineSpec`] starts from.

@@ -1,25 +1,42 @@
-//! A minimal, deterministic JSON value model for strict codecs.
+//! A minimal, deterministic JSON value model, and the table codec every
+//! document is generated from.
 //!
 //! Every JSON document the workspace writes or reads goes through this
 //! model: scenario specs (`qic-core`), campaign records and checkpoint
-//! manifests (`qic-sweep`), cache records and service requests (`qic-serve`), the bench trajectory
-//! (`qic-bench`) and the trace validators (`qic-probe`). It lives here,
-//! at the bottom of the crate graph, so each of them can use it;
-//! `qic_sweep::json` re-exports it under its established path. It is
-//! deliberately small:
+//! manifests (`qic-sweep`), cache records and service requests
+//! (`qic-serve`), the bench trajectory (`qic-bench`) and the trace
+//! validators (`qic-probe`). It lives here, at the bottom of the crate
+//! graph, so each of them can use it; `qic_sweep::json` re-exports it
+//! under its established path. It is deliberately small:
 //!
 //! * integers are kept apart from floats (`i128` holds every `u64`
 //!   seed and every `i64` ratio losslessly);
 //! * floats emit with Rust's shortest-roundtrip `Display`, so
 //!   `parse(emit(x)) == x` bit-for-bit (including `-0.0`; non-finite
-//!   values emit as `null` — codecs that must round-trip them encode
-//!   strings instead);
+//!   values emit as `null` — lossless records use [`Exact`] instead);
 //! * objects preserve insertion order, making emission deterministic;
 //! * decoding is strict: [`check_fields`] rejects unknown and duplicate
 //!   fields, so a typo can never silently configure nothing.
+//!
+//! # The table codec
+//!
+//! [`Field`] converts one value to and from [`Json`]. [`record!`]
+//! derives it for a struct from one table of its fields, [`tagged!`]
+//! for an enum from one row per variant, and [`labels!`] for types
+//! written as a label string; a few types with no fixed field list
+//! ([`Metrics`], `qic_sweep::AxisValue`) write theirs by hand. The
+//! scenario spec, the campaign record, the checkpoint manifest, the
+//! serve cache record and the bench trajectory are all tables, so each
+//! states its fields once and its encoder, decoder and strict field
+//! check cannot drift apart. Three rules are written here once: the
+//! bit-exact float ([`Exact`]), the `record`/`version` envelope of
+//! versioned documents ([`check_envelope`]) and strict field checking.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
+
+use crate::metrics::Metrics;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,59 +96,41 @@ impl Json {
         }
     }
 
-    /// The value as a `u64`.
-    pub fn u64_of(&self, ctx: &str) -> Result<u64, JsonError> {
+    /// The value as an integer of type `T`, named `ty` in the range
+    /// error.
+    fn int_of<T: TryFrom<i128>>(&self, ctx: &str, ty: &str) -> Result<T, JsonError> {
         match self {
-            Json::Int(v) => u64::try_from(*v)
-                .map_err(|_| Json::schema_err(format!("{ctx}: {v} out of u64 range"))),
+            Json::Int(v) => T::try_from(*v)
+                .map_err(|_| Json::schema_err(format!("{ctx}: {v} out of {ty} range"))),
             other => Err(Json::schema_err(format!(
                 "{ctx}: expected an integer, got {other:?}"
             ))),
         }
+    }
+
+    /// The value as a `u64`.
+    pub fn u64_of(&self, ctx: &str) -> Result<u64, JsonError> {
+        self.int_of(ctx, "u64")
     }
 
     /// The value as a `u32`.
     pub fn u32_of(&self, ctx: &str) -> Result<u32, JsonError> {
-        match self {
-            Json::Int(v) => u32::try_from(*v)
-                .map_err(|_| Json::schema_err(format!("{ctx}: {v} out of u32 range"))),
-            other => Err(Json::schema_err(format!(
-                "{ctx}: expected an integer, got {other:?}"
-            ))),
-        }
+        self.int_of(ctx, "u32")
     }
 
     /// The value as a `u16`.
     pub fn u16_of(&self, ctx: &str) -> Result<u16, JsonError> {
-        match self {
-            Json::Int(v) => u16::try_from(*v)
-                .map_err(|_| Json::schema_err(format!("{ctx}: {v} out of u16 range"))),
-            other => Err(Json::schema_err(format!(
-                "{ctx}: expected an integer, got {other:?}"
-            ))),
-        }
+        self.int_of(ctx, "u16")
     }
 
     /// The value as an `i64`.
     pub fn i64_of(&self, ctx: &str) -> Result<i64, JsonError> {
-        match self {
-            Json::Int(v) => i64::try_from(*v)
-                .map_err(|_| Json::schema_err(format!("{ctx}: {v} out of i64 range"))),
-            other => Err(Json::schema_err(format!(
-                "{ctx}: expected an integer, got {other:?}"
-            ))),
-        }
+        self.int_of(ctx, "i64")
     }
 
     /// The value as an `i32`.
     pub fn i32_of(&self, ctx: &str) -> Result<i32, JsonError> {
-        match self {
-            Json::Int(v) => i32::try_from(*v)
-                .map_err(|_| Json::schema_err(format!("{ctx}: {v} out of i32 range"))),
-            other => Err(Json::schema_err(format!(
-                "{ctx}: expected an integer, got {other:?}"
-            ))),
-        }
+        self.int_of(ctx, "i32")
     }
 
     /// The value as an `f64`; integer literals widen (a hand-written
@@ -158,13 +157,7 @@ impl Json {
 
     /// The value as a `usize`.
     pub fn usize_of(&self, ctx: &str) -> Result<usize, JsonError> {
-        match self {
-            Json::Int(v) => usize::try_from(*v)
-                .map_err(|_| Json::schema_err(format!("{ctx}: {v} out of usize range"))),
-            other => Err(Json::schema_err(format!(
-                "{ctx}: expected an integer, got {other:?}"
-            ))),
-        }
+        self.int_of(ctx, "usize")
     }
 
     /// The value as an array's item list.
@@ -267,7 +260,7 @@ impl Json {
 }
 
 /// Writes `s` as a JSON string literal.
-fn write_str(s: &str, out: &mut String) {
+pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -568,6 +561,418 @@ impl Parser<'_> {
     }
 }
 
+// --- Table codec -------------------------------------------------------------
+
+/// A value with a JSON form: what the table codec is built from.
+pub trait Field: Sized {
+    /// The value as JSON.
+    fn encode(&self) -> Json;
+    /// Reads the value back; `ctx` names it in error messages.
+    fn decode(v: &Json, ctx: &str) -> Result<Self, JsonError>;
+}
+
+/// Numbers and booleans: `$of` reads one back, widening `as` writes it.
+macro_rules! scalars {
+    ($($ty:ty => $of:ident, $json:ident as $wide:ty;)*) => {$(
+        impl Field for $ty {
+            fn encode(&self) -> Json {
+                Json::$json(*self as $wide)
+            }
+            fn decode(v: &Json, ctx: &str) -> Result<Self, JsonError> {
+                v.$of(ctx)
+            }
+        }
+    )*};
+}
+
+scalars! {
+    u16 => u16_of, Int as i128;
+    u32 => u32_of, Int as i128;
+    u64 => u64_of, Int as i128;
+    i32 => i32_of, Int as i128;
+    i64 => i64_of, Int as i128;
+    usize => usize_of, Int as i128;
+    f64 => f64_of, Float as f64;
+    bool => bool_of, Bool as bool;
+}
+
+impl Field for String {
+    fn encode(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn decode(v: &Json, ctx: &str) -> Result<Self, JsonError> {
+        v.str_of(ctx).map(str::to_string)
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn encode(&self) -> Json {
+        Json::Arr(self.iter().map(T::encode).collect())
+    }
+    fn decode(v: &Json, ctx: &str) -> Result<Self, JsonError> {
+        v.arr_of(ctx)?.iter().map(|x| T::decode(x, ctx)).collect()
+    }
+}
+
+/// A present value is set; absence is the `#[optional]` rule's business.
+impl<T: Field> Field for Option<T> {
+    fn encode(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::encode)
+    }
+    fn decode(v: &Json, ctx: &str) -> Result<Self, JsonError> {
+        T::decode(v, ctx).map(Some)
+    }
+}
+
+impl<T: Field> Field for Box<T> {
+    fn encode(&self) -> Json {
+        T::encode(self)
+    }
+    fn decode(v: &Json, ctx: &str) -> Result<Self, JsonError> {
+        T::decode(v, ctx).map(Box::new)
+    }
+}
+
+/// A two-element array.
+impl<A: Field, B: Field> Field for (A, B) {
+    fn encode(&self) -> Json {
+        Json::Arr(vec![self.0.encode(), self.1.encode()])
+    }
+    fn decode(v: &Json, ctx: &str) -> Result<Self, JsonError> {
+        match v.arr_of(ctx)? {
+            [a, b] => Ok((A::decode(a, ctx)?, B::decode(b, ctx)?)),
+            _ => Err(Json::schema_err(format!(
+                "{ctx}: expected a two-item array"
+            ))),
+        }
+    }
+}
+
+/// An object with one field per key, in key order.
+impl<T: Field> Field for BTreeMap<String, T> {
+    fn encode(&self) -> Json {
+        Json::Obj(self.iter().map(|(k, v)| (k.clone(), v.encode())).collect())
+    }
+    fn decode(v: &Json, ctx: &str) -> Result<Self, JsonError> {
+        let mut out = BTreeMap::new();
+        for (key, value) in v.obj_of(ctx)? {
+            let value = T::decode(value, key)?;
+            if out.insert(key.clone(), value).is_some() {
+                return Err(Json::schema_err(format!("{ctx}: duplicate field {key:?}")));
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// Metric names are the keys; values are [`Exact`].
+impl Field for Metrics {
+    fn encode(&self) -> Json {
+        Json::Obj(
+            self.iter()
+                .map(|(k, v)| (k.to_string(), v.to_exact()))
+                .collect(),
+        )
+    }
+    fn decode(v: &Json, _: &str) -> Result<Self, JsonError> {
+        let mut m = Metrics::new();
+        for (name, v) in v.obj_of("replicate metrics")? {
+            if m.get(name).is_some() {
+                return Err(Json::schema_err(format!(
+                    "replicate metrics: duplicate metric {name:?}"
+                )));
+            }
+            m.push(name.clone(), f64::from_exact(v, "metric value")?);
+        }
+        Ok(m)
+    }
+}
+
+/// Bit-exact floats, the `#[exact]` row kind of lossless records: a
+/// finite value rides the shortest-roundtrip literal (`-0.0` keeps its
+/// sign); a non-finite one, which a JSON number cannot carry, is the
+/// tagged string `"NaN"`, `"Inf"` or `"-Inf"`. An absent `Option` is
+/// `null`.
+pub trait Exact: Sized {
+    /// The value as JSON.
+    fn to_exact(&self) -> Json;
+    /// Reads the value back; `ctx` names it in error messages.
+    fn from_exact(v: &Json, ctx: &str) -> Result<Self, JsonError>;
+}
+
+impl Exact for f64 {
+    fn to_exact(&self) -> Json {
+        match *self {
+            v if v.is_finite() => Json::Float(v),
+            v if v.is_nan() => Json::Str("NaN".into()),
+            v if v > 0.0 => Json::Str("Inf".into()),
+            _ => Json::Str("-Inf".into()),
+        }
+    }
+    fn from_exact(v: &Json, ctx: &str) -> Result<Self, JsonError> {
+        match v {
+            Json::Str(s) => match s.as_str() {
+                "NaN" => Ok(f64::NAN),
+                "Inf" => Ok(f64::INFINITY),
+                "-Inf" => Ok(f64::NEG_INFINITY),
+                other => Err(Json::schema_err(format!(
+                    "{ctx}: expected a number or NaN/Inf/-Inf, got {other:?}"
+                ))),
+            },
+            v => v.f64_of(ctx),
+        }
+    }
+}
+
+impl Exact for Option<f64> {
+    fn to_exact(&self) -> Json {
+        self.map_or(Json::Null, |v| v.to_exact())
+    }
+    fn from_exact(v: &Json, ctx: &str) -> Result<Self, JsonError> {
+        match v {
+            Json::Null => Ok(None),
+            v => f64::from_exact(v, ctx).map(Some),
+        }
+    }
+}
+
+/// An object's fields, as the table codec builds them.
+pub type Fields = Vec<(String, Json)>;
+
+/// Appends `key: value` (a table row).
+pub fn put<T: Field>(out: &mut Fields, key: &str, value: &T) {
+    out.push((key.to_string(), value.encode()));
+}
+
+/// Appends `key: value` unless `value` is its type's `Default` (an
+/// `#[optional]` row).
+pub fn put_optional<T: Field + Default + PartialEq>(out: &mut Fields, key: &str, value: &T) {
+    if *value != T::default() {
+        put(out, key, value);
+    }
+}
+
+/// Reads the required field `key` of an object named `ctx`.
+///
+/// # Errors
+///
+/// A schema error when the field is missing or does not decode.
+pub fn take<T: Field>(fields: &[(String, Json)], key: &str, ctx: &str) -> Result<T, JsonError> {
+    T::decode(get(fields, key, ctx)?, key)
+}
+
+/// Reads the field `key`, or `Default` when it is absent.
+///
+/// # Errors
+///
+/// A schema error when the field is present and does not decode.
+pub fn take_optional<T: Field + Default>(
+    fields: &[(String, Json)],
+    key: &str,
+) -> Result<T, JsonError> {
+    get_opt(fields, key).map_or_else(|| Ok(T::default()), |v| T::decode(v, key))
+}
+
+/// Checks a versioned document's `record` tag, then its `version`.
+///
+/// # Errors
+///
+/// A schema error naming `ctx` on a missing or wrong tag, or on any
+/// version other than `version`.
+pub fn check_envelope(
+    fields: &[(String, Json)],
+    tag: &str,
+    version: u32,
+    ctx: &str,
+) -> Result<(), JsonError> {
+    let found = get(fields, "record", ctx)?.str_of("record")?;
+    if found != tag {
+        return Err(Json::schema_err(format!(
+            "{ctx}: unexpected record tag {found:?}, expected {tag:?}"
+        )));
+    }
+    let found = get(fields, "version", ctx)?.u32_of("version")?;
+    if found != version {
+        return Err(Json::schema_err(format!(
+            "{ctx}: version {found}, this build reads version {version}"
+        )));
+    }
+    Ok(())
+}
+
+/// Derives [`Field`] for structs from one table per struct:
+///
+/// ```text
+/// record! {
+///     Type "ctx" envelope "tag" VERSION {
+///         field, #[optional] field, #[exact] field, field as "key",
+///         …; derived = expr, …
+///     }
+/// }
+/// ```
+///
+/// Rows are in emission order, and `ctx` names the object in error
+/// messages. Each row names a field once; its encoder, decoder and
+/// [`check_fields`] entry all come from that mention, and the decoder
+/// builds a struct literal, so a field missing from a table fails to
+/// compile.
+///
+/// * `#[optional]`: emitted only when it differs from `Default`, and
+///   `Default` when absent, so blocks later schemas added stay out of
+///   older documents byte for byte.
+/// * `#[exact]`: an [`Exact`] float.
+/// * `as "key"`: the document's name for the field.
+/// * `envelope "tag" VERSION`: the document opens with
+///   `"record": "tag", "version": VERSION`, and decoding checks both
+///   ([`check_envelope`]).
+/// * Fields after `;` are not in the document: decoding computes them
+///   from the fields read before.
+#[macro_export]
+macro_rules! record {
+    (@put optional $out:ident, $key:expr, $v:expr) => {
+        $crate::json::put_optional(&mut $out, $key, $v)
+    };
+    (@put exact $out:ident, $key:expr, $v:expr) => {
+        $out.push(($key.to_string(), $crate::json::Exact::to_exact($v)))
+    };
+    (@put $out:ident, $key:expr, $v:expr) => {
+        $crate::json::put(&mut $out, $key, $v)
+    };
+    (@take optional $f:ident, $key:expr, $ctx:literal) => {
+        $crate::json::take_optional($f, $key)
+    };
+    (@take exact $f:ident, $key:expr, $ctx:literal) => {
+        $crate::json::Exact::from_exact($crate::json::get($f, $key, $ctx)?, $key)
+    };
+    (@take $f:ident, $key:expr, $ctx:literal) => {
+        $crate::json::take($f, $key, $ctx)
+    };
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+    // Names the envelope's `record` key; taking `$tag` lets it sit in
+    // the optional envelope group.
+    (@record $tag:literal) => { "record" };
+    ($($ty:ident $ctx:literal $(envelope $tag:literal $version:ident)? {
+        $($(#[$opt:ident])? $field:ident $(as $key:literal)?),* $(,)?
+        $(; $($derived:ident = $init:expr),* $(,)?)?
+    })*) => {$(
+        impl $crate::json::Field for $ty {
+            fn encode(&self) -> $crate::json::Json {
+                let mut out = Vec::with_capacity([$(stringify!($field)),*].len() + 2);
+                $(
+                    out.push(("record".into(), $crate::json::Json::Str($tag.into())));
+                    $crate::json::put(&mut out, "version", &$version);
+                )?
+                $($crate::record!(
+                    @put $($opt)? out, $crate::record!(@key $field $($key)?), &self.$field
+                );)*
+                $crate::json::Json::Obj(out)
+            }
+            fn decode(
+                v: &$crate::json::Json,
+                _: &str,
+            ) -> Result<Self, $crate::json::JsonError> {
+                let f = v.obj_of($ctx)?;
+                $crate::json::check_fields(
+                    f,
+                    &[
+                        $($crate::record!(@record $tag), "version",)?
+                        $($crate::record!(@key $field $($key)?)),*
+                    ],
+                    $ctx,
+                )?;
+                $($crate::json::check_envelope(f, $tag, $version, $ctx)?;)?
+                $(let $field = $crate::record!(
+                    @take $($opt)? f, $crate::record!(@key $field $($key)?), $ctx
+                )?;)*
+                $($(let $derived = $init;)*)?
+                Ok($ty { $($field,)* $($($derived,)*)? })
+            }
+        }
+    )*};
+}
+
+/// Derives [`Field`] for enums from one row per variant:
+/// `Type "ctx" "tag" { Variant "value" { field, … }, … }`. The `tag`
+/// field carries the variant's value and comes first. A row may add
+/// `=> "name"` after the value; the table then also generates
+/// `axis_name`, the campaign axis each variant sweeps.
+#[macro_export]
+macro_rules! tagged {
+    ($ty:ident $ctx:literal $tag:literal {
+        $($variant:ident $value:literal => $name:literal { $($field:ident),* }),* $(,)?
+    }) => {
+        $crate::tagged!($ty $ctx $tag { $($variant $value { $($field),* }),* });
+        impl $ty {
+            /// The campaign axis this variant sweeps.
+            pub(crate) fn axis_name(&self) -> &'static str {
+                match self {
+                    $($ty::$variant { .. } => $name),*
+                }
+            }
+        }
+    };
+    ($ty:ident $ctx:literal $tag:literal {
+        $($variant:ident $value:literal { $($field:ident),* }),* $(,)?
+    }) => {
+        impl $crate::json::Field for $ty {
+            fn encode(&self) -> $crate::json::Json {
+                let mut out = Vec::with_capacity(4);
+                match self {
+                    $($ty::$variant { $($field),* } => {
+                        out.push(($tag.to_string(), $crate::json::Json::Str($value.into())));
+                        $($crate::json::put(&mut out, stringify!($field), $field);)*
+                    })*
+                }
+                $crate::json::Json::Obj(out)
+            }
+            fn decode(
+                v: &$crate::json::Json,
+                _: &str,
+            ) -> Result<Self, $crate::json::JsonError> {
+                let f = v.obj_of($ctx)?;
+                match $crate::json::get(f, $tag, $ctx)?.str_of($tag)? {
+                    $($value => {
+                        $crate::json::check_fields(f, &[$tag, $(stringify!($field)),*], $ctx)?;
+                        Ok($ty::$variant {
+                            $($field: $crate::json::take(f, stringify!($field), $ctx)?),*
+                        })
+                    })*
+                    other => Err($crate::json::Json::schema_err(format!(
+                        concat!("unknown ", $ctx, " kind {:?}"),
+                        other
+                    ))),
+                }
+            }
+        }
+    };
+}
+
+/// Derives [`Field`] for types written as their label string: `$emit`
+/// renders the label, the type's own `parse` reads it back, and an
+/// unknown label names `$noun`.
+#[macro_export]
+macro_rules! labels {
+    ($($ty:ty: $noun:literal, $emit:ident;)*) => {$(
+        impl $crate::json::Field for $ty {
+            fn encode(&self) -> $crate::json::Json {
+                $crate::json::Json::Str(self.$emit().into())
+            }
+            fn decode(
+                v: &$crate::json::Json,
+                ctx: &str,
+            ) -> Result<Self, $crate::json::JsonError> {
+                let label = v.str_of(ctx)?;
+                <$ty>::parse(label).ok_or_else(|| {
+                    $crate::json::Json::schema_err(format!(concat!("unknown ", $noun, " {:?}"), label))
+                })
+            }
+        }
+    )*};
+}
+
+pub use crate::{labels, record, tagged};
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -703,6 +1108,65 @@ mod tests {
             assert!(err.problem.contains("\\u"), "{bad:?}: {err}");
         }
         assert_eq!(Json::parse("\"\\u00E9\"").unwrap(), Json::Str("é".into()));
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Doc {
+        name: String,
+        rate: f64,
+        spread: Option<f64>,
+        tags: Vec<u32>,
+        len: usize,
+    }
+
+    record! {
+        Doc "doc" envelope "doc" VERSION {
+            name as "title", #[exact] rate, #[exact] spread, #[optional] tags;
+            len = Vec::len(&tags),
+        }
+    }
+
+    const VERSION: u32 = 3;
+
+    #[test]
+    fn record_tables_write_their_envelope_rows_and_options() {
+        let doc = Doc {
+            name: "a".into(),
+            rate: f64::NEG_INFINITY,
+            spread: None,
+            tags: vec![],
+            len: 0,
+        };
+        let text = doc.encode().emit();
+        assert_eq!(
+            text,
+            r#"{"record": "doc", "version": 3, "title": "a", "rate": "-Inf", "spread": null}"#
+        );
+        assert_eq!(Doc::decode(&Json::parse(&text).unwrap(), "").unwrap(), doc);
+        let tagged = text.replace("null}", r#"-0.0, "tags": [4, 5]}"#);
+        let back = Doc::decode(&Json::parse(&tagged).unwrap(), "").unwrap();
+        assert_eq!(back.spread.map(f64::to_bits), Some((-0.0f64).to_bits()));
+        assert_eq!(
+            (&back.tags[..], back.len),
+            (&[4, 5][..], 2),
+            "derived from the rows"
+        );
+        assert_eq!(back.encode().emit(), tagged);
+    }
+
+    #[test]
+    fn record_tables_reject_unknown_fields_tags_and_versions() {
+        let text = r#"{"record": "doc", "version": 3, "title": "a", "rate": 1, "spread": null}"#;
+        let decode = |t: &str| {
+            Doc::decode(&Json::parse(t).unwrap(), "")
+                .unwrap_err()
+                .problem
+        };
+        assert!(decode(&text.replace("title", "name")).contains("unknown field \"name\""));
+        assert!(decode(&text.replace("3", "4")).contains("version 4, this build reads version 3"));
+        assert!(decode(&text.replace("\"doc\"", "\"dog\"")).contains("record tag \"dog\""));
+        assert!(decode(&text.replace(", \"version\": 3", "")).contains("missing field"));
+        assert!(decode(&text.replace("1", "\"Infinity\"")).contains("NaN/Inf/-Inf"));
     }
 
     #[test]

@@ -117,6 +117,16 @@ pub struct FaultPlan {
     pub hotspots: Vec<Hotspot>,
 }
 
+// The scenario spec's `fault` block, in emission order. An empty
+// `dead_modules` is left out, as documents before it was added had it.
+qic_des::json::record! {
+    FaultPlan "fault" {
+        seed, link_kill_rate, node_loss_rate, teleporter_loss_rate, dead_links, dead_nodes,
+        #[optional] dead_modules, hotspots,
+    }
+    Hotspot "hotspot" { link, start_ns, end_ns, penalty_ns }
+}
+
 impl FaultPlan {
     /// The zero-fault plan (seed 2006, every rate zero, no schedules):
     /// compiling it reproduces the healthy fabric exactly.

@@ -30,6 +30,7 @@
 
 use std::sync::Arc;
 
+use qic_des::json::{check_fields, put, take, Field, Json, JsonError};
 use qic_net::topology::{all_pairs_bfs, Coord, Port, Topology};
 
 /// The inter-module tier technology.
@@ -102,6 +103,10 @@ impl Interconnect {
         let radix = s.strip_prefix("fat_tree:")?.parse::<u32>().ok()?;
         Some(Interconnect::FatTree { radix })
     }
+}
+
+qic_des::json::labels! {
+    Interconnect: "interconnect", label;
 }
 
 /// Physical parameters of one interconnect tier's links.
@@ -258,6 +263,54 @@ impl ModularSpec {
             ));
         }
         Ok(())
+    }
+}
+
+/// The modular block of a scenario spec flattens `inter: LinkParams`
+/// into its own object, which a one-name-per-row table cannot say, so
+/// this pair is written out by hand.
+impl Field for ModularSpec {
+    fn encode(&self) -> Json {
+        let mut out = Vec::with_capacity(8);
+        put(&mut out, "modules", &self.modules);
+        put(&mut out, "interconnect", &self.interconnect);
+        put(&mut out, "latency_ns", &self.inter.latency_ns);
+        put(&mut out, "teleporter_slots", &self.inter.teleporter_slots);
+        put(&mut out, "fidelity", &self.inter.fidelity);
+        put(&mut out, "intra_fidelity", &self.intra_fidelity);
+        put(&mut out, "inter_unit_cost", &self.inter_unit_cost);
+        put(&mut out, "report_cost", &self.report_cost);
+        Json::Obj(out)
+    }
+    fn decode(v: &Json, _: &str) -> Result<Self, JsonError> {
+        const CTX: &str = "modular";
+        let f = v.obj_of(CTX)?;
+        check_fields(
+            f,
+            &[
+                "modules",
+                "interconnect",
+                "latency_ns",
+                "teleporter_slots",
+                "fidelity",
+                "intra_fidelity",
+                "inter_unit_cost",
+                "report_cost",
+            ],
+            CTX,
+        )?;
+        Ok(ModularSpec {
+            modules: take(f, "modules", CTX)?,
+            interconnect: take(f, "interconnect", CTX)?,
+            inter: LinkParams {
+                latency_ns: take(f, "latency_ns", CTX)?,
+                teleporter_slots: take(f, "teleporter_slots", CTX)?,
+                fidelity: take(f, "fidelity", CTX)?,
+            },
+            intra_fidelity: take(f, "intra_fidelity", CTX)?,
+            inter_unit_cost: take(f, "inter_unit_cost", CTX)?,
+            report_cost: take(f, "report_cost", CTX)?,
+        })
     }
 }
 

@@ -220,6 +220,10 @@ impl std::str::FromStr for RoutingPolicy {
     }
 }
 
+qic_des::json::labels! {
+    RoutingPolicy: "routing", to_string;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -597,6 +597,10 @@ impl std::str::FromStr for TopologyKind {
     }
 }
 
+qic_des::json::labels! {
+    TopologyKind: "topology", to_string;
+}
+
 /// A configuration-selected fabric: enum dispatch over the three
 /// concrete topologies.
 ///

@@ -15,9 +15,12 @@
 //! of any other version — including version 1, whose report was an
 //! escaped string — fail the version check and are recomputed.
 //!
-//! Embedding the identity makes corruption *checkable*: a load verifies
-//! the envelope shape, re-hashes the embedded identity, and compares it
-//! against both the digest field and the identity the caller asked for.
+//! The record's fields are one `record!` table (`Record` below), so the
+//! writer and the strict reader cannot drift apart. Embedding the
+//! identity makes corruption *checkable*: a load decodes the record
+//! (envelope, fields and embedded report), re-hashes the embedded
+//! identity, and compares it against both the digest field and the
+//! identity the caller asked for.
 //! Any mismatch — truncation, a doctored digest, a hash collision
 //! between two different identities — is a structured [`CacheError`]
 //! the service counts and treats as a miss (recompute), never a wrong
@@ -32,13 +35,24 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use qic_core::scenario::{ScenarioSpec, SpecDigest};
-use qic_sweep::json::{check_fields, get, obj, Json};
+use qic_sweep::json::{record, Field, Json};
 use qic_sweep::CampaignReport;
 
 /// The record-envelope version this build reads and writes. Bump on
 /// incompatible change; records with any other version are structured
 /// misses (old caches are recomputed, not misread).
 pub const CACHE_VERSION: u32 = 2;
+
+/// The record document.
+struct Record {
+    digest: String,
+    scenario: String,
+    report: CampaignReport,
+}
+
+record! {
+    Record "cache record" envelope "serve_result" CACHE_VERSION { digest, scenario, report }
+}
 
 /// Why a cache operation failed. `Corrupt` and `Mismatch` are the
 /// *structured miss* outcomes the service recomputes through; `Io`
@@ -131,13 +145,12 @@ impl CacheDir {
         report: &CampaignReport,
     ) -> Result<PathBuf, CacheError> {
         let digest = SpecDigest::of(spec);
-        let record = obj(vec![
-            ("record", Json::Str("serve_result".into())),
-            ("version", Json::Int(i128::from(CACHE_VERSION))),
-            ("digest", Json::Str(digest.to_string())),
-            ("scenario", Json::Str(SpecDigest::identity_json(spec))),
-            ("report", report.to_record()),
-        ])
+        let record = Record {
+            digest: digest.to_string(),
+            scenario: SpecDigest::identity_json(spec),
+            report: report.clone(),
+        }
+        .encode()
         .emit();
         let path = self.path_of(digest);
         let tmp = path.with_extension("json.tmp");
@@ -185,39 +198,17 @@ impl CacheDir {
             path: path.display().to_string(),
             problem,
         };
-        let parsed = Json::parse(&text).map_err(|e| corrupt(e.to_string()))?;
-        let fields = parsed
-            .obj_of("cache record")
-            .map_err(|e| corrupt(e.to_string()))?;
-        (|| -> Result<(), qic_sweep::json::JsonError> {
-            check_fields(
-                fields,
-                &["record", "version", "digest", "scenario", "report"],
-                "cache record",
-            )?;
-            let kind = get(fields, "record", "cache record")?.str_of("record")?;
-            if kind != "serve_result" {
-                return Err(Json::schema_err(format!("not a serve_result: {kind:?}")));
-            }
-            let version = get(fields, "version", "cache record")?.u32_of("version")?;
-            if version != CACHE_VERSION {
-                return Err(Json::schema_err(format!(
-                    "version {version}, this build reads {CACHE_VERSION}"
-                )));
-            }
-            Ok(())
-        })()
-        .map_err(|e| corrupt(e.to_string()))?;
-        let claimed = get(fields, "digest", "cache record")
-            .and_then(|j| j.str_of("digest"))
-            .map_err(|e| corrupt(e.to_string()))?;
-        let scenario = get(fields, "scenario", "cache record")
-            .and_then(|j| j.str_of("scenario"))
+        let Record {
+            digest: claimed,
+            scenario,
+            report,
+        } = Json::parse(&text)
+            .and_then(|v| Record::decode(&v, "cache record"))
             .map_err(|e| corrupt(e.to_string()))?;
         // The embedded digest must be the hash of the embedded identity
         // — otherwise one of the two was doctored or damaged.
-        let actual = SpecDigest::from_u64(qic_sweep::digest_str(scenario));
-        match SpecDigest::parse_hex(claimed) {
+        let actual = SpecDigest::from_u64(qic_sweep::digest_str(&scenario));
+        match SpecDigest::parse_hex(&claimed) {
             Some(d) if d == actual => {}
             Some(_) => {
                 return Err(corrupt(
@@ -233,10 +224,7 @@ impl CacheDir {
                 path: path.display().to_string(),
             });
         }
-        let report = get(fields, "report", "cache record").map_err(|e| corrupt(e.to_string()))?;
-        CampaignReport::from_record(report)
-            .map(Some)
-            .map_err(|e| corrupt(format!("embedded report: {e}")))
+        Ok(Some(report))
     }
 }
 

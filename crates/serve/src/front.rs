@@ -29,9 +29,12 @@
 //!   byte-identical for cached, coalesced and computed jobs alike.
 //! * `{"event": "bye"}` acknowledges `shutdown` and ends the session.
 //! * A malformed request answers `{"event": "error", "error":
-//!   "bad_request", "message": …}`; a line longer than [`MAX_LINE`]
-//!   bytes answers `{"event": "error", "error": "line_too_long",
-//!   "limit": …}` and is skipped unread.
+//!   "bad_request", "message": …}`. That includes a field its op does
+//!   not take (a submit takes `spec`, or `preset` and `scale`; `status`,
+//!   `wait` and `cancel` take `job`), which is named in the message and
+//!   runs nothing. A line longer than [`MAX_LINE`] bytes answers
+//!   `{"event": "error", "error": "line_too_long", "limit": …}` and is
+//!   skipped unread.
 //!
 //! With an output directory configured, each completed job's report is
 //! also written to `{dir}/job-N.json` (record JSON) and
@@ -44,7 +47,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use qic_core::scenario::{ScenarioRegistry, ScenarioScale, ScenarioSpec};
-use qic_sweep::json::{get, get_opt, obj, Json, JsonError};
+use qic_sweep::json::{check_fields, get, get_opt, obj, Json, JsonError};
 
 use crate::job::{JobId, JobState};
 use crate::service::{ServeError, ServeHandle};
@@ -140,17 +143,20 @@ fn request_of(line: &str) -> Result<Request, JsonError> {
     let fields = parsed.obj_of("request")?;
     let op = get(fields, "op", "request")?.str_of("op")?;
     let job_of = |ctx: &str| -> Result<JobId, JsonError> {
+        check_fields(fields, &["op", "job"], ctx)?;
         Ok(JobId(get(fields, "job", ctx)?.u64_of("job")?))
     };
     match op {
         "submit" => {
             let spec = match get_opt(fields, "spec") {
                 Some(text) => {
+                    check_fields(fields, &["op", "spec"], "submit")?;
                     let text = text.str_of("spec")?;
                     ScenarioSpec::from_json(text)
                         .map_err(|e| Json::schema_err(format!("spec: {e}")))?
                 }
                 None => {
+                    check_fields(fields, &["op", "preset", "scale"], "submit")?;
                     let preset = get(fields, "preset", "submit")?.str_of("preset")?;
                     let scale = match get_opt(fields, "scale") {
                         Some(s) => match s.str_of("scale")? {
@@ -174,8 +180,8 @@ fn request_of(line: &str) -> Result<Request, JsonError> {
         "status" => Ok(Request::Status(job_of("status")?)),
         "wait" => Ok(Request::Wait(job_of("wait")?)),
         "cancel" => Ok(Request::Cancel(job_of("cancel")?)),
-        "metrics" => Ok(Request::Metrics),
-        "shutdown" => Ok(Request::Shutdown),
+        "metrics" => check_fields(fields, &["op"], "metrics").map(|()| Request::Metrics),
+        "shutdown" => check_fields(fields, &["op"], "shutdown").map(|()| Request::Shutdown),
         other => Err(Json::schema_err(format!("unknown op {other:?}"))),
     }
 }

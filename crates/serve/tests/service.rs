@@ -328,6 +328,47 @@ fn jsonl_front_end_round_trips_submissions_and_reports_cache_hits() {
 }
 
 #[test]
+fn jsonl_front_end_rejects_unknown_request_fields() {
+    let serve = Serve::start(ServeConfig::default());
+    let handle = serve.handle();
+    let spec_and_preset = obj(vec![
+        ("op", Json::Str("submit".into())),
+        ("spec", Json::Str(preset("design_space").to_json())),
+        ("preset", Json::Str("fig16".into())),
+    ])
+    .emit();
+    // A misspelt `scale` must not run fig16 at Full scale, and a submit
+    // that names both a spec and a preset must not pick one silently.
+    let script = format!(
+        "{}\n{spec_and_preset}\n{}\n{}\n{}\n{}\n",
+        "{\"op\": \"submit\", \"preset\": \"fig16\", \"scael\": \"small\"}",
+        "{\"op\": \"wait\", \"job\": 1, \"jbo\": 2}",
+        "{\"op\": \"metrics\", \"pad\": \"x\"}",
+        "{\"op\": \"metrics\"}",
+        "{\"op\": \"shutdown\"}",
+    );
+    let mut output = Vec::new();
+    serve_lines(&handle, Cursor::new(script), &mut output, None).expect("session runs");
+    serve.shutdown();
+    let text = String::from_utf8(output).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 6, "one answer per line: {text:.600}");
+    for (line, field) in lines.iter().zip(["scael", "preset", "jbo", "pad"]) {
+        assert!(
+            line.contains("\"error\": \"bad_request\"")
+                && line.contains(&format!("unknown field \\\"{field}\\\"")),
+            "{line:.600}"
+        );
+    }
+    assert!(
+        lines[4].contains("\"event\": \"metrics\"") && lines[4].contains("\"serve.submitted\": 0"),
+        "no job was submitted: {}",
+        lines[4]
+    );
+    assert_eq!(lines[5], "{\"event\": \"bye\"}");
+}
+
+#[test]
 fn jsonl_front_end_skips_over_long_and_non_utf8_lines() {
     let serve = Serve::start(ServeConfig::default());
     let handle = serve.handle();

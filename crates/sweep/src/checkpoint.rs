@@ -5,17 +5,18 @@
 //!
 //! # The manifest
 //!
-//! A manifest is one line of strict JSON:
+//! A manifest is one line of strict JSON, written and read by one
+//! `record!` table (`Document` below):
 //!
 //! ```text
-//! {"record":"campaign_checkpoint","version":1,"campaign":...,
-//!  "spec_hash":...,"seed":...,"replicates":...,"total_points":...,
-//!  "completed":"<hex bitmap>","points":[...]}
+//! {"record": "campaign_checkpoint", "version": 1, "campaign": ...,
+//!  "spec_hash": ..., "seed": ..., "replicates": ..., "total_points": ...,
+//!  "completed": "<hex bitmap>", "points": [...]}
 //! ```
 //!
-//! * `spec_hash` fingerprints the campaign (name, seed, replicates,
-//!   axes), so resuming against an edited spec fails loudly instead of
-//!   stitching incompatible halves together.
+//! * `spec_hash` fingerprints the campaign (its `SpecIdentity` table:
+//!   name, seed, replicates, axes), so resuming against an edited spec
+//!   fails loudly instead of stitching incompatible halves together.
 //! * `completed` is a little-endian-bit hex bitmap over point indices
 //!   (bit `i % 8` of byte `i / 8`), cross-checked against the point
 //!   records on load.
@@ -46,8 +47,9 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::campaign::Campaign;
-use crate::json::{check_fields, get, obj, Json, JsonError};
-use crate::report::{axis_to_json, point_from_json, point_to_json, PointReport};
+use crate::json::{record, Field, Json, JsonError};
+use crate::report::PointReport;
+use crate::space::Axis;
 
 /// Schema version of the checkpoint manifest. Bumped on any
 /// incompatible change; loading surfaces a mismatch instead of
@@ -153,6 +155,33 @@ impl std::error::Error for CheckpointError {
     }
 }
 
+/// The manifest document.
+struct Document {
+    campaign: String,
+    spec_hash: u64,
+    seed: u64,
+    replicates: u32,
+    total_points: usize,
+    completed: String,
+    points: Vec<PointReport>,
+}
+
+/// What `spec_hash` fingerprints: the campaign's name, seed,
+/// replicates and axes.
+struct SpecIdentity {
+    campaign: String,
+    seed: u64,
+    replicates: u32,
+    axes: Vec<Axis>,
+}
+
+record! {
+    Document "checkpoint manifest" envelope "campaign_checkpoint" CHECKPOINT_VERSION {
+        campaign, spec_hash, seed, replicates, total_points, completed, points,
+    }
+    SpecIdentity "spec identity" { campaign, seed, replicates, axes }
+}
+
 /// The manifest codec bound to one campaign and one path — the
 /// persistence behind [`RunOptions::checkpoint`].
 ///
@@ -160,11 +189,27 @@ impl std::error::Error for CheckpointError {
 pub(crate) struct Manifest<'a> {
     campaign: &'a Campaign,
     path: &'a Path,
+    /// The campaign's fingerprint: its [`SpecIdentity`] document hashed
+    /// with [`crate::digest_str`], the primitive behind
+    /// `qic_core::scenario::SpecDigest`. Not cryptographic — it guards
+    /// against *accidental* spec drift between the run that wrote a
+    /// manifest and the run resuming it.
+    spec_hash: u64,
 }
 
 impl<'a> Manifest<'a> {
     pub(crate) fn new(campaign: &'a Campaign, path: &'a Path) -> Manifest<'a> {
-        Manifest { campaign, path }
+        let identity = SpecIdentity {
+            campaign: campaign.name().to_string(),
+            seed: campaign.campaign_seed(),
+            replicates: campaign.replicate_count(),
+            axes: campaign.space().axes().to_vec(),
+        };
+        Manifest {
+            campaign,
+            path,
+            spec_hash: crate::digest_str(&identity.encode().emit()),
+        }
     }
 
     fn path_string(&self) -> String {
@@ -197,103 +242,37 @@ impl<'a> Manifest<'a> {
             problem,
         };
 
-        let value = Json::parse(&text).map_err(corrupt)?;
-        let parsed: Result<_, JsonError> = (|| {
-            let fields = value.obj_of("checkpoint manifest")?;
-            check_fields(
-                fields,
-                &[
-                    "record",
-                    "version",
-                    "campaign",
-                    "spec_hash",
-                    "seed",
-                    "replicates",
-                    "total_points",
-                    "completed",
-                    "points",
-                ],
-                "checkpoint manifest",
-            )?;
-            let tag = get(fields, "record", "checkpoint manifest")?.str_of("record")?;
-            if tag != "campaign_checkpoint" {
-                return Err(Json::schema_err(format!(
-                    "checkpoint manifest: unexpected record tag {tag:?}"
-                )));
-            }
-            let version = get(fields, "version", "checkpoint manifest")?.u32_of("version")?;
-            if version != CHECKPOINT_VERSION {
-                return Err(Json::schema_err(format!(
-                    "checkpoint manifest: version {version}, this build reads \
-                     version {CHECKPOINT_VERSION}"
-                )));
-            }
-            let name = get(fields, "campaign", "checkpoint manifest")?
-                .str_of("campaign")?
-                .to_string();
-            let spec_hash = get(fields, "spec_hash", "checkpoint manifest")?.u64_of("spec_hash")?;
-            let seed = get(fields, "seed", "checkpoint manifest")?.u64_of("seed")?;
-            let replicates =
-                get(fields, "replicates", "checkpoint manifest")?.u32_of("replicates")?;
-            let total_points =
-                get(fields, "total_points", "checkpoint manifest")?.usize_of("total_points")?;
-            let completed = get(fields, "completed", "checkpoint manifest")?
-                .str_of("completed")?
-                .to_string();
-            let points: Vec<PointReport> = get(fields, "points", "checkpoint manifest")?
-                .arr_of("points")?
-                .iter()
-                .map(point_from_json)
-                .collect::<Result<_, _>>()?;
-            Ok((
-                name,
-                spec_hash,
-                seed,
-                replicates,
-                total_points,
-                completed,
-                points,
-            ))
-        })();
-        let (name, spec_hash, seed, replicates, total_points, completed, points) =
-            parsed.map_err(corrupt)?;
+        let doc = Json::parse(&text)
+            .and_then(|v| Document::decode(&v, "checkpoint manifest"))
+            .map_err(corrupt)?;
 
-        // Does this manifest belong to this campaign?
-        if name != self.campaign.name() {
+        // Does this manifest belong to this campaign? The spec hash
+        // covers the axes; the rest is checked in the clear.
+        let found = (
+            doc.campaign.as_str(),
+            doc.seed,
+            doc.replicates,
+            doc.total_points,
+            doc.spec_hash,
+        );
+        let expected = (
+            self.campaign.name(),
+            self.campaign.campaign_seed(),
+            self.campaign.replicate_count(),
+            total,
+            self.spec_hash,
+        );
+        if found != expected {
             return Err(mismatch(format!(
-                "manifest is for campaign {name:?}, expected {:?}",
-                self.campaign.name()
-            )));
-        }
-        if seed != self.campaign.campaign_seed() {
-            return Err(mismatch(format!(
-                "manifest seed {seed}, expected {}",
-                self.campaign.campaign_seed()
-            )));
-        }
-        if replicates != self.campaign.replicate_count() {
-            return Err(mismatch(format!(
-                "manifest replicates {replicates}, expected {}",
-                self.campaign.replicate_count()
-            )));
-        }
-        if total_points != total {
-            return Err(mismatch(format!(
-                "manifest covers {total_points} points, campaign has {total}"
-            )));
-        }
-        let expected_hash = self.spec_hash();
-        if spec_hash != expected_hash {
-            return Err(mismatch(format!(
-                "manifest spec hash {spec_hash:#018x}, campaign hashes to \
-                 {expected_hash:#018x} — the parameter space changed"
+                "manifest (campaign, seed, replicates, points, spec hash) is {found:?}, \
+                 this campaign is {expected:?}"
             )));
         }
 
         // Is the manifest internally consistent?
-        let bitmap = decode_bitmap(&completed, total).map_err(mismatch)?;
+        let bitmap = decode_bitmap(&doc.completed, total).map_err(mismatch)?;
         let mut from_records = vec![false; total];
-        for point in points {
+        for point in doc.points {
             let index = point.index;
             if index >= total {
                 return Err(mismatch(format!(
@@ -331,59 +310,18 @@ impl<'a> Manifest<'a> {
     }
 
     fn encode(&self, slots: &[Option<PointReport>]) -> String {
-        let total = slots.len();
-        let mut bitmap = vec![false; total];
-        let mut points = Vec::new();
-        for (index, slot) in slots.iter().enumerate() {
-            if let Some(point) = slot {
-                bitmap[index] = true;
-                points.push(point_to_json(point));
-            }
+        let bitmap: Vec<bool> = slots.iter().map(Option::is_some).collect();
+        Document {
+            campaign: self.campaign.name().to_string(),
+            spec_hash: self.spec_hash,
+            seed: self.campaign.campaign_seed(),
+            replicates: self.campaign.replicate_count(),
+            total_points: slots.len(),
+            completed: encode_bitmap(&bitmap),
+            points: slots.iter().flatten().cloned().collect(),
         }
-        obj(vec![
-            ("record", Json::Str("campaign_checkpoint".into())),
-            ("version", Json::Int(i128::from(CHECKPOINT_VERSION))),
-            ("campaign", Json::Str(self.campaign.name().to_string())),
-            ("spec_hash", Json::Int(i128::from(self.spec_hash()))),
-            ("seed", Json::Int(i128::from(self.campaign.campaign_seed()))),
-            (
-                "replicates",
-                Json::Int(i128::from(self.campaign.replicate_count())),
-            ),
-            ("total_points", Json::Int(total as i128)),
-            ("completed", Json::Str(encode_bitmap(&bitmap))),
-            ("points", Json::Arr(points)),
-        ])
+        .encode()
         .emit()
-    }
-
-    /// Fingerprints the campaign spec (name, seed, replicates, axes) by
-    /// hashing its canonical JSON emission with [`crate::digest_str`] —
-    /// the same primitive behind `qic_core::scenario::SpecDigest`.
-    /// Not cryptographic — it guards against *accidental* spec drift
-    /// between the run that wrote a manifest and the run resuming it.
-    fn spec_hash(&self) -> u64 {
-        let spec = obj(vec![
-            ("campaign", Json::Str(self.campaign.name().to_string())),
-            ("seed", Json::Int(i128::from(self.campaign.campaign_seed()))),
-            (
-                "replicates",
-                Json::Int(i128::from(self.campaign.replicate_count())),
-            ),
-            (
-                "axes",
-                Json::Arr(
-                    self.campaign
-                        .space()
-                        .axes()
-                        .iter()
-                        .map(axis_to_json)
-                        .collect(),
-                ),
-            ),
-        ])
-        .emit();
-        crate::digest_str(&spec)
     }
 }
 

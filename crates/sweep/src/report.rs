@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 
 use qic_des::stats::Tally;
 
-use crate::json::{check_fields, get, obj, Json, JsonError};
+use crate::json::{check_fields, get, obj, record, write_str, Exact, Field, Json, JsonError};
 use crate::space::{Axis, AxisValue};
 use qic_des::metrics::Metrics;
 
@@ -224,36 +224,37 @@ impl CampaignReport {
 
     /// Serialises the report as deterministic JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"campaign\": {},", json_str(&self.name));
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
+        let mut out = String::from("{\n  \"campaign\": ");
+        write_str(&self.name, &mut out);
+        let _ = writeln!(out, ",\n  \"seed\": {},", self.seed);
         let _ = writeln!(out, "  \"replicates\": {},", self.replicates);
         out.push_str("  \"axes\": [\n");
         for (i, axis) in self.axes.iter().enumerate() {
-            let values = axis
-                .values()
-                .iter()
-                .map(json_value)
-                .collect::<Vec<_>>()
-                .join(", ");
-            let _ = write!(
-                out,
-                "    {{\"name\": {}, \"values\": [{}]}}",
-                json_str(axis.name()),
-                values
-            );
-            out.push_str(if i + 1 < self.axes.len() { ",\n" } else { "\n" });
+            out.push_str("    {\"name\": ");
+            write_str(axis.name(), &mut out);
+            out.push_str(", \"values\": [");
+            for (j, value) in axis.values().iter().enumerate() {
+                if j > 0 {
+                    out.push_str(", ");
+                }
+                json_value(value, &mut out);
+            }
+            out.push_str(if i + 1 < self.axes.len() {
+                "]},\n"
+            } else {
+                "]}\n"
+            });
         }
         out.push_str("  ],\n  \"points\": [\n");
         for (i, point) in self.points.iter().enumerate() {
-            out.push_str("    {");
-            let _ = write!(out, "\"index\": {}, \"params\": {{", point.index);
+            let _ = write!(out, "    {{\"index\": {}, \"params\": {{", point.index);
             for (j, (name, value)) in point.params.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "{}: {}", json_str(name), json_value(value));
+                write_str(name, &mut out);
+                out.push_str(": ");
+                json_value(value, &mut out);
             }
             out.push_str("}, \"metrics\": {");
             for (j, s) in point.summaries.iter().enumerate() {
@@ -266,10 +267,10 @@ impl CampaignReport {
                     .map(|v| json_f64(*v))
                     .collect::<Vec<_>>()
                     .join(", ");
+                write_str(&s.name, &mut out);
                 let _ = write!(
                     out,
-                    "{}: {{\"mean\": {}, \"ci95\": {}, \"min\": {}, \"max\": {}, \"n\": {}, \"samples\": [{}]}}",
-                    json_str(&s.name),
+                    ": {{\"mean\": {}, \"ci95\": {}, \"min\": {}, \"max\": {}, \"n\": {}, \"samples\": [{}]}}",
                     json_f64(s.mean),
                     s.ci95.map_or("null".to_string(), json_f64),
                     json_f64(s.min),
@@ -372,21 +373,7 @@ impl CampaignReport {
     /// for documents that embed it as an object rather than re-encoding
     /// it as a string.
     pub fn to_record(&self) -> Json {
-        obj(vec![
-            ("record", Json::Str("campaign_report".into())),
-            ("version", Json::Int(i128::from(RECORD_VERSION))),
-            ("campaign", Json::Str(self.name.clone())),
-            ("seed", Json::Int(i128::from(self.seed))),
-            ("replicates", Json::Int(i128::from(self.replicates))),
-            (
-                "axes",
-                Json::Arr(self.axes.iter().map(axis_to_json).collect()),
-            ),
-            (
-                "points",
-                Json::Arr(self.points.iter().map(point_to_json).collect()),
-            ),
-        ])
+        self.encode()
     }
 
     /// Parses a record produced by [`CampaignReport::to_record_json`].
@@ -412,289 +399,57 @@ impl CampaignReport {
     ///
     /// [`JsonError`] on schema or version problems.
     pub fn from_record(value: &Json) -> Result<CampaignReport, JsonError> {
-        let fields = value.obj_of("campaign record")?;
-        check_fields(
-            fields,
-            &[
-                "record",
-                "version",
-                "campaign",
-                "seed",
-                "replicates",
-                "axes",
-                "points",
-            ],
-            "campaign record",
-        )?;
-        let tag = get(fields, "record", "campaign record")?.str_of("record")?;
-        if tag != "campaign_report" {
-            return Err(Json::schema_err(format!(
-                "campaign record: unexpected record tag {tag:?}"
-            )));
-        }
-        let version = get(fields, "version", "campaign record")?.u32_of("version")?;
-        if version != RECORD_VERSION {
-            return Err(Json::schema_err(format!(
-                "campaign record: version {version}, this build reads version {RECORD_VERSION}"
-            )));
-        }
-        let points: Vec<PointReport> = get(fields, "points", "campaign record")?
-            .arr_of("points")?
-            .iter()
-            .map(point_from_json)
-            .collect::<Result<_, _>>()?;
-        let wall_ns = vec![0; points.len()];
-        Ok(CampaignReport {
-            name: get(fields, "campaign", "campaign record")?
-                .str_of("campaign")?
-                .to_string(),
-            seed: get(fields, "seed", "campaign record")?.u64_of("seed")?,
-            replicates: get(fields, "replicates", "campaign record")?.u32_of("replicates")?,
-            axes: get(fields, "axes", "campaign record")?
-                .arr_of("axes")?
-                .iter()
-                .map(axis_from_json)
-                .collect::<Result<_, _>>()?,
-            points,
-            wall_ns,
-        })
+        CampaignReport::decode(value, "campaign record")
     }
 }
 
-// --- Lossless record codec helpers -----------------------------------------
+// --- Lossless record codec -------------------------------------------------
 //
-// Shared by the campaign record above and the checkpoint manifest
-// (`crate::checkpoint`). Every f64 must survive the round trip
-// bit-for-bit: finite values ride the shortest-roundtrip float literal
-// (which `qic_sweep::json` guarantees, `-0.0` included); non-finite
-// values — which JSON numbers cannot carry — become tagged strings.
+// The campaign record, which shard records and the checkpoint manifest
+// (`crate::checkpoint`) reuse. Every f64 survives the round trip
+// bit-for-bit: summaries and metric values are `Exact`.
 
-/// Encodes an `f64` losslessly (non-finite values as strings).
-pub(crate) fn f64_to_json(v: f64) -> Json {
-    if v.is_finite() {
-        Json::Float(v)
-    } else if v.is_nan() {
-        Json::Str("NaN".into())
-    } else if v > 0.0 {
-        Json::Str("Inf".into())
-    } else {
-        Json::Str("-Inf".into())
+record! {
+    CampaignReport "campaign record" envelope "campaign_report" RECORD_VERSION {
+        name as "campaign", seed, replicates, axes, points;
+        wall_ns = vec![0; Vec::len(&points)],
+    }
+    Axis "axis" { name, values }
+    PointReport "point record" { index, params, replicates, summaries }
+    MetricSummary "summary" {
+        name, #[exact] mean, #[exact] ci95, #[exact] min, #[exact] max, n,
     }
 }
 
-/// Decodes an `f64` written by [`f64_to_json`].
-pub(crate) fn f64_from_json(value: &Json, ctx: &str) -> Result<f64, JsonError> {
-    match value {
-        Json::Float(v) => Ok(*v),
-        Json::Int(v) => Ok(*v as f64),
-        Json::Str(s) => match s.as_str() {
-            "NaN" => Ok(f64::NAN),
-            "Inf" => Ok(f64::INFINITY),
-            "-Inf" => Ok(f64::NEG_INFINITY),
+/// Axis values are untagged: an integer, a float or a string literal. A
+/// non-finite float cannot ride a bare string (it would decode as
+/// `Text`), so it is tagged as a one-field object, `{"f64": "NaN"}`.
+impl Field for AxisValue {
+    fn encode(&self) -> Json {
+        match self {
+            AxisValue::Int(i) => Json::Int(i128::from(*i)),
+            AxisValue::F64(f) if !f.is_finite() => obj(vec![("f64", f.to_exact())]),
+            AxisValue::F64(f) => Json::Float(*f),
+            AxisValue::Text(s) => Json::Str(s.clone()),
+        }
+    }
+    fn decode(v: &Json, ctx: &str) -> Result<Self, JsonError> {
+        match v {
+            Json::Int(_) => i64::decode(v, ctx).map(AxisValue::Int),
+            Json::Float(f) => Ok(AxisValue::F64(*f)),
+            Json::Str(s) => Ok(AxisValue::Text(s.clone())),
+            Json::Obj(fields) => {
+                check_fields(fields, &["f64"], ctx)?;
+                Ok(AxisValue::F64(f64::from_exact(
+                    get(fields, "f64", ctx)?,
+                    ctx,
+                )?))
+            }
             other => Err(Json::schema_err(format!(
-                "{ctx}: expected a number or NaN/Inf/-Inf, got {other:?}"
+                "{ctx}: expected an axis value, got {other:?}"
             ))),
-        },
-        other => Err(Json::schema_err(format!(
-            "{ctx}: expected a number, got {other:?}"
-        ))),
-    }
-}
-
-fn axis_value_to_json(v: &AxisValue) -> Json {
-    match v {
-        AxisValue::Int(i) => Json::Int(i128::from(*i)),
-        // A non-finite float coordinate cannot ride a bare string (it
-        // would decode as Text); tag it as a one-field object.
-        AxisValue::F64(f) if !f.is_finite() => obj(vec![("f64", f64_to_json(*f))]),
-        AxisValue::F64(f) => Json::Float(*f),
-        AxisValue::Text(s) => Json::Str(s.clone()),
-    }
-}
-
-fn axis_value_from_json(value: &Json, ctx: &str) -> Result<AxisValue, JsonError> {
-    match value {
-        Json::Int(v) => i64::try_from(*v)
-            .map(AxisValue::Int)
-            .map_err(|_| Json::schema_err(format!("{ctx}: {v} out of i64 range"))),
-        Json::Float(v) => Ok(AxisValue::F64(*v)),
-        Json::Str(s) => Ok(AxisValue::Text(s.clone())),
-        Json::Obj(fields) => {
-            check_fields(fields, &["f64"], ctx)?;
-            Ok(AxisValue::F64(f64_from_json(
-                get(fields, "f64", ctx)?,
-                ctx,
-            )?))
-        }
-        other => Err(Json::schema_err(format!(
-            "{ctx}: expected an axis value, got {other:?}"
-        ))),
-    }
-}
-
-pub(crate) fn axis_to_json(axis: &Axis) -> Json {
-    obj(vec![
-        ("name", Json::Str(axis.name().into())),
-        (
-            "values",
-            Json::Arr(axis.values().iter().map(axis_value_to_json).collect()),
-        ),
-    ])
-}
-
-pub(crate) fn axis_from_json(value: &Json) -> Result<Axis, JsonError> {
-    let fields = value.obj_of("axis")?;
-    check_fields(fields, &["name", "values"], "axis")?;
-    let name = get(fields, "name", "axis")?.str_of("axis name")?;
-    let values = get(fields, "values", "axis")?
-        .arr_of("axis values")?
-        .iter()
-        .map(|v| axis_value_from_json(v, "axis value"))
-        .collect::<Result<_, _>>()?;
-    Ok(Axis::list(name, values))
-}
-
-fn metrics_to_json(m: &Metrics) -> Json {
-    Json::Obj(
-        m.names()
-            .map(|name| {
-                let v = m.get(name).expect("named metric present");
-                (name.to_string(), f64_to_json(v))
-            })
-            .collect(),
-    )
-}
-
-fn metrics_from_json(value: &Json) -> Result<Metrics, JsonError> {
-    let fields = value.obj_of("replicate metrics")?;
-    let mut m = Metrics::new();
-    for (i, (name, v)) in fields.iter().enumerate() {
-        if fields[..i].iter().any(|(k, _)| k == name) {
-            return Err(Json::schema_err(format!(
-                "replicate metrics: duplicate metric {name:?}"
-            )));
-        }
-        m = m.with(name.clone(), f64_from_json(v, "metric value")?);
-    }
-    Ok(m)
-}
-
-fn summary_to_json(s: &MetricSummary) -> Json {
-    obj(vec![
-        ("name", Json::Str(s.name.clone())),
-        ("mean", f64_to_json(s.mean)),
-        ("ci95", s.ci95.map_or(Json::Null, f64_to_json)),
-        ("min", f64_to_json(s.min)),
-        ("max", f64_to_json(s.max)),
-        ("n", Json::Int(i128::from(s.n))),
-    ])
-}
-
-fn summary_from_json(value: &Json) -> Result<MetricSummary, JsonError> {
-    let f = value.obj_of("metric summary")?;
-    check_fields(f, &["name", "mean", "ci95", "min", "max", "n"], "summary")?;
-    let ci95 = match get(f, "ci95", "summary")? {
-        Json::Null => None,
-        v => Some(f64_from_json(v, "summary ci95")?),
-    };
-    Ok(MetricSummary {
-        name: get(f, "name", "summary")?
-            .str_of("summary name")?
-            .to_string(),
-        mean: f64_from_json(get(f, "mean", "summary")?, "summary mean")?,
-        ci95,
-        min: f64_from_json(get(f, "min", "summary")?, "summary min")?,
-        max: f64_from_json(get(f, "max", "summary")?, "summary max")?,
-        n: get(f, "n", "summary")?.u64_of("summary n")?,
-    })
-}
-
-/// Encodes one point as a lossless record (shared with the checkpoint
-/// manifest).
-pub(crate) fn point_to_json(p: &PointReport) -> Json {
-    obj(vec![
-        ("index", Json::Int(p.index as i128)),
-        (
-            "params",
-            Json::Arr(
-                p.params
-                    .iter()
-                    .map(|(name, value)| {
-                        Json::Arr(vec![Json::Str(name.clone()), axis_value_to_json(value)])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "replicates",
-            Json::Arr(p.replicates.iter().map(metrics_to_json).collect()),
-        ),
-        (
-            "summaries",
-            Json::Arr(p.summaries.iter().map(summary_to_json).collect()),
-        ),
-    ])
-}
-
-/// Decodes one point record written by [`point_to_json`].
-pub(crate) fn point_from_json(value: &Json) -> Result<PointReport, JsonError> {
-    let fields = value.obj_of("point record")?;
-    check_fields(
-        fields,
-        &["index", "params", "replicates", "summaries"],
-        "point record",
-    )?;
-    let params = get(fields, "params", "point record")?
-        .arr_of("point params")?
-        .iter()
-        .map(|pair| {
-            let items = pair.arr_of("point param")?;
-            if items.len() != 2 {
-                return Err(Json::schema_err(
-                    "point param: expected a [name, value] pair",
-                ));
-            }
-            Ok((
-                items[0].str_of("param name")?.to_string(),
-                axis_value_from_json(&items[1], "param value")?,
-            ))
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(PointReport {
-        index: get(fields, "index", "point record")?.usize_of("point index")?,
-        params,
-        replicates: get(fields, "replicates", "point record")?
-            .arr_of("point replicates")?
-            .iter()
-            .map(metrics_from_json)
-            .collect::<Result<_, _>>()?,
-        summaries: get(fields, "summaries", "point record")?
-            .arr_of("point summaries")?
-            .iter()
-            .map(summary_from_json)
-            .collect::<Result<_, _>>()?,
-    })
-}
-
-/// JSON string literal with minimal escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
         }
     }
-    out.push('"');
-    out
 }
 
 /// JSON number; non-finite floats become `null`.
@@ -706,11 +461,14 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-fn json_value(v: &AxisValue) -> String {
+/// Writes an axis value as a JSON literal.
+fn json_value(v: &AxisValue, out: &mut String) {
     match v {
-        AxisValue::Int(i) => format!("{i}"),
-        AxisValue::F64(f) => json_f64(*f),
-        AxisValue::Text(s) => json_str(s),
+        AxisValue::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
+        AxisValue::F64(f) => out.push_str(&json_f64(*f)),
+        AxisValue::Text(s) => write_str(s, out),
     }
 }
 
@@ -881,6 +639,7 @@ mod tests {
 
     #[test]
     fn json_escapes_and_nulls() {
+        let json_str = |s: &str| Json::Str(s.into()).emit();
         assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
         assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
         assert_eq!(json_f64(f64::INFINITY), "null");

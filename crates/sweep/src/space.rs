@@ -65,8 +65,8 @@ impl fmt::Display for AxisValue {
 /// A named sweep dimension with an explicit, ordered value list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Axis {
-    name: String,
-    values: Vec<AxisValue>,
+    pub(crate) name: String,
+    pub(crate) values: Vec<AxisValue>,
 }
 
 impl Axis {
