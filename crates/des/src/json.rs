@@ -736,17 +736,18 @@ impl Exact for Option<f64> {
     }
 }
 
-/// An object's fields, as the table codec builds them.
-pub type Fields = Vec<(String, Json)>;
-
 /// Appends `key: value` (a table row).
-pub fn put<T: Field>(out: &mut Fields, key: &str, value: &T) {
+pub fn put<T: Field>(out: &mut Vec<(String, Json)>, key: &str, value: &T) {
     out.push((key.to_string(), value.encode()));
 }
 
 /// Appends `key: value` unless `value` is its type's `Default` (an
 /// `#[optional]` row).
-pub fn put_optional<T: Field + Default + PartialEq>(out: &mut Fields, key: &str, value: &T) {
+pub fn put_optional<T: Field + Default + PartialEq>(
+    out: &mut Vec<(String, Json)>,
+    key: &str,
+    value: &T,
+) {
     if *value != T::default() {
         put(out, key, value);
     }
