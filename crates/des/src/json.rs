@@ -57,30 +57,36 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-/// A JSON syntax or schema error, with the byte offset where it was
-/// detected (syntax errors only; schema errors use offset 0).
+/// A JSON syntax or schema error. A syntax error carries the byte
+/// offset where it was detected and displays as invalid JSON there; a
+/// schema error (the document parsed but has the wrong shape) has no
+/// offset and displays as its problem alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
-    /// Byte offset into the input (0 for schema-level errors).
-    pub at: usize,
+    /// Byte offset into the input of a syntax error; `None` for a
+    /// schema error.
+    pub at: Option<usize>,
     /// What went wrong.
     pub problem: String,
 }
 
 impl fmt::Display for JsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid JSON at byte {}: {}", self.at, self.problem)
+        match self.at {
+            Some(at) => write!(f, "invalid JSON at byte {at}: {}", self.problem),
+            None => f.write_str(&self.problem),
+        }
     }
 }
 
 impl std::error::Error for JsonError {}
 
 impl Json {
-    /// A schema-level error (offset 0): the document parsed but did not
-    /// match the expected shape.
+    /// A schema-level error (no offset): the document parsed but did
+    /// not match the expected shape.
     pub fn schema_err(problem: impl Into<String>) -> JsonError {
         JsonError {
-            at: 0,
+            at: None,
             problem: problem.into(),
         }
     }
@@ -347,7 +353,7 @@ struct Parser<'a> {
 impl Parser<'_> {
     fn err(&self, problem: impl Into<String>) -> JsonError {
         JsonError {
-            at: self.at,
+            at: Some(self.at),
             problem: problem.into(),
         }
     }
@@ -1047,7 +1053,7 @@ mod tests {
         let deep = "[".repeat(100_000);
         let err = Json::parse(&deep).unwrap_err();
         assert!(err.problem.contains("nested deeper"), "{err}");
-        assert_eq!(err.at, MAX_DEPTH);
+        assert_eq!(err.at, Some(MAX_DEPTH));
         let deep_obj = "{\"a\":".repeat(100_000);
         assert!(Json::parse(&deep_obj).is_err());
         // The limit itself still parses.
@@ -1076,8 +1082,31 @@ mod tests {
         let text = format!("\"{}\u{1}{}\"", "a".repeat(5000), "b".repeat(10));
         let err = Json::parse(&text).unwrap_err();
         assert!(err.problem.contains("control character"), "{err}");
-        assert_eq!(err.at, 5001, "the quote, then 5000 plain bytes");
-        assert_eq!(text.as_bytes()[err.at], 1);
+        assert_eq!(err.at, Some(5001), "the quote, then 5000 plain bytes");
+        assert_eq!(text.as_bytes()[5001], 1);
+    }
+
+    #[test]
+    fn schema_errors_read_apart_from_syntax_errors() {
+        // A syntax error at the first byte keeps its offset…
+        for bad in ["", "x"] {
+            let err = Json::parse(bad).unwrap_err();
+            assert_eq!(err.at, Some(0), "{bad:?}");
+            assert!(
+                err.to_string().starts_with("invalid JSON at byte 0: "),
+                "{err}"
+            );
+        }
+        // …and a document of the wrong shape is not called invalid JSON.
+        let v = Json::parse("{\"op\": \"metrics\", \"pad\": 1}").unwrap();
+        let err = check_fields(v.obj_of("metrics").unwrap(), &["op"], "metrics").unwrap_err();
+        assert_eq!(err.at, None);
+        assert!(
+            err.to_string()
+                .starts_with("metrics: unknown field \"pad\""),
+            "{err}"
+        );
+        assert!(!err.to_string().contains("invalid JSON"), "{err}");
     }
 
     #[test]

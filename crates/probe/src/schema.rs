@@ -9,17 +9,7 @@
 //! grades its own work. The reader caps nesting, so a hostile file is
 //! an `Err`, never a stack overflow.
 
-use qic_des::json::{get_opt, Json, JsonError};
-
-/// Renders a reader error: syntax errors keep their byte offset, shape
-/// errors are the problem alone.
-fn message(err: JsonError) -> String {
-    if err.at == 0 {
-        err.problem
-    } else {
-        err.to_string()
-    }
-}
+use qic_des::json::{get_opt, Json};
 
 /// Field `name` of `fields`, or an error naming `ctx`.
 fn field<'a>(fields: &'a [(String, Json)], name: &str, ctx: &str) -> Result<&'a Json, String> {
@@ -55,12 +45,12 @@ pub fn validate_events_jsonl(text: &str) -> Result<u64, String> {
             continue;
         }
         let ctx = format!("line {}", i + 1);
-        let v = Json::parse(line).map_err(|e| format!("{ctx}: {}", message(e)))?;
-        let obj = v.obj_of(&ctx).map_err(message)?;
+        let v = Json::parse(line).map_err(|e| format!("{ctx}: {e}"))?;
+        let obj = v.obj_of(&ctx).map_err(|e| e.to_string())?;
         let num = |at: &str, f: &str| -> Result<f64, String> {
             field(obj, f, at)?
                 .f64_of(&format!("{at}: {f}"))
-                .map_err(message)
+                .map_err(|e| e.to_string())
         };
         let t = num(&ctx, "t_ns")?;
         if t < last_t {
@@ -69,7 +59,7 @@ pub fn validate_events_jsonl(text: &str) -> Result<u64, String> {
         last_t = t;
         let ev = field(obj, "ev", &ctx)?
             .str_of(&format!("{ctx}: ev"))
-            .map_err(message)?;
+            .map_err(|e| e.to_string())?;
         let fields = EVENT_FIELDS
             .iter()
             .find(|(label, _)| *label == ev)
@@ -82,7 +72,7 @@ pub fn validate_events_jsonl(text: &str) -> Result<u64, String> {
         if ev == "stall" {
             field(obj, "cause", &at)?
                 .str_of(&format!("{at}: cause"))
-                .map_err(message)?;
+                .map_err(|e| e.to_string())?;
         }
         lines += 1;
     }
@@ -94,18 +84,30 @@ pub fn validate_events_jsonl(text: &str) -> Result<u64, String> {
 /// requires (`X` spans, `M` metadata, `i` instants, `C` counters).
 /// Returns the event count.
 pub fn validate_chrome_trace(text: &str) -> Result<u64, String> {
-    let v = Json::parse(text).map_err(message)?;
-    let top = v.obj_of("top level").map_err(message)?;
+    let v = Json::parse(text).map_err(|e| e.to_string())?;
+    let top = v.obj_of("top level").map_err(|e| e.to_string())?;
     let events = field(top, "traceEvents", "top level")?
         .arr_of("traceEvents")
-        .map_err(message)?;
+        .map_err(|e| e.to_string())?;
     for (i, ev) in events.iter().enumerate() {
         let ctx = format!("traceEvents[{i}]");
-        let obj = ev.obj_of(&ctx).map_err(message)?;
+        let obj = ev.obj_of(&ctx).map_err(|e| e.to_string())?;
         let need = |f: &str| field(obj, f, &ctx);
-        let need_num = |f: &str| need(f)?.f64_of(&format!("{ctx}: {f}")).map_err(message);
-        let need_str = |f: &str| need(f)?.str_of(&format!("{ctx}: {f}")).map_err(message);
-        let need_obj = |f: &str| need(f)?.obj_of(&format!("{ctx}: {f}")).map_err(message);
+        let need_num = |f: &str| {
+            need(f)?
+                .f64_of(&format!("{ctx}: {f}"))
+                .map_err(|e| e.to_string())
+        };
+        let need_str = |f: &str| {
+            need(f)?
+                .str_of(&format!("{ctx}: {f}"))
+                .map_err(|e| e.to_string())
+        };
+        let need_obj = |f: &str| {
+            need(f)?
+                .obj_of(&format!("{ctx}: {f}"))
+                .map_err(|e| e.to_string())
+        };
         match need_str("ph")? {
             "X" => {
                 need_str("name")?;
@@ -172,6 +174,15 @@ mod tests {
             .contains("traceEvents"));
         let bad = r#"{"traceEvents":[{"name":"s","ph":"X","ts":0.0,"pid":0,"tid":0}]}"#;
         assert!(validate_chrome_trace(bad).unwrap_err().contains("dur"));
+        // An empty file is a syntax error at its first byte, not a shape
+        // error.
+        assert!(validate_chrome_trace("")
+            .unwrap_err()
+            .starts_with("invalid JSON at byte 0: "));
+        assert_eq!(
+            validate_chrome_trace("[]").unwrap_err(),
+            "top level: expected an object, got Arr([])"
+        );
     }
 
     #[test]

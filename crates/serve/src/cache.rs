@@ -17,10 +17,10 @@
 //!
 //! The record's fields are one `record!` table (`Record` below), so the
 //! writer and the strict reader cannot drift apart. Embedding the
-//! identity makes corruption *checkable*: a load decodes the record
-//! (envelope, fields and embedded report), re-hashes the embedded
-//! identity, and compares it against both the digest field and the
-//! identity the caller asked for.
+//! identity makes corruption *checkable*: a load checks the envelope,
+//! re-hashes the embedded identity, and compares it against both the
+//! digest field and the identity the caller asked for — all on the
+//! parsed document — and only then decodes the embedded report.
 //! Any mismatch — truncation, a doctored digest, a hash collision
 //! between two different identities — is a structured [`CacheError`]
 //! the service counts and treats as a miss (recompute), never a wrong
@@ -35,7 +35,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use qic_core::scenario::{ScenarioSpec, SpecDigest};
-use qic_sweep::json::{record, Field, Json};
+use qic_sweep::json::{check_envelope, get, record, Field, Json, JsonError};
 use qic_sweep::CampaignReport;
 
 /// The record-envelope version this build reads and writes. Bump on
@@ -53,6 +53,9 @@ struct Record {
 record! {
     Record "cache record" envelope "serve_result" CACHE_VERSION { digest, scenario, report }
 }
+
+/// The record's name in error messages.
+const CTX: &str = "cache record";
 
 /// Why a cache operation failed. `Corrupt` and `Mismatch` are the
 /// *structured miss* outcomes the service recomputes through; `Io`
@@ -198,17 +201,12 @@ impl CacheDir {
             path: path.display().to_string(),
             problem,
         };
-        let Record {
-            digest: claimed,
-            scenario,
-            report,
-        } = Json::parse(&text)
-            .and_then(|v| Record::decode(&v, "cache record"))
-            .map_err(|e| corrupt(e.to_string()))?;
+        let value = Json::parse(&text).map_err(|e| corrupt(e.to_string()))?;
+        let (claimed, scenario) = header(&value).map_err(|e| corrupt(e.to_string()))?;
         // The embedded digest must be the hash of the embedded identity
         // — otherwise one of the two was doctored or damaged.
-        let actual = SpecDigest::from_u64(qic_sweep::digest_str(&scenario));
-        match SpecDigest::parse_hex(&claimed) {
+        let actual = SpecDigest::from_u64(qic_sweep::digest_str(scenario));
+        match SpecDigest::parse_hex(claimed) {
             Some(d) if d == actual => {}
             Some(_) => {
                 return Err(corrupt(
@@ -224,8 +222,21 @@ impl CacheDir {
                 path: path.display().to_string(),
             });
         }
+        let Record { report, .. } =
+            Record::decode(&value, CTX).map_err(|e| corrupt(e.to_string()))?;
         Ok(Some(report))
     }
+}
+
+/// The digest and identity fields of a parsed record, after its envelope
+/// check: what a load verifies before it decodes the embedded report.
+/// They are the `record!` table's fields, read off the tree by name.
+fn header(value: &Json) -> Result<(&str, &str), JsonError> {
+    let fields = value.obj_of(CTX)?;
+    check_envelope(fields, "serve_result", CACHE_VERSION, CTX)?;
+    let digest = get(fields, "digest", CTX)?.str_of("digest")?;
+    let scenario = get(fields, "scenario", CTX)?.str_of("scenario")?;
+    Ok((digest, scenario))
 }
 
 #[cfg(test)]
@@ -289,6 +300,20 @@ mod tests {
             cache.load(&spec),
             Err(CacheError::Mismatch { .. })
         ));
+
+        // Damage the embedded report as well: still Mismatch, since the
+        // identity is checked before the report is decoded. The same
+        // damage in this scenario's own record is Corrupt.
+        let renamed = std::fs::read_to_string(&path).unwrap();
+        let damage = |text: &str| text.replacen("\"campaign_report\"", "\"campaign_rep0rt\"", 1);
+        assert_ne!(damage(&renamed), renamed);
+        std::fs::write(&path, damage(&renamed)).unwrap();
+        assert!(matches!(
+            cache.load(&spec),
+            Err(CacheError::Mismatch { .. })
+        ));
+        std::fs::write(&path, damage(&original)).unwrap();
+        assert!(matches!(cache.load(&spec), Err(CacheError::Corrupt { .. })));
 
         // A wrong envelope version → Corrupt, not a misread.
         std::fs::write(

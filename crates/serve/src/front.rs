@@ -44,16 +44,12 @@
 
 use std::io::{BufRead, Read, Write};
 use std::path::Path;
-use std::time::Duration;
 
 use qic_core::scenario::{ScenarioRegistry, ScenarioScale, ScenarioSpec};
 use qic_sweep::json::{check_fields, get, get_opt, obj, Json, JsonError};
 
 use crate::job::{JobId, JobState};
 use crate::service::{ServeError, ServeHandle};
-
-/// How often `wait` polls for progress changes.
-const WAIT_POLL: Duration = Duration::from_millis(5);
 
 /// The longest request line [`serve_lines`] reads, in bytes (newline
 /// excluded). Requests are a few kilobytes even with an inline spec;
@@ -222,32 +218,26 @@ fn handle_request<W: Write>(
             Some(state) => emit(output, state_event("status", id, &state)),
         },
         Request::Wait(id) => {
-            if handle.status(id).is_none() {
+            let Some(mut state) = handle.status(id) else {
                 return unknown_job(output, id);
-            }
-            let mut last_done = usize::MAX;
-            let state = loop {
-                match handle.status(id) {
-                    None => return unknown_job(output, id),
-                    Some(state) if state.is_terminal() => break state,
-                    Some(JobState::Running { done, total }) => {
-                        if done != last_done {
-                            last_done = done;
-                            emit(
-                                output,
-                                obj(vec![
-                                    ("event", Json::Str("progress".into())),
-                                    ("job", Json::Int(i128::from(id.0))),
-                                    ("done", Json::Int(done as i128)),
-                                    ("total", Json::Int(total as i128)),
-                                ]),
-                            )?;
-                        }
-                        std::thread::sleep(WAIT_POLL);
-                    }
-                    Some(_) => std::thread::sleep(WAIT_POLL),
-                }
             };
+            while !state.is_terminal() {
+                if let JobState::Running { done, total } = state {
+                    emit(
+                        output,
+                        obj(vec![
+                            ("event", Json::Str("progress".into())),
+                            ("job", Json::Int(i128::from(id.0))),
+                            ("done", Json::Int(done as i128)),
+                            ("total", Json::Int(total as i128)),
+                        ]),
+                    )?;
+                }
+                match handle.wait_change(id, &state) {
+                    Some(next) => state = next,
+                    None => return unknown_job(output, id),
+                }
+            }
             if let (JobState::Done { report, .. }, Some(dir)) = (&state, out_dir) {
                 std::fs::create_dir_all(dir)?;
                 let stem = dir.join(id.to_string());

@@ -67,8 +67,9 @@ pub enum JobState {
     /// Finished; the report plus its provenance.
     Done {
         /// The scenario report. Its `spec` is *this* job's submission;
-        /// the campaign payload may be shared with other jobs of the
-        /// same digest (byte-identical by the determinism contract).
+        /// jobs with an equal spec share one report, and jobs of the
+        /// same digest carry byte-identical campaigns (the determinism
+        /// contract).
         report: Arc<ScenarioReport>,
         /// Where the report came from.
         source: CacheSource,

@@ -6,8 +6,9 @@
 //!
 //! ```text
 //! submit ──validate──▶ Rejected            (bad spec, observe/checkpoint)
-//!        ──admit────▶ Queued               (or ServeError::QueueFull)
-//! dispatcher: memory hit ───────────▶ Done{Memory}
+//!        ──memory hit─▶ Done{Memory}        (no queue slot, no dispatcher)
+//!        ──admit──────▶ Queued              (or ServeError::QueueFull)
+//! dispatcher: memory hit ───────────▶ Done{Memory}  (filled while queued)
 //!             identical in flight ──▶ (follower) … Done{Coalesced}
 //!             disk hit ────────────▶ Done{Disk}  (+ memory fill)
 //!             miss ────────────────▶ Running{done,total} ─▶ Done{Computed}
@@ -19,7 +20,10 @@
 //! Every `Done` carries the same campaign payload for a given digest —
 //! the engine's determinism contract makes cached, coalesced and
 //! computed reports byte-identical (`wall_ns` excluded) — so provenance
-//! is pure observability.
+//! is pure observability. The memory tier holds one
+//! `Arc<ScenarioReport>` per digest, and every `Done` whose spec equals
+//! the cached spec shares it; a spec that differs only in execution
+//! hints (`workers`) gets its own report carrying its own spec.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -30,7 +34,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use qic_core::scenario::{self, ScenarioProgress, ScenarioReport, ScenarioSpec, SpecDigest};
-use qic_sweep::{CampaignReport, CancelToken, Executor, Metrics, ProgressSink, RunOptions};
+use qic_sweep::{CancelToken, Executor, Metrics, ProgressSink, RunOptions};
 
 use crate::cache::CacheDir;
 use crate::job::{CacheSource, JobId, JobState};
@@ -49,7 +53,8 @@ pub struct ServeConfig {
     /// `0` is clamped to 1.
     pub parallel_jobs: usize,
     /// Admission bound: submissions beyond this many queued jobs get
-    /// [`ServeError::QueueFull`]. `0` is clamped to 1.
+    /// [`ServeError::QueueFull`]. A memory hit is answered at submit
+    /// and takes no slot. `0` is clamped to 1.
     pub queue_limit: usize,
     /// On-disk result cache directory; `None` disables disk caching.
     pub cache_dir: Option<PathBuf>,
@@ -166,7 +171,7 @@ struct State {
     jobs: HashMap<u64, JobRecord>,
     queue: VecDeque<u64>,
     inflight: HashMap<u64, InFlight>,
-    memory: HashMap<u64, Arc<CampaignReport>>,
+    memory: HashMap<u64, Arc<ScenarioReport>>,
     memory_order: VecDeque<u64>,
     counters: Counters,
     draining: bool,
@@ -189,7 +194,7 @@ impl Core {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn memory_insert(&self, st: &mut State, digest: u64, report: Arc<CampaignReport>) {
+    fn memory_insert(&self, st: &mut State, digest: u64, report: Arc<ScenarioReport>) {
         if self.memory_entries == 0 {
             return;
         }
@@ -204,13 +209,14 @@ impl Core {
         st.memory.insert(digest, report);
     }
 
-    /// Moves job `id` to `Done`, building its `ScenarioReport` from its
-    /// *own* spec and the shared campaign payload.
+    /// Moves job `id` to `Done` with `payload` — shared when the job's
+    /// spec is the payload's, otherwise a report carrying the job's
+    /// *own* spec around a copy of the campaign.
     fn resolve_done(
         &self,
         st: &mut State,
         id: u64,
-        payload: &Arc<CampaignReport>,
+        payload: &Arc<ScenarioReport>,
         source: CacheSource,
     ) {
         if let Some(rec) = st.jobs.get_mut(&id) {
@@ -225,11 +231,16 @@ impl Core {
                 CacheSource::Disk => st.counters.hits_disk += 1,
                 CacheSource::Coalesced => {}
             }
-            rec.state = JobState::Done {
-                report: Arc::new(ScenarioReport {
+            let report = if *rec.spec == payload.spec {
+                Arc::clone(payload)
+            } else {
+                Arc::new(ScenarioReport {
                     spec: (*rec.spec).clone(),
-                    report: (**payload).clone(),
-                }),
+                    report: payload.report.clone(),
+                })
+            };
+            rec.state = JobState::Done {
+                report,
                 source,
                 wall_ns,
             };
@@ -269,6 +280,9 @@ impl ServeHandle {
     /// that carry `observe`/`checkpoint` blocks (which write
     /// server-local files and conflict with executor scheduling), get a
     /// job in [`JobState::Rejected`] — query it like any other job.
+    /// A valid spec whose digest the memory tier holds is answered here:
+    /// its job is created `Done { source: Memory }`, takes no queue slot
+    /// and wakes no dispatcher.
     ///
     /// # Errors
     ///
@@ -299,7 +313,11 @@ impl ServeHandle {
             return Err(ServeError::ShuttingDown);
         }
         st.counters.submitted += 1;
-        let queued = rejection.is_none();
+        let hit = match rejection {
+            None => st.memory.get(&digest.as_u64()).cloned(),
+            Some(_) => None,
+        };
+        let queued = rejection.is_none() && hit.is_none();
         if queued && st.queue.len() >= self.core.queue_limit {
             return Err(ServeError::QueueFull {
                 limit: self.core.queue_limit,
@@ -324,13 +342,14 @@ impl ServeHandle {
                 admitted: Instant::now(),
             },
         );
-        if queued {
+        if let Some(payload) = hit {
+            // Answered here: a job born terminal has no watchers to wake.
+            self.core
+                .resolve_done(&mut st, id, &payload, CacheSource::Memory);
+        } else if queued {
             st.queue.push_back(id);
             drop(st);
             self.core.work.notify_one();
-        } else {
-            drop(st);
-            self.core.settle.notify_all();
         }
         Ok(JobId(id))
     }
@@ -343,15 +362,30 @@ impl ServeHandle {
     /// Blocks until the job reaches a terminal state and returns it;
     /// `None` for unknown ids.
     pub fn wait(&self, id: JobId) -> Option<JobState> {
+        self.wait_for(id, JobState::is_terminal)
+    }
+
+    /// Blocks until the job's state differs from `seen` — another phase,
+    /// another `done` count, or any terminal state (so a terminal `seen`
+    /// returns at once) — and returns it; `None` for unknown ids. A
+    /// watcher that passes back what it last got sees every change of
+    /// `done` without polling.
+    pub fn wait_change(&self, id: JobId, seen: &JobState) -> Option<JobState> {
+        self.wait_for(id, |now| match (seen, now) {
+            (JobState::Queued, JobState::Queued) => false,
+            (JobState::Running { done: was, .. }, JobState::Running { done, .. }) => was != done,
+            _ => true,
+        })
+    }
+
+    fn wait_for(&self, id: JobId, ready: impl Fn(&JobState) -> bool) -> Option<JobState> {
         let mut st = self.core.lock();
         loop {
-            match st.jobs.get(&id.0) {
-                None => return None,
-                Some(rec) if rec.state.is_terminal() => return Some(rec.state.clone()),
-                Some(_) => {
-                    st = self.core.settle.wait(st).unwrap_or_else(|e| e.into_inner());
-                }
+            let state = &st.jobs.get(&id.0)?.state;
+            if ready(state) {
+                return Some(state.clone());
             }
+            st = self.core.settle.wait(st).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -544,8 +578,9 @@ fn dispatcher_loop(core: &Arc<Core>) {
 
 /// Drives one claimed job through cache lookup, coalescing, or compute.
 fn serve_job(core: &Arc<Core>, id: u64) {
-    // Phase 1 (locked): memory hit, single-flight registration, or
-    // leadership.
+    // Phase 1 (locked): memory hit (a digest filled while this job was
+    // queued — `submit` answers the others), single-flight
+    // registration, or leadership.
     let (spec, digest, cancel) = {
         let mut st = core.lock();
         let Some(rec) = st.jobs.get(&id) else { return };
@@ -583,7 +618,10 @@ fn serve_job(core: &Arc<Core>, id: u64) {
     if let Some(cache) = &core.cache {
         match cache.load(&spec) {
             Ok(Some(report)) => {
-                let payload = Arc::new(report);
+                let payload = Arc::new(ScenarioReport {
+                    spec: (*spec).clone(),
+                    report,
+                });
                 let mut st = core.lock();
                 core.memory_insert(&mut st, digest, Arc::clone(&payload));
                 core.resolve_done(&mut st, id, &payload, CacheSource::Disk);
@@ -613,9 +651,9 @@ fn serve_job(core: &Arc<Core>, id: u64) {
     let outcome = catch_unwind(AssertUnwindSafe(|| scenario::run_with(&spec, &opts)));
     match outcome {
         Ok(Ok(ScenarioProgress::Complete(report))) => {
-            let payload = Arc::new(report.report);
+            let payload = Arc::<ScenarioReport>::from(report);
             if let Some(cache) = &core.cache {
-                if cache.store(&spec, &payload).is_err() {
+                if cache.store(&spec, &payload.report).is_err() {
                     core.lock().counters.cache_errors += 1;
                 }
             }
@@ -662,7 +700,7 @@ fn serve_job(core: &Arc<Core>, id: u64) {
 
 /// Resolves every follower of `digest` with the finished payload and
 /// clears the in-flight registration.
-fn settle_followers(core: &Core, st: &mut State, digest: u64, payload: &Arc<CampaignReport>) {
+fn settle_followers(core: &Core, st: &mut State, digest: u64, payload: &Arc<ScenarioReport>) {
     if let Some(fl) = st.inflight.remove(&digest) {
         for follower in fl.followers {
             core.resolve_done(st, follower, payload, CacheSource::Coalesced);

@@ -1,7 +1,8 @@
 //! Service-level guarantees: single-flight, cache-hit byte identity
 //! against direct `qic_core::scenario::run`, backpressure, cancellation,
-//! graceful drain, rejection, disk persistence across instances,
-//! corruption and old-version recovery, and the JSONL front-end.
+//! graceful drain, rejection, memory hits answered at submit from one
+//! shared report, disk persistence across instances, corruption and
+//! old-version recovery, and the JSONL front-end.
 
 use std::io::Cursor;
 use std::path::PathBuf;
@@ -242,6 +243,108 @@ fn disk_cache_serves_across_instances_and_survives_corruption() {
     let (_, source) = done(handle.wait(handle.submit(spec).unwrap()).unwrap());
     assert_eq!(source, CacheSource::Disk);
     serve.shutdown();
+}
+
+#[test]
+fn memory_hits_are_answered_at_submit_without_a_queue_slot() {
+    let serve = Serve::start(
+        ServeConfig::default()
+            .with_parallel_jobs(1)
+            .with_queue_limit(2),
+    );
+    let handle = serve.handle();
+    let cached = preset("design_space").with_seed(301);
+    let (_, source) = done(handle.wait(handle.submit(cached.clone()).unwrap()).unwrap());
+    assert_eq!(source, CacheSource::Computed);
+    // Occupy the single dispatcher, then fill the queue to its bound.
+    let running = handle.submit(slow_spec("hit_at_submit")).expect("admitted");
+    while matches!(handle.status(running), Some(JobState::Queued)) {
+        std::thread::yield_now();
+    }
+    let queued: Vec<_> = [302, 303]
+        .map(|seed| {
+            handle
+                .submit(preset("design_space").with_seed(seed))
+                .expect("queue slot")
+        })
+        .into();
+    assert_eq!(
+        handle.submit(preset("design_space").with_seed(304)),
+        Err(ServeError::QueueFull { limit: 2 })
+    );
+    // The hit needs neither a slot nor a dispatcher: it is done on return.
+    let hit = handle.submit(cached).expect("a hit takes no queue slot");
+    let (_, source) = done(handle.status(hit).expect("known job"));
+    assert_eq!(source, CacheSource::Memory);
+    let (_, source) = done(
+        handle
+            .wait_change(hit, &JobState::Queued)
+            .expect("known job"),
+    );
+    assert_eq!(source, CacheSource::Memory);
+    assert_eq!(handle.metrics().get("serve.queue.depth"), Some(2.0));
+    for job in queued.into_iter().chain([running]) {
+        assert!(handle.wait(job).expect("known").is_terminal());
+    }
+    assert_eq!(handle.metrics().get("serve.hits.memory"), Some(1.0));
+    serve.shutdown();
+}
+
+#[test]
+fn memory_hits_share_one_report_unless_the_spec_differs() {
+    let serve = Serve::start(ServeConfig::default());
+    let handle = serve.handle();
+    let spec = preset("design_space").with_seed(311);
+    let (computed, _) = done(handle.wait(handle.submit(spec.clone()).unwrap()).unwrap());
+    let (a, source_a) = done(handle.wait(handle.submit(spec.clone()).unwrap()).unwrap());
+    let (b, source_b) = done(handle.wait(handle.submit(spec.clone()).unwrap()).unwrap());
+    assert_eq!(
+        (source_a, source_b),
+        (CacheSource::Memory, CacheSource::Memory)
+    );
+    assert!(std::sync::Arc::ptr_eq(&a, &b), "two hits share one report");
+    assert!(
+        std::sync::Arc::ptr_eq(&a, &computed),
+        "and share it with the job that computed it"
+    );
+    // Differing only in `workers` (not part of the digest), a hit keeps
+    // its own spec around the same campaign bytes.
+    let other = spec.clone().with_workers(spec.workers + 2);
+    let (own, source) = done(handle.wait(handle.submit(other.clone()).unwrap()).unwrap());
+    assert_eq!(source, CacheSource::Memory);
+    assert!(!std::sync::Arc::ptr_eq(&own, &a));
+    assert_eq!(own.spec, other);
+    assert_eq!(own.report.to_record_json(), a.report.to_record_json());
+    assert_eq!(own.to_csv(), a.to_csv());
+    serve.shutdown();
+}
+
+#[test]
+fn rejected_and_draining_submissions_are_never_served_from_memory() {
+    let serve = Serve::start(ServeConfig::default());
+    let handle = serve.handle();
+    let spec = preset("design_space").with_seed(321);
+    let (_, source) = done(handle.wait(handle.submit(spec.clone()).unwrap()).unwrap());
+    assert_eq!(source, CacheSource::Computed);
+    // Observe and checkpoint blocks are outside the digest, so these
+    // specs' digest is cached — and they are still rejected.
+    let observed = spec
+        .clone()
+        .with_observe(ObserveSpec::to_dir("target/serve_obs"));
+    let ckpt = spec
+        .clone()
+        .with_checkpoint(CheckpointSpec::to_dir("target/serve_ckpt"));
+    for (blocked, block) in [(observed, "observe"), (ckpt, "checkpoint")] {
+        assert_eq!(SpecDigest::of(&blocked), SpecDigest::of(&spec));
+        match handle.status(handle.submit(blocked).unwrap()).unwrap() {
+            JobState::Rejected { reason } => assert!(reason.contains(block), "{reason}"),
+            other => panic!("expected Rejected, got {other:?}"),
+        }
+    }
+    assert_eq!(handle.metrics().get("serve.hits.memory"), Some(0.0));
+    serve.shutdown();
+    assert_eq!(handle.submit(spec), Err(ServeError::ShuttingDown));
+    assert_eq!(handle.metrics().get("serve.hits.memory"), Some(0.0));
 }
 
 #[test]
