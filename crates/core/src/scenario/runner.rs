@@ -347,8 +347,8 @@ impl MachineEval {
             );
         }
         // Per-point derived seeds follow the engine's replication
-        // contract; the net RNG only draws classical correction bits,
-        // which never move simulated time, so they cannot shift a
+        // contract; the simulator draws no random numbers (the seed
+        // rides along for provenance), so they cannot shift a
         // figure's numbers. The fault plan keeps its *own* declared
         // seed: which components die is part of the scenario, not of
         // the replication noise.

@@ -17,8 +17,9 @@
 //!   dimension-order routing and a contention-aware minimal-adaptive
 //!   policy, both deterministic,
 //! * a logical-communication lifecycle: open channel → stream pairs →
-//!   endpoint purification → data teleport → gate, with classical control
-//!   messages carrying IDs and cumulative Pauli-frame corrections.
+//!   endpoint purification → data teleport → gate. A teleport's two
+//!   classical correction bits change no timing, so the simulator draws
+//!   none and the same inputs always replay the same run.
 //!
 //! The machine-level layer (`qic-core`) drives the simulator through the
 //! [`sim::Driver`] trait: it submits logical communications and reacts to
@@ -48,9 +49,7 @@
 #![deny(missing_docs)]
 
 pub mod config;
-pub mod message;
 pub mod report;
-pub mod resources;
 pub mod routing;
 pub mod sim;
 pub mod topology;

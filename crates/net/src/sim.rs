@@ -257,13 +257,12 @@ struct Comm {
 
 // --- struct-of-arrays resource state ----------------------------------
 //
-// The per-instance resource structs in `crate::resources` remain the
-// documented reference models; the simulator keeps the same state as
-// parallel flat vectors over the dense indices `Topology` provides, so
-// the hot path touches one primitive array per field instead of
-// pointer-chasing whole structs. Shared scalars (wire interval/cap,
-// storage capacity, purifier units — uniform across instances by
-// construction) are stored once.
+// The simulator keeps each resource's state as parallel flat vectors
+// over the dense indices `Topology` provides, so the hot path touches
+// one primitive array per field instead of pointer-chasing whole
+// structs. Shared scalars (wire interval/cap, storage capacity,
+// purifier units — uniform across instances by construction) are
+// stored once.
 
 /// Marks an empty intrusive list slot / the end of a chain.
 const NO_WAITER: u32 = u32::MAX;
@@ -1218,6 +1217,14 @@ impl<T: Topology, P: Probe> World<T, P> {
 
     // --- endpoint purification ----------------------------------------
 
+    /// Runs one arrival through the destination site's depth-`d` queue
+    /// purifier (Figure 14). The queue is a binary counter over the
+    /// comm's arrivals: arrival `k` (0-based, mod `2^d`) carries
+    /// `trailing_ones(k)` promotions, each one purification round, and
+    /// every `2^d`-th arrival emits one purified output, so an output
+    /// costs `2^d − 1` rounds. A job takes one of the site's
+    /// `purifiers_per_site` units for `ops × purify_op_time`; a job that
+    /// finds every unit busy waits FIFO.
     fn feed_purifier(&mut self, comm_id: u32) {
         let depth = self.cfg.purify_depth;
         let (site_idx, ops, produces, dur) = {
@@ -1513,9 +1520,9 @@ impl<T: Topology, P: Probe> World<T, P> {
         let tele_util = if makespan == Duration::ZERO {
             0.0
         } else {
-            // Same per-pool arithmetic (and summation order) as
-            // `ServerPool::utilization`, over the flat arrays. Idle
-            // pools contribute exactly 0.0, so they are skipped.
+            // Mean over teleporter sets, in index order, of each set's
+            // busy time over `makespan × capacity`. Idle sets contribute
+            // exactly 0.0, so they are skipped.
             let mut total = 0.0;
             for i in 0..self.telesets.capacity.len() {
                 if self.telesets.busy_ns[i] != 0 {

@@ -294,8 +294,8 @@ proptest! {
 
     #[test]
     fn seeds_do_not_change_accounting(seed in 0u64..10_000) {
-        // The classical correction bits are random, but pair accounting is
-        // deterministic regardless of seed.
+        // The seed rides along for provenance only: pair accounting is
+        // the same for every seed.
         let mut cfg = NetConfig::small_test();
         cfg.seed = seed;
         let mut driver = OneShotDriver::new(Coord::new(0, 0), Coord::new(3, 1));

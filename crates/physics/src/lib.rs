@@ -12,6 +12,8 @@
 //! * [`density`] — an exact two-qubit density-matrix simulator used to
 //!   validate the Bell-diagonal fast path,
 //! * [`transport`] — the ballistic-movement model (Equations 1–2),
+//! * [`waveform`] — the electrode pulse schedule of one shuttle
+//!   (Figure 2), with well-continuity checks,
 //! * [`teleport`] — the teleportation and EPR-generation models
 //!   (Equations 3–5).
 //!
@@ -46,6 +48,7 @@ pub mod optime;
 pub mod teleport;
 pub mod time;
 pub mod transport;
+pub mod waveform;
 
 /// Convenient glob-import surface: `use qic_physics::prelude::*;`.
 pub mod prelude {

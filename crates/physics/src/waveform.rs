@@ -6,11 +6,24 @@
 //! moving it one cell right is one *phase*: push from behind (column `k`)
 //! and open the next well (columns `k+1`/`k+2`). Chaining phases walks the
 //! ion down the channel at one cell per `tmv` (0.2 µs).
+//!
+//! # Example
+//!
+//! ```
+//! use qic_physics::optime::OpTimes;
+//! use qic_physics::waveform::ShuttlePlan;
+//!
+//! // Shuttle an ion 6 cells down a channel: 6 pulse phases, 1.2 µs.
+//! let plan = ShuttlePlan::new(3, 9).expect("forward shuttle");
+//! let schedule = plan.waveforms(&OpTimes::ion_trap());
+//! assert_eq!(schedule.phases(), 6);
+//! assert_eq!(schedule.total_time().as_us_f64(), 1.2);
+//! ```
 
 use std::fmt;
 
-use qic_physics::optime::OpTimes;
-use qic_physics::time::Duration;
+use crate::optime::OpTimes;
+use crate::time::Duration;
 
 /// Drive level of an electrode column during one phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

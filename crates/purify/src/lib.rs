@@ -11,10 +11,11 @@
 //!   purification circuit, used to *derive* (and in tests, validate) the
 //!   closed-form recurrences,
 //! * [`analysis`] — round trajectories, convergence and resource counts
-//!   behind Figure 8,
-//! * [`tree`] — spatial tree purifiers (one hardware unit per tree node),
-//! * [`queue`] — the robust queue purifiers of Figure 14 that the
-//!   event-driven simulator instantiates at endpoints.
+//!   behind Figure 8.
+//!
+//! The queue purifiers of Figure 14 are not modelled here: the
+//! event-driven simulator runs their cascade itself, at every endpoint
+//! site (`qic_net::sim`, endpoint purification).
 //!
 //! # Example
 //!
@@ -37,8 +38,6 @@
 pub mod analysis;
 pub mod frame;
 pub mod protocol;
-pub mod queue;
-pub mod tree;
 
 /// Convenient glob-import surface: `use qic_purify::prelude::*;`.
 pub mod prelude {
@@ -46,11 +45,7 @@ pub mod prelude {
         max_achievable, pairs_for_rounds, rounds_to_reach, trajectory, RoundPoint,
     };
     pub use crate::protocol::{Protocol, PurifyOutcome, RoundNoise};
-    pub use crate::queue::QueuePurifier;
-    pub use crate::tree::TreePurifier;
 }
 
 pub use analysis::{max_achievable, rounds_to_reach, trajectory};
 pub use protocol::{Protocol, PurifyOutcome, RoundNoise};
-pub use queue::QueuePurifier;
-pub use tree::TreePurifier;

@@ -84,25 +84,4 @@ proptest! {
         let out = Protocol::Dejmps.step(&w);
         prop_assert!(out.state.fidelity().value() > f);
     }
-
-    #[test]
-    fn queue_purifier_counts_are_exact(depth in 1u32..5, feeds in 1u32..64) {
-        let mut q = qic_purify::queue::QueuePurifier::new(
-            depth,
-            Protocol::Dejmps,
-            RoundNoise::noiseless(),
-        );
-        let raw = BellDiagonal::werner_f64(0.99).unwrap();
-        let mut outputs = 0u32;
-        for _ in 0..feeds {
-            if q.feed_expected(raw).is_some() {
-                outputs += 1;
-            }
-        }
-        prop_assert_eq!(u64::from(outputs), u64::from(feeds) >> depth);
-        // The queue behaves as a binary counter: occupancy equals the
-        // popcount of the residual feed count.
-        let residual = feeds & ((1u32 << depth) - 1);
-        prop_assert_eq!(q.occupancy(), residual.count_ones() as usize);
-    }
 }

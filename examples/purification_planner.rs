@@ -58,25 +58,4 @@ fn main() {
             Err(e) => println!("  {:<40} infeasible: {e}", placement.legend()),
         }
     }
-
-    // Queue purifier hardware plan.
-    println!("\n== queue purifier hardware (Figure 14) ==");
-    let depth = 3;
-    let queue = QueuePurifier::new(depth, Protocol::Dejmps, noise);
-    let tree = TreePurifier::new(depth, Protocol::Dejmps);
-    let times = OpTimes::ion_trap();
-    println!(
-        "  depth {depth} queue purifier: {} units (tree would need {})",
-        depth,
-        tree.hardware_units()
-    );
-    println!(
-        "  serial latency per output: {} (tree: {})",
-        queue.serial_latency_per_output(&times, 600 * u64::from(hops)),
-        tree.latency(&times, 600 * u64::from(hops)),
-    );
-    println!(
-        "  expected raw pairs per output from the raw link state: {:.2}",
-        queue.expected_pairs_per_output(&raw)
-    );
 }

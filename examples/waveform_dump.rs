@@ -1,68 +1,24 @@
-//! Physical-layer tour: electrode waveforms, junction turns and route
-//! costs on an ion-trap floorplan (Figure 2 territory).
+//! Physical-layer tour: the electrode pulse schedule that shuttles one
+//! ion six cells down a channel (Figure 2).
 //!
 //! Run with `cargo run --example waveform_dump`.
 
-use qic::iontrap::channel::{Channel, IonId};
-use qic::iontrap::floorplan::{Floorplan, Site};
-use qic::iontrap::waveform::ShuttlePlan;
+use qic::physics::waveform::ShuttlePlan;
 use qic::prelude::*;
 
 fn main() {
     let times = OpTimes::ion_trap();
-    let rates = ErrorRates::ion_trap();
 
-    // 1. The Figure 2 shuttle: cell 3 to cell 9.
+    // The Figure 2 shuttle: cell 3 to cell 9.
     println!("== electrode schedule for a 6-cell shuttle (Figure 2) ==");
     let schedule = ShuttlePlan::new(3, 9)
         .expect("distinct cells")
         .waveforms(&times);
     print!("{}", schedule.render());
     println!(
-        "phases: {}, total {}, well trajectory {:?}\n",
+        "phases: {}, total {}, well trajectory {:?}",
         schedule.phases(),
         schedule.total_time(),
         schedule.well_trajectory()
-    );
-
-    // 2. An occupancy-checked channel with two ions.
-    println!("== collision-checked channel ==");
-    let mut ch = Channel::new(32);
-    ch.insert(IonId(1), 0).expect("cell empty");
-    ch.insert(IonId(2), 16).expect("cell empty");
-    let out = ch.shuttle(IonId(1), 10).expect("path clear");
-    println!(
-        "ion1 0->10: {} in {}, fidelity now 1-{:.1e}",
-        out.schedule.phases(),
-        out.elapsed,
-        out.fidelity_after.infidelity()
-    );
-    match ch.shuttle(IonId(1), 20) {
-        Err(e) => println!("ion1 10->20 refused: {e}"),
-        Ok(_) => unreachable!("ion2 blocks the path"),
-    }
-
-    // 3. Route planning across a floorplan with junction turn costs.
-    println!("\n== floorplan routes (600-cell edges, X junctions) ==");
-    let fp = Floorplan::grid(8, 8, 600);
-    for (from, to) in [
-        (Site { x: 0, y: 0 }, Site { x: 7, y: 0 }),
-        (Site { x: 0, y: 0 }, Site { x: 4, y: 4 }),
-        (Site { x: 0, y: 0 }, Site { x: 7, y: 7 }),
-    ] {
-        let r = fp.route(from, to).expect("sites on grid");
-        println!(
-            "  {from}->{to}: {} cells ({} turns), {} ballistic, survival {:.5}",
-            r.total_cells,
-            r.turns,
-            r.time(&times),
-            r.survival(&rates)
-        );
-    }
-    println!(
-        "\nthe longest route ({} cells) would lose {:.1e} fidelity if data moved\n\
-         ballistically — this is why the mesh teleports everything beyond ~600 cells.",
-        fp.diameter_cells(),
-        1.0 - qic::physics::transport::survival(fp.diameter_cells(), &rates)
     );
 }

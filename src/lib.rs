@@ -14,9 +14,8 @@
 //!
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
-//! | [`physics`] | `qic-physics` | fidelity algebra, Bell-diagonal states, transport/teleport models (Tables 1–2, Eqs 1–5) |
-//! | [`iontrap`] | `qic-iontrap` | electrode-level shuttle waveforms, ballistic channels, junctions (Fig. 2) |
-//! | [`purify`] | `qic-purify` | DEJMPS / BBPSSW / pumping protocols, tree & queue purifiers (Figs 8, 14) |
+//! | [`physics`] | `qic-physics` | fidelity algebra, Bell-diagonal states, transport/teleport models, Fig. 2 shuttle waveforms (Tables 1–2, Eqs 1–5) |
+//! | [`purify`] | `qic-purify` | DEJMPS / BBPSSW / pumping protocols, Pauli-frame check, round analysis (Fig. 8) |
 //! | [`analytic`] | `qic-analytic` | chained-channel error & resource models (Figs 9–12) |
 //! | [`des`] | `qic-des` | deterministic discrete-event engine |
 //! | [`net`] | `qic-net` | interconnect fabrics (mesh/torus/hypercube), routing policies, virtual wires, the communication simulator (Figs 4–6, 13, 16) |
@@ -67,7 +66,6 @@ pub use qic_analytic as analytic;
 pub use qic_core as core;
 pub use qic_des as des;
 pub use qic_fault as fault;
-pub use qic_iontrap as iontrap;
 pub use qic_modular as modular;
 pub use qic_net as net;
 pub use qic_physics as physics;

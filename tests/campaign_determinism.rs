@@ -58,9 +58,9 @@ fn replicates_carry_derived_seeds_into_the_simulator() {
     assert_eq!(report.points.len(), 8);
     for point in &report.points {
         assert_eq!(point.replicates.len(), 2);
-        // The net RNG only draws classical correction bits, which do
-        // not move simulated time — so the replicate CI exists (n=2)
-        // and collapses to a zero half-width, with the mean inside the
+        // The simulator draws no random numbers, so the seed does not
+        // move simulated time: the replicate CI exists (n=2) and
+        // collapses to a zero half-width, with the mean inside the
         // (degenerate) replicate envelope.
         let s = point
             .summaries

@@ -18,11 +18,11 @@ use qic::analytic::figures::{self, Series};
 use qic::analytic::plan::ChannelModel;
 use qic::core::experiment::{figure16_from_campaign, Fig16Point, Fig16Result, Fig16Scale};
 use qic::core::scenario::fig16_spec;
-use qic::iontrap::waveform::ShuttlePlan;
 use qic::physics::constants::{LEVEL2_STEANE_QUBITS, THRESHOLD_ERROR};
 use qic::physics::error::ErrorRates;
 use qic::physics::optime::OpTimes;
 use qic::physics::transport;
+use qic::physics::waveform::ShuttlePlan;
 
 /// One claim of the paper and how this reproduction measures up to it.
 struct Row {
