@@ -1,7 +1,8 @@
 //! The scenario entry points: `run(&spec)` and `run_with(&spec, &opts)`.
 
+use std::collections::HashMap;
 use std::path::Path;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use qic_analytic::cost::{ComponentCounts, CostModel, NetworkShape};
 use qic_analytic::figures::{pair_budget, PairMetric};
@@ -21,7 +22,6 @@ use qic_sweep::{
 use qic_workload::Program;
 
 use crate::layout::Layout;
-use crate::machine::Machine;
 use crate::scenario::spec::{
     ExperimentSpec, MachineSpec, ObserveSpec, ScenarioAxis, ScenarioError, ScenarioSpec,
     WorkloadSpec,
@@ -251,6 +251,15 @@ fn write_traces(
 /// The owned evaluator behind every machine experiment: everything one
 /// point evaluation needs, cloned out of the spec, because executor
 /// tasks must be `Send + 'static`.
+///
+/// A run simulates each distinct machine once. Two evaluations that
+/// differ only in what the simulator never reads — the replicate's
+/// derived seed (provenance only, see [`NetConfig::seed`]) and the
+/// values of report-only axes ([`ScenarioAxis::is_report_only`]) —
+/// form one *sharing class*: the first to ask simulates, the others
+/// wait for and reuse its metrics, and every point then adds its own
+/// cost columns from its own [`ModularSpec`]. Observed runs simulate
+/// every `(point, replicate)`, so each writes its own traces.
 struct MachineEval {
     name: String,
     axes: Vec<ScenarioAxis>,
@@ -267,11 +276,76 @@ struct MachineEval {
     /// build; a campaign holds a handful of keys, so a linear scan
     /// serves.
     fabrics: Mutex<Vec<(FabricKey, ModularFabric<Fabric>)>>,
+    /// The simulation of each sharing class some member has claimed
+    /// but not every member has, with the count of members still to
+    /// claim it. The last claim removes the entry, so memory stays
+    /// flat however long the campaign; a shard, budget or resume that
+    /// covers part of a class simulates it once per call.
+    sims: Mutex<HashMap<usize, Claimed>>,
+    /// Evaluations per sharing class: the product of the report-only
+    /// axes' lengths, times the replicates.
+    class_size: usize,
+    /// Simulations this evaluator has run.
+    #[cfg(test)]
+    simulations: std::sync::atomic::AtomicUsize,
 }
 
 /// What a modular fabric is built from: the base kind and grid, and
-/// the modular spec with the report-only cost knobs at their defaults.
+/// the modular spec with the report-only cost knobs at their defaults
+/// ([`without_cost_knobs`]). The same two knobs are what a
+/// [`ScenarioAxis::is_report_only`] axis varies, which is why points
+/// that differ only along such an axis share one simulation.
 type FabricKey = (TopologyKind, u16, u16, ModularSpec);
+
+/// `m` with the knobs only the cost columns read — `inter_unit_cost`
+/// and `report_cost` — at their defaults: what the fabric and the
+/// simulation see of it.
+fn without_cost_knobs(m: &ModularSpec) -> ModularSpec {
+    let defaults = ModularSpec::single();
+    ModularSpec {
+        inter_unit_cost: defaults.inter_unit_cost,
+        report_cost: defaults.report_cost,
+        ..m.clone()
+    }
+}
+
+/// One machine point with every axis applied: all a simulation reads,
+/// plus the seed and cost knobs it carries for the report.
+#[derive(Debug, Clone, PartialEq)]
+struct MachinePoint {
+    net: NetConfig,
+    layout: Layout,
+    workload: WorkloadSpec,
+    fault: Option<FaultPlan>,
+    modular: Option<Box<ModularSpec>>,
+}
+
+impl MachinePoint {
+    /// The simulation's inputs: the point with its seed cleared and its
+    /// cost knobs at their defaults. Every member of a sharing class
+    /// has equal inputs. Taken before the modular path widens the grid
+    /// to the composed width, so different base fabrics stay apart.
+    #[cfg(debug_assertions)]
+    fn sim_inputs(&self) -> MachinePoint {
+        let mut inputs = self.clone();
+        inputs.net.seed = 0;
+        inputs.modular = inputs.modular.map(|m| Box::new(without_cost_knobs(&m)));
+        inputs
+    }
+}
+
+/// A sharing class's simulation slot and the count of its members yet
+/// to claim it.
+type Claimed = (Arc<OnceLock<Simulated>>, usize);
+
+/// One sharing class's simulation result. Debug builds keep the inputs
+/// it ran on, and every later reader checks that its own inputs equal
+/// them, so an axis wrongly classed as report-only fails the tests.
+struct Simulated {
+    metrics: Metrics,
+    #[cfg(debug_assertions)]
+    inputs: MachinePoint,
+}
 
 impl MachineEval {
     /// Clones the evaluation state out of a validated spec.
@@ -285,6 +359,12 @@ impl MachineEval {
         } else {
             workload.program()
         };
+        let report_only_values: usize = spec
+            .axes
+            .iter()
+            .filter(|a| a.is_report_only())
+            .map(ScenarioAxis::len)
+            .product();
         MachineEval {
             name: spec.name.clone(),
             axes: spec.axes.clone(),
@@ -293,6 +373,10 @@ impl MachineEval {
             base_program,
             observe: spec.observe.clone(),
             fabrics: Mutex::new(Vec::new()),
+            sims: Mutex::new(HashMap::new()),
+            class_size: report_only_values * spec.replicates as usize,
+            #[cfg(test)]
+            simulations: Default::default(),
         }
     }
 
@@ -302,16 +386,11 @@ impl MachineEval {
     /// fabric is built from the key's spec: only this runner reads
     /// `inter_unit_cost` and `report_cost`, and it reads them from `m`.
     fn modular_fabric(&self, net: &NetConfig, m: &ModularSpec) -> ModularFabric<Fabric> {
-        let defaults = ModularSpec::single();
         let key: FabricKey = (
             net.topology,
             net.mesh_width,
             net.mesh_height,
-            ModularSpec {
-                inter_unit_cost: defaults.inter_unit_cost,
-                report_cost: defaults.report_cost,
-                ..m.clone()
-            },
+            without_cost_knobs(m),
         );
         let memo = || self.fabrics.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some((_, fabric)) = memo().iter().find(|(k, _)| *k == key) {
@@ -325,202 +404,157 @@ impl MachineEval {
         fabric
     }
 
+    /// The point's sharing class: its index with every report-only
+    /// axis coordinate set to 0.
+    fn sharing_class(&self, point: &SweepPoint<'_>) -> usize {
+        self.axes.iter().enumerate().fold(0, |class, (a, axis)| {
+            let coord = if axis.is_report_only() {
+                0
+            } else {
+                point.coord(a)
+            };
+            class * axis.len() + coord
+        })
+    }
+
     /// Evaluates one `(point, replicate)`: applies every axis to the
-    /// base machine/workload, seeds the net RNG from the derived seed,
-    /// and runs the simulator (degraded fabric when a fault plan is in
-    /// play, probed when trace export is on).
+    /// base machine/workload, takes the simulated metrics of the
+    /// point's sharing class (simulating them if this is the first
+    /// member to ask, or on every call when traces are exported), and
+    /// appends the point's own cost columns when its modular block
+    /// asks for them.
     fn eval(&self, point: &SweepPoint<'_>, ctx: RunCtx) -> Metrics {
-        let observe = self.observe.as_ref();
-        let mut net = self.machine.net_config();
-        let mut layout = self.machine.layout;
-        let mut wl = self.workload.clone();
-        let mut fault = self.machine.fault.clone();
-        let mut modular = self.machine.modular.clone();
+        let mut p = MachinePoint {
+            net: self.machine.net_config(),
+            layout: self.machine.layout,
+            workload: self.workload.clone(),
+            fault: self.machine.fault.clone(),
+            modular: self.machine.modular.clone(),
+        };
         for (a, axis) in self.axes.iter().enumerate() {
             axis.apply_machine(
                 point.coord(a),
-                &mut net,
-                &mut layout,
-                &mut wl,
-                &mut fault,
-                &mut modular,
+                &mut p.net,
+                &mut p.layout,
+                &mut p.workload,
+                &mut p.fault,
+                &mut p.modular,
             );
         }
         // Per-point derived seeds follow the engine's replication
         // contract; the simulator draws no random numbers (the seed
         // rides along for provenance), so they cannot shift a
-        // figure's numbers. The fault plan keeps its *own* declared
-        // seed: which components die is part of the scenario, not of
-        // the replication noise.
-        net.seed = ctx.seed;
-        if let Some(m) = modular {
-            return self.eval_modular(&m, net, layout, &wl, fault, (point.index(), ctx.replicate));
+        // figure's numbers — which is what lets replicates share one
+        // simulation. The fault plan keeps its *own* declared seed:
+        // which components die is part of the scenario, not of the
+        // replication noise.
+        p.net.seed = ctx.seed;
+        let fabric = p.modular.as_deref().map(|m| self.modular_fabric(&p.net, m));
+        let simulate = || self.simulate(&p, fabric.clone(), (point.index(), ctx.replicate));
+        let metrics = if self.observe.is_some() {
+            simulate()
+        } else {
+            self.shared(self.sharing_class(point), &p, simulate)
+        };
+        match (p.modular.as_deref(), &fabric) {
+            (Some(m), Some(fabric)) if m.report_cost => cost_columns(metrics, m, &p.net, fabric),
+            _ => metrics,
         }
+    }
+
+    /// The simulated metrics of sharing class `class`, which `p`
+    /// belongs to: the first member to ask runs `simulate`, members
+    /// asking meanwhile wait for it, and later ones read its result. A
+    /// `simulate` that panics leaves the class unsimulated, so each
+    /// waiting member then simulates (and fails) on its own.
+    fn shared(
+        &self,
+        class: usize,
+        p: &MachinePoint,
+        simulate: impl FnOnce() -> Metrics,
+    ) -> Metrics {
+        let cell = {
+            let mut sims = self.sims.lock().unwrap_or_else(PoisonError::into_inner);
+            let entry = sims
+                .entry(class)
+                .or_insert_with(|| (Arc::default(), self.class_size));
+            entry.1 -= 1;
+            let cell = Arc::clone(&entry.0);
+            if entry.1 == 0 {
+                sims.remove(&class);
+            }
+            cell
+        };
+        let sim = cell.get_or_init(|| Simulated {
+            metrics: simulate(),
+            #[cfg(debug_assertions)]
+            inputs: p.sim_inputs(),
+        });
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            sim.inputs,
+            p.sim_inputs(),
+            "{}: a point shares a simulation it does not match",
+            self.name
+        );
+        #[cfg(not(debug_assertions))]
+        let _ = p;
+        sim.metrics.clone()
+    }
+
+    /// Simulates one applied point — over its composed fabric when it
+    /// is modular, degraded when a fault plan is in play, probed when
+    /// trace export is on — and returns the simulator's metrics.
+    /// `trace_tag` is the `(point index, replicate)` pair that names
+    /// any exported traces.
+    fn simulate(
+        &self,
+        p: &MachinePoint,
+        fabric: Option<ModularFabric<Fabric>>,
+        trace_tag: (usize, u32),
+    ) -> Metrics {
+        #[cfg(test)]
+        self.simulations
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let mut net = p.net.clone();
+        let (layout, wl) = (p.layout, &p.workload);
         // Scenarios with a fault plan run over the compiled degraded
         // fabric (even at rate zero, so a fault sweep reports the same
         // metric columns at every point); plain scenarios take the
-        // untouched healthy path.
-        let degraded = fault.map(|plan| plan.compile(net.fabric()));
-        match &wl {
-            WorkloadSpec::Batch { comms } => {
-                let batch = comms
-                    .iter()
-                    .map(|&((sx, sy), (dx, dy))| (Coord::new(sx, sy), Coord::new(dx, dy)))
-                    .collect();
-                let mut driver = BatchDriver::new(batch);
-                match observe {
-                    Some(obs) => {
-                        let probe = RecordingProbe::with_bins(obs.bins);
-                        let (report, probe) = match degraded {
-                            Some(topo) => NetworkSim::with_topology_probe(net, topo, probe)
-                                .run_traced(&mut driver),
-                            None => NetworkSim::with_probe(net, probe).run_traced(&mut driver),
-                        };
-                        write_traces(obs, &self.name, point.index(), ctx.replicate, &probe);
-                        report
-                    }
-                    None => match degraded {
-                        Some(topo) => NetworkSim::with_topology(net, topo).run(&mut driver),
-                        None => NetworkSim::new(net).run(&mut driver),
-                    },
+        // untouched healthy fabric.
+        let report = match fabric {
+            Some(fabric) => {
+                if fabric.modules() > 1 {
+                    // The driver addresses the composed grid: modules
+                    // tile side by side, so placement snakes across the
+                    // full width. A single module leaves the config
+                    // untouched — the flat path's placement (gray-coded
+                    // on hypercubes) included — which is what keeps the
+                    // degenerate case byte-identical.
+                    net.mesh_width *= fabric.modules() as u16;
+                    net.topology = TopologyKind::Mesh;
                 }
-                .metrics()
-            }
-            program_workload => {
-                let per_point;
-                let program = match &self.base_program {
-                    Some(shared) => shared,
-                    None => {
-                        per_point = program_workload
-                            .program()
-                            .expect("non-batch workloads generate programs");
-                        &per_point
-                    }
-                };
-                match (degraded, observe) {
-                    (Some(topo), observe) => {
-                        // The scheduler drives the degraded fabric
-                        // directly; dropped communications still retire
-                        // their instructions, so degraded programs
-                        // always drain (delivered/dropped counts tell
-                        // the resilience story).
-                        let mut driver = ProgramDriver::new(&net, layout, program)
-                            .expect("validated scenario points fit the grid");
-                        let report = match observe {
-                            Some(obs) => {
-                                let probe = RecordingProbe::with_bins(obs.bins);
-                                let (report, probe) =
-                                    NetworkSim::with_topology_probe(net, topo, probe)
-                                        .run_traced(&mut driver);
-                                write_traces(obs, &self.name, point.index(), ctx.replicate, &probe);
-                                report
-                            }
-                            None => NetworkSim::with_topology(net, topo).run(&mut driver),
-                        };
-                        driver.assert_finished();
-                        report.metrics()
-                    }
-                    (None, Some(obs)) => {
-                        // Same construction Machine::run performs
-                        // (ProgramDriver's default gate time is the
-                        // machine builder's), with the probe attached.
-                        let mut driver = ProgramDriver::new(&net, layout, program)
-                            .expect("validated scenario points fit the grid");
-                        let probe = RecordingProbe::with_bins(obs.bins);
-                        let (report, probe) =
-                            NetworkSim::with_probe(net, probe).run_traced(&mut driver);
-                        driver.assert_finished();
-                        write_traces(obs, &self.name, point.index(), ctx.replicate, &probe);
-                        report.metrics()
-                    }
-                    (None, None) => {
-                        let mut b = Machine::builder();
-                        b.net_config(net).layout(layout);
-                        let machine = b.build().expect("validated scenario points build");
-                        machine.run(program).net.metrics()
-                    }
+                match p.fault.clone() {
+                    Some(plan) => self.drive(plan.compile(fabric), net, layout, wl, trace_tag),
+                    None => self.drive(fabric, net, layout, wl, trace_tag),
                 }
             }
-        }
-    }
-
-    /// Evaluates one point of a modular machine: the composed fabric is
-    /// handed to the simulator directly, the driver addresses the tiled
-    /// grid, and — when the spec asks — cost/fidelity columns ride
-    /// along next to the measured metrics. `trace_tag` is the
-    /// `(point index, replicate)` pair that names any exported traces.
-    fn eval_modular(
-        &self,
-        m: &ModularSpec,
-        mut net: NetConfig,
-        layout: Layout,
-        wl: &WorkloadSpec,
-        fault: Option<FaultPlan>,
-        trace_tag: (usize, u32),
-    ) -> Metrics {
-        let fabric = self.modular_fabric(&net, m);
-        if m.modules > 1 {
-            // The driver addresses the composed grid: modules tile side
-            // by side, so placement snakes across the full width. A
-            // single module leaves the config untouched — the flat
-            // path's placement (gray-coded on hypercubes) included —
-            // which is what keeps the degenerate case byte-identical.
-            net.mesh_width *= m.modules as u16;
-            net.topology = TopologyKind::Mesh;
-        }
-        let mut metrics = match fault {
-            Some(plan) => self
-                .drive(
-                    plan.compile(fabric.clone()),
-                    net.clone(),
-                    layout,
-                    wl,
-                    trace_tag,
-                )
-                .metrics(),
-            None => self
-                .drive(fabric.clone(), net.clone(), layout, wl, trace_tag)
-                .metrics(),
+            None => {
+                let base = net.fabric();
+                match p.fault.clone() {
+                    Some(plan) => self.drive(plan.compile(base), net, layout, wl, trace_tag),
+                    None => self.drive(base, net, layout, wl, trace_tag),
+                }
+            }
         };
-        if m.report_cost {
-            let t = u64::from(net.teleporters_per_node);
-            let g = u64::from(net.generators_per_edge);
-            let p = u64::from(net.purifiers_per_site);
-            let nodes = fabric.nodes() as u64;
-            let intra = fabric.intra_links() as u64;
-            let inter = fabric.inter_links() as u64;
-            let counts = ComponentCounts {
-                nodes,
-                intra_links: intra,
-                inter_links: inter,
-                switch_ports: fabric.switch_ports() as u64,
-                teleporters: nodes * t + fabric.uplink_slots(),
-                generators: (intra + inter) * g,
-                purifiers: nodes * p,
-            };
-            let shape = NetworkShape {
-                avg_distance: fabric.avg_distance(),
-                diameter: fabric.diameter(),
-                bisection_width: fabric.bisection_width(),
-                hop_ns: net.times.teleport(net.hop_cells).as_nanos(),
-                inter_penalty_ns: m.inter.latency_ns * u64::from(fabric.tier_hops()),
-            };
-            let est = CostModel::ion_trap()
-                .with_inter_link_cost(m.inter_unit_cost)
-                .estimate(&counts, &shape);
-            metrics = metrics
-                .with("cost_dollars", est.dollars)
-                .with("cost_area_cells", est.area_cells)
-                .with("predicted_latency_ns", est.predicted_latency_ns)
-                .with("fidelity", fabric.fidelity_estimate());
-        }
-        metrics
+        report.metrics()
     }
 
-    /// Runs one workload over a caller-supplied topology — the shared
-    /// tail of the modular paths (healthy and degraded compose to
-    /// different concrete types). `trace_tag` is the
-    /// `(point index, replicate)` pair that names any exported traces.
+    /// Runs one workload over a topology — healthy, degraded, modular
+    /// or both, each its own concrete type. Program workloads go
+    /// through the scheduler, with the gate time `Machine::run` uses.
+    /// `trace_tag` is the `(point index, replicate)` pair that names
+    /// any exported traces.
     fn drive<T: Topology>(
         &self,
         topo: T,
@@ -532,11 +566,7 @@ impl MachineEval {
         let observe = self.observe.as_ref();
         match wl {
             WorkloadSpec::Batch { comms } => {
-                let batch = comms
-                    .iter()
-                    .map(|&((sx, sy), (dx, dy))| (Coord::new(sx, sy), Coord::new(dx, dy)))
-                    .collect();
-                let mut driver = BatchDriver::new(batch);
+                let mut driver = batch_driver(comms);
                 match observe {
                     Some(obs) => {
                         let probe = RecordingProbe::with_bins(obs.bins);
@@ -549,6 +579,10 @@ impl MachineEval {
                 }
             }
             program_workload => {
+                // The scheduler drives the fabric directly; on a
+                // degraded fabric dropped communications still retire
+                // their instructions, so degraded programs always drain
+                // (delivered/dropped counts tell the resilience story).
                 let per_point;
                 let program = match &self.base_program {
                     Some(shared) => shared,
@@ -576,6 +610,62 @@ impl MachineEval {
             }
         }
     }
+}
+
+/// A grid site as a batch workload names it: `(x, y)`.
+type Site = (u16, u16);
+
+/// A batch workload's site pairs as a driver.
+fn batch_driver(comms: &[(Site, Site)]) -> BatchDriver {
+    BatchDriver::new(
+        comms
+            .iter()
+            .map(|&((sx, sy), (dx, dy))| (Coord::new(sx, sy), Coord::new(dx, dy)))
+            .collect(),
+    )
+}
+
+/// Appends the cost/fidelity columns of a modular point to its
+/// simulated metrics: the component counts and shape of its composed
+/// `fabric` priced under its own `m`'s inter-link cost. `net` is the
+/// point's base config (the resource counts and hop time it reads are
+/// the same on the composed grid).
+fn cost_columns(
+    metrics: Metrics,
+    m: &ModularSpec,
+    net: &NetConfig,
+    fabric: &ModularFabric<Fabric>,
+) -> Metrics {
+    let t = u64::from(net.teleporters_per_node);
+    let g = u64::from(net.generators_per_edge);
+    let p = u64::from(net.purifiers_per_site);
+    let nodes = fabric.nodes() as u64;
+    let intra = fabric.intra_links() as u64;
+    let inter = fabric.inter_links() as u64;
+    let counts = ComponentCounts {
+        nodes,
+        intra_links: intra,
+        inter_links: inter,
+        switch_ports: fabric.switch_ports() as u64,
+        teleporters: nodes * t + fabric.uplink_slots(),
+        generators: (intra + inter) * g,
+        purifiers: nodes * p,
+    };
+    let shape = NetworkShape {
+        avg_distance: fabric.avg_distance(),
+        diameter: fabric.diameter(),
+        bisection_width: fabric.bisection_width(),
+        hop_ns: net.times.teleport(net.hop_cells).as_nanos(),
+        inter_penalty_ns: m.inter.latency_ns * u64::from(fabric.tier_hops()),
+    };
+    let est = CostModel::ion_trap()
+        .with_inter_link_cost(m.inter_unit_cost)
+        .estimate(&counts, &shape);
+    metrics
+        .with("cost_dollars", est.dollars)
+        .with("cost_area_cells", est.area_cells)
+        .with("predicted_latency_ns", est.predicted_latency_ns)
+        .with("fidelity", fabric.fidelity_estimate())
 }
 
 /// The owned evaluator behind channel experiments — the closed-form
@@ -659,5 +749,51 @@ mod tests {
         torus.topology = TopologyKind::Torus;
         eval.modular_fabric(&torus, &m);
         assert_eq!(builds(), 3, "so does a new base fabric");
+    }
+
+    /// Runs `spec` as a bare campaign over one evaluator and returns how
+    /// many simulations it ran, checking that no class outlives its
+    /// last read.
+    fn simulations(spec: &ScenarioSpec) -> usize {
+        let ExperimentSpec::Machine { machine, workload } = &spec.experiment else {
+            panic!("{} is a machine experiment", spec.name);
+        };
+        let me = Arc::new(MachineEval::new(spec, machine, workload));
+        let eval = Arc::clone(&me);
+        Campaign::new(spec.name.clone(), spec.param_space())
+            .seed(spec.seed)
+            .replicates(spec.replicates)
+            .workers(2)
+            .run(&RunOptions::default(), move |point, ctx| {
+                eval.eval(point, ctx)
+            })
+            .expect("an uncheckpointed run cannot fail");
+        assert!(
+            me.sims.lock().expect("memo").is_empty(),
+            "every class is dropped once its last member has read it"
+        );
+        me.simulations.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    #[test]
+    fn points_differing_only_in_cost_or_replicate_share_one_simulation() {
+        let spec = ScenarioRegistry::builtin()
+            .spec("cost_fidelity_pareto", ScenarioScale::SmallTest)
+            .expect("registered");
+        assert_eq!(spec.param_space().len(), 18);
+        assert_eq!(simulations(&spec), 6, "3 fabrics x 2 module counts");
+        assert_eq!(
+            simulations(&spec.with_replicates(3)),
+            6,
+            "replicates read their class's one simulation"
+        );
+        let resilience = ScenarioRegistry::builtin()
+            .spec("resilience_sweep", ScenarioScale::SmallTest)
+            .expect("registered");
+        assert_eq!(
+            simulations(&resilience.clone().with_replicates(2)),
+            resilience.param_space().len(),
+            "a sweep with no report-only axis simulates every point once"
+        );
     }
 }

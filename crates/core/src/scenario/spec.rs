@@ -572,6 +572,15 @@ impl ScenarioAxis {
         )
     }
 
+    /// Whether this axis varies only what the report prices, never
+    /// what the simulator reads: true for [`ScenarioAxis::InterTierCost`]
+    /// alone, whose `inter_unit_cost` feeds the cost columns and
+    /// nothing else. Points that differ only along such axes share one
+    /// simulation in a run.
+    pub(crate) fn is_report_only(&self) -> bool {
+        matches!(self, ScenarioAxis::InterTierCost { .. })
+    }
+
     /// Applies value `coord` of this axis to a machine point.
     pub(crate) fn apply_machine(
         &self,

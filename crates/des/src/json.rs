@@ -32,6 +32,7 @@
 //! bit-exact float ([`Exact`]), the `record`/`version` envelope of
 //! versioned documents ([`check_envelope`]) and strict field checking.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -639,6 +640,16 @@ impl<T: Field> Field for Box<T> {
     }
 }
 
+/// A borrowed value encodes in place; a decoded one is owned.
+impl<T: Field + Clone> Field for Cow<'_, T> {
+    fn encode(&self) -> Json {
+        T::encode(self)
+    }
+    fn decode(v: &Json, ctx: &str) -> Result<Self, JsonError> {
+        T::decode(v, ctx).map(Cow::Owned)
+    }
+}
+
 /// A two-element array.
 impl<A: Field, B: Field> Field for (A, B) {
     fn encode(&self) -> Json {
@@ -811,7 +822,7 @@ pub fn check_envelope(
 ///
 /// ```text
 /// record! {
-///     Type "ctx" envelope "tag" VERSION {
+///     Type<'a> "ctx" envelope "tag" VERSION {
 ///         field, #[optional] field, #[exact] field, field as "key",
 ///         …; derived = expr, …
 ///     }
@@ -829,6 +840,8 @@ pub fn check_envelope(
 ///   older documents byte for byte.
 /// * `#[exact]`: an [`Exact`] float.
 /// * `as "key"`: the document's name for the field.
+/// * `<'a>`: the type's one lifetime parameter, if it has one (a
+///   `Cow<'a, T>` field encodes a borrowed value without copying it).
 /// * `envelope "tag" VERSION`: the document opens with
 ///   `"record": "tag", "version": VERSION`, and decoding checks both
 ///   ([`check_envelope`]).
@@ -859,11 +872,11 @@ macro_rules! record {
     // Names the envelope's `record` key; taking `$tag` lets it sit in
     // the optional envelope group.
     (@record $tag:literal) => { "record" };
-    ($($ty:ident $ctx:literal $(envelope $tag:literal $version:ident)? {
+    ($($ty:ident $(<$lt:lifetime>)? $ctx:literal $(envelope $tag:literal $version:ident)? {
         $($(#[$opt:ident])? $field:ident $(as $key:literal)?),* $(,)?
         $(; $($derived:ident = $init:expr),* $(,)?)?
     })*) => {$(
-        impl $crate::json::Field for $ty {
+        impl $(<$lt>)? $crate::json::Field for $ty $(<$lt>)? {
             fn encode(&self) -> $crate::json::Json {
                 let mut out = Vec::with_capacity([$(stringify!($field)),*].len() + 2);
                 $(

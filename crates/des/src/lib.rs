@@ -8,8 +8,9 @@
 //! Design properties:
 //!
 //! * **Determinism** — ties in time are broken by insertion sequence
-//!   (FIFO), and all randomness flows through a seedable [`rng::SimRng`],
-//!   so a simulation is a pure function of its seed.
+//!   (FIFO), and the engine draws no random numbers, so a simulation is
+//!   a pure function of its inputs. The SplitMix64 primitives in
+//!   [`rng`] derive the workspace's seeds and digests.
 //! * **Exact time** — simulated time is integer nanoseconds
 //!   ([`time::SimTime`], offset by the workspace-wide
 //!   [`qic_physics::time::Duration`]); no floating-point drift can reorder
@@ -53,11 +54,9 @@ pub mod time;
 pub mod prelude {
     pub use crate::metrics::Metrics;
     pub use crate::queue::EventQueue;
-    pub use crate::rng::SimRng;
     pub use crate::stats::{Counter, LogHistogram, Percentiles, Tally, TimeWeighted, Utilization};
     pub use crate::time::SimTime;
 }
 
 pub use queue::EventQueue;
-pub use rng::SimRng;
 pub use time::SimTime;

@@ -30,6 +30,7 @@
 //! renamed into place, so a crashed writer leaves either the old record
 //! or none — readers never observe a half-written file.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -43,15 +44,16 @@ use qic_sweep::CampaignReport;
 /// misses (old caches are recomputed, not misread).
 pub const CACHE_VERSION: u32 = 2;
 
-/// The record document.
-struct Record {
+/// The record document. A stored record borrows the report it encodes;
+/// a loaded one owns the report it decoded.
+struct Record<'a> {
     digest: String,
     scenario: String,
-    report: CampaignReport,
+    report: Cow<'a, CampaignReport>,
 }
 
 record! {
-    Record "cache record" envelope "serve_result" CACHE_VERSION { digest, scenario, report }
+    Record<'a> "cache record" envelope "serve_result" CACHE_VERSION { digest, scenario, report }
 }
 
 /// The record's name in error messages.
@@ -151,7 +153,7 @@ impl CacheDir {
         let record = Record {
             digest: digest.to_string(),
             scenario: SpecDigest::identity_json(spec),
-            report: report.clone(),
+            report: Cow::Borrowed(report),
         }
         .encode()
         .emit();
@@ -224,7 +226,7 @@ impl CacheDir {
         }
         let Record { report, .. } =
             Record::decode(&value, CTX).map_err(|e| corrupt(e.to_string()))?;
-        Ok(Some(report))
+        Ok(Some(report.into_owned()))
     }
 }
 

@@ -18,6 +18,10 @@ use qic_des::stats::Tally;
 pub struct RunCtx {
     /// The seed for this `(point, replicate)` evaluation, derived by
     /// [`derive_seed`] — identical whatever thread or order ran it.
+    /// An evaluator that draws nothing from it may treat the
+    /// replicates of a point as one evaluation: the scenario runner's
+    /// simulator reads no seed, so its replicates share one simulation
+    /// and report identical samples.
     pub seed: u64,
     /// Replicate number, `0..replicates`.
     pub replicate: u32,

@@ -184,8 +184,11 @@ pub struct CampaignReport {
     /// Per-point results, ordered by point index.
     pub points: Vec<PointReport>,
     /// Wall-clock nanoseconds spent evaluating each point (replicate
-    /// times summed), indexed like [`CampaignReport::points`].
-    /// Measurement noise: excluded from report equality and from the
+    /// times summed), indexed like [`CampaignReport::points`]. An
+    /// evaluator may reuse work across points (the scenario runner
+    /// simulates each distinct machine once per run), so a point that
+    /// reads a result another point computed records only its lookup,
+    /// or its wait for that result. Measurement noise: excluded from report equality and from the
     /// [`to_json`](CampaignReport::to_json) /
     /// [`to_csv`](CampaignReport::to_csv) emitters, so the determinism
     /// contract is untouched.

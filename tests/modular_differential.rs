@@ -223,3 +223,98 @@ fn pareto_preset_hits_the_serve_cache() {
     };
     assert_eq!(report_of(results[0]), report_of(results[1]));
 }
+
+/// `axis` pinned to its value at `coord`: a one-value axis with the
+/// same campaign name.
+fn pin(axis: &ScenarioAxis, coord: usize) -> ScenarioAxis {
+    match axis {
+        ScenarioAxis::Topologies { kinds } => ScenarioAxis::Topologies {
+            kinds: vec![kinds[coord]],
+        },
+        ScenarioAxis::Modules { counts } => ScenarioAxis::Modules {
+            counts: vec![counts[coord]],
+        },
+        ScenarioAxis::InterTierCost { costs } => ScenarioAxis::InterTierCost {
+            costs: vec![costs[coord]],
+        },
+        ScenarioAxis::FaultRate { rates } => ScenarioAxis::FaultRate {
+            rates: vec![rates[coord]],
+        },
+        other => panic!("no pin for {other:?}"),
+    }
+}
+
+/// A metric set as `(name, bits)` pairs, so equality is bit-for-bit.
+fn bits(m: &Metrics) -> Vec<(String, u64)> {
+    m.iter()
+        .map(|(n, v)| (n.to_string(), v.to_bits()))
+        .collect()
+}
+
+/// A run simulates each distinct machine once, and the replicates and
+/// cost values of one machine read that simulation. Whatever was
+/// shared, every replicate of every point must equal a one-point,
+/// one-replicate run of that point alone, where nothing can be shared;
+/// and the report stays byte-identical at 1 and 2 workers.
+#[test]
+fn shared_simulations_match_points_run_alone() {
+    for name in ["cost_fidelity_pareto", "resilience_sweep"] {
+        let spec = ScenarioRegistry::builtin()
+            .spec(name, ScenarioScale::SmallTest)
+            .expect("registered")
+            .with_replicates(2);
+        let serial = qic::run(&spec.clone().with_workers(1))
+            .expect("validates")
+            .report;
+        let parallel = qic::run(&spec.clone().with_workers(2))
+            .expect("validates")
+            .report;
+        assert_eq!(serial.to_json(), parallel.to_json(), "{name}: JSON drifted");
+        assert_eq!(serial.to_csv(), parallel.to_csv(), "{name}: CSV drifted");
+        let space = spec.param_space();
+        for point in &serial.points {
+            let coords = space.point(point.index);
+            let mut alone = spec.clone().with_replicates(1);
+            alone.axes = (spec.axes.iter().enumerate())
+                .map(|(a, axis)| pin(axis, coords.coord(a)))
+                .collect();
+            let alone = qic::run(&alone).expect("validates").report;
+            assert_eq!(alone.points[0].params, point.params);
+            let expected = bits(&alone.points[0].replicates[0]);
+            for (r, replicate) in point.replicates.iter().enumerate() {
+                assert_eq!(
+                    bits(replicate),
+                    expected,
+                    "{name}: point {} replicate {r} differs from the point run alone",
+                    point.index
+                );
+            }
+        }
+    }
+}
+
+/// Observed runs simulate every `(point, replicate)`: sharing never
+/// costs a point its own trace files.
+#[test]
+fn observed_pareto_run_traces_every_point_and_replicate() {
+    let dir = std::env::temp_dir().join(format!("qic_shared_obs_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = ScenarioRegistry::builtin()
+        .spec("cost_fidelity_pareto", ScenarioScale::SmallTest)
+        .expect("registered")
+        .with_replicates(2)
+        .with_workers(2)
+        .with_observe(ObserveSpec::to_dir(dir.display().to_string()));
+    let points = qic::run(&spec).expect("validates").report.points.len();
+    for point in 0..points {
+        for replicate in 0..2 {
+            for ext in ["events.jsonl", "trace.json"] {
+                let path = dir.join(format!(
+                    "cost_fidelity_pareto_p{point:04}_r{replicate}.{ext}"
+                ));
+                assert!(path.is_file(), "missing {}", path.display());
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
