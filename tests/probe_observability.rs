@@ -8,19 +8,25 @@
 //!   traffic and grid resolutions);
 //! * scenario-level trace export is deterministic: the same observed
 //!   spec writes byte-identical `.events.jsonl` and `.trace.json`
-//!   files run-over-run and for 1 vs 4 workers.
+//!   files run-over-run and for 1 vs 4 workers;
+//! * the simulator's event stream is pinned: every fabric × routing
+//!   pair, a degraded fabric with a hot spot, a two-module fabric with
+//!   a slow inter tier and a QFT program reproduce the recorded event
+//!   count and `events_jsonl` digest in `tests/golden/event_streams.jsonl`.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use proptest::prelude::*;
 
-use qic::fault::FaultPlan;
+use qic::fault::{FaultPlan, Hotspot};
+use qic::modular::{ModularFabric, ModularSpec};
 use qic::net::config::NetConfig;
-use qic::net::sim::{BatchDriver, NetworkSim};
-use qic::net::topology::{Coord, TopologyKind};
+use qic::net::sim::{BatchDriver, Driver, NetworkSim};
+use qic::net::topology::{Coord, Topology, TopologyKind};
 use qic::prelude::*;
 use qic::probe::RecordingProbe;
+use qic::workload::Program;
 use qic::ObserveSpec;
 
 fn crossing_batch() -> Vec<(Coord, Coord)> {
@@ -182,4 +188,143 @@ fn observe_dir_under_a_regular_file_is_a_setup_error() {
         "{err}"
     );
     let _ = std::fs::remove_dir_all(&base);
+}
+
+// --- pinned event streams -------------------------------------------------
+
+const EVENT_STREAMS: &str = "tests/golden/event_streams.jsonl";
+
+/// The stream configurations' shared resources on a 4×4 grid: the
+/// fewest teleporters the fabric allows (two storage cells per link, so
+/// bubble flow control bites on cyclic fabrics), one generator per edge
+/// and one purifier unit per site at depth 2, so wires run dry and
+/// cascade jobs queue for a unit.
+fn stream_cfg(kind: TopologyKind, routing: RoutingPolicy) -> NetConfig {
+    let mut cfg = NetConfig::small_test()
+        .with_topology(kind)
+        .with_routing(routing);
+    cfg.teleporters_per_node = cfg.fabric().port_classes().max(2) as u32;
+    cfg.generators_per_edge = 1;
+    cfg.purifiers_per_site = 1;
+    cfg.purify_depth = 2;
+    cfg
+}
+
+/// Crossing traffic with repeated pairs (route-cache hits, and
+/// channels adaptive routing spreads) and a co-located pair.
+fn stream_batch() -> BatchDriver {
+    let mut batch = crossing_batch();
+    batch.extend([
+        (Coord::new(0, 0), Coord::new(3, 3)),
+        (Coord::new(0, 0), Coord::new(2, 2)),
+        (Coord::new(3, 0), Coord::new(1, 2)),
+        (Coord::new(3, 1), Coord::new(0, 2)),
+        (Coord::new(0, 1), Coord::new(2, 3)),
+        (Coord::new(2, 2), Coord::new(2, 2)),
+    ]);
+    BatchDriver::new(batch)
+}
+
+/// One golden line: the configuration's label, the recorded event count
+/// and the digest of its `events_jsonl` bytes.
+fn stream_line<T: Topology>(
+    label: &str,
+    cfg: NetConfig,
+    topo: T,
+    driver: &mut dyn Driver,
+) -> String {
+    let (_, probe) =
+        NetworkSim::with_topology_probe(cfg, topo, RecordingProbe::new()).run_traced(driver);
+    format!(
+        "{{\"config\": \"{label}\", \"events\": {}, \"digest\": \"{:016x}\"}}",
+        probe.events().len(),
+        qic::sweep::digest_str(&probe.events_jsonl())
+    )
+}
+
+fn event_stream_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+    for kind in TopologyKind::ALL {
+        for routing in RoutingPolicy::ALL {
+            let cfg = stream_cfg(kind, routing);
+            let topo = cfg.fabric();
+            lines.push(stream_line(
+                &format!("{kind}/{routing}/batch"),
+                cfg,
+                topo,
+                &mut stream_batch(),
+            ));
+        }
+    }
+    // A dead link and a hot spot on a torus: adaptive routes around the
+    // damage, and penalized hops leave the delay lanes for the heap.
+    let cfg = stream_cfg(TopologyKind::Torus, RoutingPolicy::MinimalAdaptive);
+    let plan = FaultPlan::healthy()
+        .with_dead_link(0)
+        .with_hotspot(Hotspot {
+            link: 5,
+            start_ns: 0,
+            end_ns: 400_000,
+            penalty_ns: 1_500,
+        });
+    let topo = plan.compile(cfg.fabric());
+    lines.push(stream_line(
+        "torus/adaptive/batch/dead_link+hotspot",
+        cfg,
+        topo,
+        &mut stream_batch(),
+    ));
+    // Two meshes joined by a slow optical tier: inter-module hops carry a
+    // latency penalty.
+    let mut cfg = stream_cfg(TopologyKind::Mesh, RoutingPolicy::DimensionOrder);
+    let topo = ModularFabric::new(
+        cfg.fabric(),
+        &ModularSpec::single().with_modules(2).with_latency_ns(3_000),
+    );
+    cfg.mesh_width *= 2;
+    cfg.teleporters_per_node = topo.port_classes() as u32;
+    let mut batch = BatchDriver::new(vec![
+        (Coord::new(0, 0), Coord::new(7, 3)),
+        (Coord::new(7, 0), Coord::new(0, 3)),
+        (Coord::new(3, 1), Coord::new(4, 1)),
+        (Coord::new(1, 2), Coord::new(6, 2)),
+        (Coord::new(5, 3), Coord::new(2, 0)),
+    ]);
+    lines.push(stream_line(
+        "modular2/dor/batch/latency",
+        cfg,
+        topo,
+        &mut batch,
+    ));
+    // A QFT program: deferred submits and driver notifies between
+    // channels, purifier jobs queueing for the site's one unit.
+    for layout in [Layout::HomeBase, Layout::MobileQubit] {
+        let cfg = stream_cfg(TopologyKind::Mesh, RoutingPolicy::DimensionOrder);
+        let mut driver =
+            ProgramDriver::new(&cfg, layout, &Program::qft(8)).expect("QFT-8 fits a 4x4 grid");
+        let topo = cfg.fabric();
+        lines.push(stream_line(
+            &format!("mesh/dor/qft8/{layout:?}"),
+            cfg,
+            topo,
+            &mut driver,
+        ));
+        driver.assert_finished();
+    }
+    lines
+}
+
+#[test]
+fn event_streams_match_the_pinned_counts_and_digests() {
+    let path = format!("{}/{EVENT_STREAMS}", env!("CARGO_MANIFEST_DIR"));
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden file {path}: {e}"));
+    let computed = event_stream_lines();
+    let pinned: Vec<&str> = golden.lines().collect();
+    assert_eq!(
+        pinned,
+        computed,
+        "event streams drifted; the recomputed file reads:\n{}",
+        computed.join("\n")
+    );
 }
