@@ -98,12 +98,6 @@ impl<E> LaneEntry<E> {
     }
 }
 
-/// A declared delay and its pending events, oldest first.
-struct Lane<E> {
-    delay: Duration,
-    events: VecDeque<LaneEntry<E>>,
-}
-
 /// A deterministic future-event list.
 ///
 /// Events scheduled for the same instant pop in the order they were
@@ -126,9 +120,12 @@ pub struct EventQueue<E> {
     /// heap and lanes drain first at each instant, then the now-lane,
     /// preserving global FIFO order without heap (or arena) traffic.
     now_lane: VecDeque<E>,
-    /// Declared delay lanes (distinct, non-zero delays); none of their
-    /// events is in the heap.
-    lanes: Vec<Lane<E>>,
+    /// Declared lane delays (distinct, non-zero), contiguous so
+    /// [`EventQueue::schedule_after`] scans one short array.
+    lane_delays: Vec<Duration>,
+    /// Each declared lane's pending events, oldest first, parallel to
+    /// `lane_delays`; none of them is in the heap.
+    lanes: Vec<VecDeque<LaneEntry<E>>>,
     /// Order key of each lane's head, parallel to `lanes`, or [`EMPTY`]:
     /// the one contiguous array a pop scans besides the heap top.
     lane_heads: Vec<Ord128>,
@@ -158,6 +155,7 @@ impl<E> EventQueue<E> {
             slots: Vec::with_capacity(capacity),
             free_head: FREE_END,
             now_lane: VecDeque::new(),
+            lane_delays: Vec::new(),
             lanes: Vec::new(),
             lane_heads: Vec::new(),
             seq: 0,
@@ -177,11 +175,9 @@ impl<E> EventQueue<E> {
     pub fn with_lanes(delays: &[Duration]) -> Self {
         let mut q = EventQueue::with_capacity(LANED_HEAP_CAPACITY);
         for &delay in delays {
-            if delay > Duration::ZERO && q.lanes.iter().all(|l| l.delay != delay) {
-                q.lanes.push(Lane {
-                    delay,
-                    events: VecDeque::with_capacity(LANE_CAPACITY),
-                });
+            if delay > Duration::ZERO && !q.lane_delays.contains(&delay) {
+                q.lane_delays.push(delay);
+                q.lanes.push(VecDeque::with_capacity(LANE_CAPACITY));
                 q.lane_heads.push(EMPTY);
             }
         }
@@ -196,7 +192,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        let in_lanes: usize = self.lanes.iter().map(|l| l.events.len()).sum();
+        let in_lanes: usize = self.lanes.iter().map(VecDeque::len).sum();
         self.heap_ord.len() + in_lanes + self.now_lane.len()
     }
 
@@ -286,9 +282,9 @@ impl<E> EventQueue<E> {
     pub fn schedule_after(&mut self, delay: Duration, event: E) {
         let at = self.now.saturating_add(delay);
         if at > self.now {
-            if let Some(lane) = self.lanes.iter().position(|l| l.delay == delay) {
+            if let Some(lane) = self.lane_delays.iter().position(|&d| d == delay) {
                 let key = self.next_key(at);
-                let events = &mut self.lanes[lane].events;
+                let events = &mut self.lanes[lane];
                 if events.is_empty() {
                     self.lane_heads[lane] = key;
                 }
@@ -373,7 +369,7 @@ impl<E> EventQueue<E> {
         self.heap_slot.clear();
         self.now_lane.clear();
         for lane in &mut self.lanes {
-            lane.events.clear();
+            lane.clear();
         }
         self.lane_heads.fill(EMPTY);
         self.slots.clear();
@@ -400,15 +396,19 @@ impl<E> EventQueue<E> {
     /// The smallest order key outside the now-lane ([`EMPTY`] if there
     /// is none) and its source: [`HEAP`] for the heap top, else the lane
     /// whose head it is.
+    ///
+    /// Which source holds the minimum changes from pop to pop with no
+    /// pattern a branch predictor can learn, so each comparison selects
+    /// by mask arithmetic instead of a branch.
     #[inline(always)]
     fn next_source(&self) -> (Ord128, usize) {
         let mut min = self.heap_ord.first().copied().unwrap_or(EMPTY);
         let mut source = HEAP;
         for (lane, &head) in self.lane_heads.iter().enumerate() {
-            if head < min {
-                min = head;
-                source = lane;
-            }
+            let earlier = head < min;
+            let key_mask = Ord128::from(earlier).wrapping_neg();
+            min = (head & key_mask) | (min & !key_mask);
+            source ^= (source ^ lane) & usize::from(earlier).wrapping_neg();
         }
         (min, source)
     }
@@ -422,7 +422,7 @@ impl<E> EventQueue<E> {
             let slot = self.heap_pop_top();
             return self.take(slot);
         }
-        let events = &mut self.lanes[source].events;
+        let events = &mut self.lanes[source];
         let head = events
             .pop_front()
             .expect("a lane with a head key is non-empty");
@@ -468,23 +468,38 @@ impl<E> EventQueue<E> {
     /// Sifts an entry down from the hole at `i`, writing it exactly
     /// once. The child scan touches only the contiguous order keys (all
     /// four fit in one 64-byte line); the slot array is read on moves.
+    ///
+    /// A full group of four children is a tournament: the smaller of
+    /// each pair, then the smaller winner, each picked by index
+    /// arithmetic rather than a branch (keys are distinct, so the
+    /// winner is the unique minimum). Only a partial last group scans.
     fn sift_down(&mut self, mut i: usize, ord: Ord128, slot: u32) {
         let len = self.heap_ord.len();
         loop {
             let first_child = 4 * i + 1;
-            if first_child >= len {
-                break;
-            }
-            let mut min = first_child;
-            let mut min_ord = self.heap_ord[first_child];
-            let end = (first_child + 4).min(len);
-            for c in first_child + 1..end {
-                let k = self.heap_ord[c];
-                if k < min_ord {
-                    min = c;
-                    min_ord = k;
+            let (min, min_ord) = if first_child + 4 <= len {
+                let group: &[Ord128; 4] = self.heap_ord[first_child..first_child + 4]
+                    .try_into()
+                    .expect("a full group has four children");
+                let left = usize::from(group[1] < group[0]);
+                let right = 2 + usize::from(group[3] < group[2]);
+                let winner = left
+                    ^ ((left ^ right) & usize::from(group[right] < group[left]).wrapping_neg());
+                (first_child + winner, group[winner & 3])
+            } else if first_child < len {
+                let mut min = first_child;
+                let mut min_ord = self.heap_ord[first_child];
+                for c in first_child + 1..len {
+                    let k = self.heap_ord[c];
+                    if k < min_ord {
+                        min = c;
+                        min_ord = k;
+                    }
                 }
-            }
+                (min, min_ord)
+            } else {
+                break;
+            };
             if min_ord < ord {
                 self.heap_ord[i] = min_ord;
                 self.heap_slot[i] = self.heap_slot[min];
@@ -634,8 +649,7 @@ mod tests {
     fn with_lanes_ignores_zero_and_repeated_delays() {
         let d = Duration::from_nanos;
         let q: EventQueue<()> = EventQueue::with_lanes(&[d(3), d(0), d(7), d(3)]);
-        let delays: Vec<Duration> = q.lanes.iter().map(|l| l.delay).collect();
-        assert_eq!(delays, [d(3), d(7)]);
+        assert_eq!(q.lane_delays, [d(3), d(7)]);
     }
 
     #[test]

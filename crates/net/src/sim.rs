@@ -24,7 +24,6 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::rc::Rc;
 
 use qic_des::queue::EventQueue;
 use qic_des::stats::{Percentiles, Tally};
@@ -199,11 +198,13 @@ enum DriverCall {
 /// bit.
 const SOURCE_FLAG: u64 = 1 << 63;
 
+/// A chained pair in flight: the comm it serves and the absolute index,
+/// in [`World::hops`], of the hop it fires (or waits to fire) next, so
+/// a hop completion reaches its hop record without reading the comm.
 #[derive(Debug, Clone, Copy)]
 struct Token {
     comm: u32,
-    /// Index into the comm's route nodes where the pair currently sits.
-    pos: u16,
+    hop: u32,
     alive: bool,
 }
 
@@ -223,20 +224,34 @@ struct Hop {
     /// Whether this hop enters a new dimension ring (injection or a
     /// port-class change) — the bubble-flow-control reserve point.
     ring_entry: bool,
+    /// The route's injection hop: it fires from the source, holding no
+    /// storage cell.
+    first: bool,
+    /// The route's final hop: landing delivers the pair to the
+    /// destination's purifier.
+    last: bool,
 }
 
-/// A fully precomputed channel route, shared via `Rc` between the
-/// owning [`Comm`] and the per-pair route cache (dimension-order
-/// routes are pure functions of the endpoints, so healthy fabrics
-/// build each pair's path once).
-#[derive(Debug)]
+/// A precomputed channel route: a handle to its hops, contiguous in
+/// [`World::hops`], plus its purifier site and round time. `Copy`, so a
+/// [`Comm`] and the route cache each hold it by value.
+#[derive(Debug, Clone, Copy)]
 struct RoutePath {
-    /// Per-hop resource indices and service times.
-    hops: Vec<Hop>,
+    /// Index of the route's first hop in [`World::hops`].
+    start: u32,
+    /// Hop count.
+    len: u32,
     /// Purifier site at the destination (dense node index).
     dst_site: u32,
     purify_op_time: Duration,
-    data_teleport_time: Duration,
+}
+
+impl RoutePath {
+    /// The route's hop indices in [`World::hops`].
+    #[inline]
+    fn hops(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 #[derive(Debug)]
@@ -245,165 +260,180 @@ struct Comm {
     dst: Coord,
     tag: u64,
     /// The channel's precomputed route.
-    path: Rc<RoutePath>,
+    path: RoutePath,
     raw_to_spawn: u64,
     arrivals: u64,
-    outputs: u64,
-    needed_outputs: u64,
+    outputs: u32,
     issued_at: SimTime,
     source_waiting: bool,
     done: bool,
 }
 
-// --- struct-of-arrays resource state ----------------------------------
+// --- resource records --------------------------------------------------
 //
-// The simulator keeps each resource's state as parallel flat vectors
-// over the dense indices `Topology` provides, so the hot path touches
-// one primitive array per field instead of pointer-chasing whole
-// structs. Shared scalars (wire interval/cap, storage capacity,
-// purifier units — uniform across instances by construction) are
-// stored once.
+// Each resource instance is one small record over the dense indices
+// `Topology` provides, holding its state and the head and tail of its
+// FIFO waiter list, so a hop touches one record per resource. Shared
+// scalars (wire interval/cap, storage capacity, purifier units —
+// uniform across instances by construction) are stored once.
 
-/// Marks an empty intrusive list slot / the end of a chain.
+/// Marks an empty waiter list / the end of a chain.
 const NO_WAITER: u32 = u32::MAX;
 
-/// Intrusive FIFO waiter lists for every stallable resource, in one
-/// arena. The previous layout kept a `VecDeque` per resource instance —
-/// cloning ~160 of them dominated simulator construction. Here every
-/// resource owns only a `(head, tail)` slot pair in `lists`; the queued
-/// entries live in a shared node pool (`next`/`payload`) recycled
-/// through `free`, so constructing the arena is one allocation no
-/// matter how many resources the fabric has.
-///
-/// Resource ids share one dense space, offsets fixed at construction:
-/// telesets first, then storages, then wires, then purifier sites.
+/// The first and last queued node of one resource's waiters in the
+/// [`Waiters`] arena (`NO_WAITER` when empty).
+#[derive(Debug, Clone, Copy)]
+struct WaitList {
+    head: u32,
+    tail: u32,
+}
+
+impl WaitList {
+    const EMPTY: WaitList = WaitList {
+        head: NO_WAITER,
+        tail: NO_WAITER,
+    };
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.head == NO_WAITER
+    }
+}
+
+/// One queued waiter: the next node of its list and its payload (a
+/// token id, a source flag with its comm, or a packed purifier job).
+#[derive(Debug, Clone, Copy)]
+struct WaitNode {
+    next: u32,
+    payload: u64,
+}
+
+/// The node pool behind every resource's [`WaitList`]: queued entries
+/// of all resources live here, and freed nodes chain through `next`
+/// from `free` for reuse, so constructing the pool is free no matter
+/// how many resources the fabric has.
 #[derive(Debug)]
 struct Waiters {
-    /// Interleaved `head, tail` per resource id; `NO_WAITER` = empty.
-    lists: Vec<u32>,
-    next: Vec<u32>,
-    payload: Vec<u64>,
-    free: Vec<u32>,
+    nodes: Vec<WaitNode>,
+    /// First free node, `NO_WAITER` if none.
+    free: u32,
 }
 
 impl Waiters {
-    fn new(resources: usize) -> Waiters {
+    fn new() -> Waiters {
         Waiters {
-            lists: vec![NO_WAITER; resources * 2],
-            next: Vec::new(),
-            payload: Vec::new(),
-            free: Vec::new(),
+            nodes: Vec::new(),
+            free: NO_WAITER,
         }
     }
 
     #[inline]
-    fn is_empty(&self, id: usize) -> bool {
-        self.lists[id * 2] == NO_WAITER
-    }
-
-    #[inline]
-    fn push_back(&mut self, id: usize, value: u64) {
-        let node = match self.free.pop() {
-            Some(n) => {
-                self.next[n as usize] = NO_WAITER;
-                self.payload[n as usize] = value;
-                n
-            }
-            None => {
-                let n = u32::try_from(self.next.len()).expect("waiter nodes fit u32");
-                self.next.push(NO_WAITER);
-                self.payload.push(value);
-                n
-            }
+    fn push_back(&mut self, list: &mut WaitList, payload: u64) {
+        let entry = WaitNode {
+            next: NO_WAITER,
+            payload,
         };
-        let tail = self.lists[id * 2 + 1];
-        if tail == NO_WAITER {
-            self.lists[id * 2] = node;
+        let node = if self.free == NO_WAITER {
+            let n = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&n| n != NO_WAITER)
+                .expect("waiter nodes fit u32");
+            self.nodes.push(entry);
+            n
         } else {
-            self.next[tail as usize] = node;
+            let n = self.free;
+            self.free = self.nodes[n as usize].next;
+            self.nodes[n as usize] = entry;
+            n
+        };
+        if list.tail == NO_WAITER {
+            list.head = node;
+        } else {
+            self.nodes[list.tail as usize].next = node;
         }
-        self.lists[id * 2 + 1] = node;
+        list.tail = node;
     }
 
     #[inline]
-    fn pop_front(&mut self, id: usize) -> Option<u64> {
-        self.pop_front_node(id).map(|(_, value)| value)
+    fn pop_front(&mut self, list: &mut WaitList) -> Option<u64> {
+        self.pop_front_node(list).map(|(_, payload)| payload)
     }
 
-    /// Pops the first waiter on `id` with the node it occupied (now
+    /// Pops the first waiter on `list` with the node it occupied (now
     /// free for reuse).
     #[inline]
-    fn pop_front_node(&mut self, id: usize) -> Option<(u32, u64)> {
-        let head = self.lists[id * 2];
+    fn pop_front_node(&mut self, list: &mut WaitList) -> Option<(u32, u64)> {
+        let head = list.head;
         if head == NO_WAITER {
             return None;
         }
-        let h = head as usize;
-        let next = self.next[h];
-        self.lists[id * 2] = next;
+        let WaitNode { next, payload } = self.nodes[head as usize];
+        list.head = next;
         if next == NO_WAITER {
-            self.lists[id * 2 + 1] = NO_WAITER;
+            list.tail = NO_WAITER;
         }
-        self.free.push(head);
-        Some((head, self.payload[h]))
-    }
-
-    /// The last queued node on `id`, or `NO_WAITER` if none.
-    #[inline]
-    fn tail(&self, id: usize) -> u32 {
-        self.lists[id * 2 + 1]
+        self.nodes[head as usize].next = self.free;
+        self.free = head;
+        Some((head, payload))
     }
 }
 
-/// Teleporter pools, `node * port_classes + port_class` (Figure 6's
+/// A teleporter pool, `node * port_classes + port_class` (Figure 6's
 /// per-dimension sets). Capacity varies per node on degraded fabrics.
-#[derive(Debug)]
-struct Telesets {
-    capacity: Vec<u32>,
-    busy: Vec<u32>,
-    /// Busy-time integrals for utilization reporting (widened to `u128`
+#[derive(Debug, Clone, Copy)]
+struct Teleset {
+    busy: u32,
+    capacity: u32,
+    wait: WaitList,
+    /// Busy-time integral for utilization reporting (widened to `u128`
     /// at report time; `u64` nanoseconds hold ~584 years of busy time).
-    busy_ns: Vec<u64>,
+    busy_ns: u64,
 }
 
-impl Telesets {
+impl Teleset {
     #[inline]
-    fn available(&self, i: usize) -> bool {
-        self.busy[i] < self.capacity[i]
+    fn available(&self) -> bool {
+        self.busy < self.capacity
     }
 
     #[inline]
-    fn acquire(&mut self, i: usize, hold: Duration) {
-        debug_assert!(self.available(i), "acquire on a full pool");
-        self.busy[i] += 1;
-        self.busy_ns[i] += hold.as_nanos();
+    fn acquire(&mut self, hold: Duration) {
+        debug_assert!(self.available(), "acquire on a full pool");
+        self.busy += 1;
+        self.busy_ns += hold.as_nanos();
     }
 
     #[inline]
-    fn release(&mut self, i: usize) {
-        debug_assert!(self.busy[i] > 0, "release without acquire");
-        self.busy[i] -= 1;
+    fn release(&mut self) {
+        debug_assert!(self.busy > 0, "release without acquire");
+        self.busy -= 1;
     }
 }
 
-/// Link-pair wires by link index (Figure 5's G nodes). Every wire
-/// shares the config-derived production interval and buffer cap.
-#[derive(Debug)]
-struct Wires {
+/// The production parameters every wire shares: one pair per
+/// `interval` into a buffer of `cap` pairs.
+#[derive(Debug, Clone, Copy)]
+struct WireRate {
     interval: Duration,
     cap: u64,
-    stock: Vec<u64>,
-    /// Completion time of the pair in production (meaningful only
-    /// while `stock < cap`).
-    next_ready: Vec<SimTime>,
-    produced: Vec<u64>,
-    consumed: Vec<u64>,
-    /// Whether a wake event is already scheduled for the wire.
-    wake_pending: Vec<bool>,
 }
 
-impl Wires {
-    /// Brings wire `i`'s lazy production up to date with the clock —
+/// A link-pair wire by link index (Figure 5's G nodes).
+#[derive(Debug, Clone, Copy)]
+struct Wire {
+    stock: u64,
+    /// Completion time of the pair in production (meaningful only
+    /// while `stock < cap`).
+    next_ready: SimTime,
+    produced: u64,
+    consumed: u64,
+    wait: WaitList,
+    /// Whether a wake event is already scheduled for the wire.
+    wake_pending: bool,
+}
+
+impl Wire {
+    /// Brings the wire's lazy production up to date with the clock —
     /// integer-exact, so behaviour is independent of observation times.
     ///
     /// Closed form of the produce-one-per-interval loop: with the next
@@ -412,69 +442,50 @@ impl Wires {
     /// the *last* completion time (the filling step does not advance
     /// `next_ready` — it resumes from consumption instead).
     #[inline]
-    fn refresh(&mut self, i: usize, now: SimTime) {
-        let stock = self.stock[i];
-        if stock >= self.cap || self.next_ready[i] > now {
+    fn refresh(&mut self, rate: WireRate, now: SimTime) {
+        let stock = self.stock;
+        if stock >= rate.cap || self.next_ready > now {
             return;
         }
-        let interval = self.interval.as_nanos();
-        let next = self.next_ready[i].as_nanos();
+        let interval = rate.interval.as_nanos();
+        let next = self.next_ready.as_nanos();
         let avail = (now.as_nanos() - next) / interval + 1;
-        let k = avail.min(self.cap - stock);
-        self.stock[i] = stock + k;
-        self.produced[i] += k;
-        let steps = if stock + k == self.cap { k - 1 } else { k };
-        self.next_ready[i] = SimTime::from_nanos(next + steps * interval);
+        let k = avail.min(rate.cap - stock);
+        self.stock = stock + k;
+        self.produced += k;
+        let steps = if stock + k == rate.cap { k - 1 } else { k };
+        self.next_ready = SimTime::from_nanos(next + steps * interval);
     }
 
     /// Consumes one pair from a **refreshed** wire with stock.
     #[inline]
-    fn take_refreshed(&mut self, i: usize, now: SimTime) {
-        debug_assert!(self.stock[i] > 0, "take on an empty wire");
-        if self.stock[i] == self.cap {
+    fn take_refreshed(&mut self, rate: WireRate, now: SimTime) {
+        debug_assert!(self.stock > 0, "take on an empty wire");
+        if self.stock == rate.cap {
             // Production was paused at full buffer; it resumes now.
-            self.next_ready[i] = now + self.interval;
+            self.next_ready = now + rate.interval;
         }
-        self.stock[i] -= 1;
-        self.consumed[i] += 1;
+        self.stock -= 1;
+        self.consumed += 1;
     }
 }
 
-/// Per-(node, incoming-link) storage cells (§5.3: not multiplexed).
-/// Capacity is uniform: `teleporters_per_node` cells per link.
-#[derive(Debug)]
-struct Storages {
-    capacity: u32,
-    used: Vec<u32>,
+/// A per-(node, incoming-link) storage bank (§5.3: not multiplexed).
+/// Capacity is uniform, [`World::storage_capacity`].
+#[derive(Debug, Clone, Copy)]
+struct Storage {
+    used: u32,
+    wait: WaitList,
 }
 
-impl Storages {
-    #[inline]
-    fn free_cells(&self, i: usize) -> u32 {
-        self.capacity - self.used[i]
-    }
-
-    #[inline]
-    fn reserve(&mut self, i: usize) {
-        debug_assert!(self.used[i] < self.capacity, "storage overflow");
-        self.used[i] += 1;
-    }
-
-    #[inline]
-    fn free(&mut self, i: usize) {
-        assert!(self.used[i] > 0, "free on empty storage");
-        self.used[i] -= 1;
-    }
-}
-
-/// Endpoint purifier sites by node index; every site has the same
-/// configured unit count. Jobs waiting for a unit queue in the shared
-/// [`Waiters`] arena as packed words (see [`pack_purify_job`]).
-#[derive(Debug)]
-struct Purifiers {
-    units: u32,
-    busy: Vec<u32>,
-    busy_ns: Vec<u64>,
+/// An endpoint purifier site by node index; every site has
+/// [`World::purifier_units`] units. Jobs waiting for a unit queue as
+/// packed words (see [`pack_purify_job`]).
+#[derive(Debug, Clone, Copy)]
+struct Site {
+    busy: u32,
+    wait: WaitList,
+    busy_ns: u64,
 }
 
 /// Packs a queued purifier job into a [`Waiters`] payload word:
@@ -524,20 +535,25 @@ impl Hasher for PairHasher {
 }
 
 /// Fabrics at or below this node count use the direct-indexed dense
-/// route table (`nodes²` slots of `Option<Rc<_>>` — null-niche, so the
-/// empty table is one zeroed allocation).
+/// route table (`nodes²` `u32` slots, zero meaning empty, so the empty
+/// table is one zeroed allocation).
 const DENSE_CACHE_MAX_NODES: usize = 64;
 
 /// The per-pair route cache, armed only when the router declares its
 /// routes load-independent ([`Router::cacheable`]) and the fabric is
-/// healthy; adaptive and degraded cases keep the dynamic path.
+/// healthy; adaptive and degraded cases keep the dynamic path. Cached
+/// routes' hops stay in [`World::hops`]; the cache keeps their handles.
 enum RouteCache {
     /// Every communication routes dynamically.
     Off,
-    /// Direct-indexed `src * nodes + dst` table for small fabrics.
-    Dense(Vec<Option<Rc<RoutePath>>>),
+    /// Direct-indexed `src * nodes + dst` table for small fabrics: slot
+    /// `i + 1` names `paths[i]`, zero an uncached pair.
+    Dense {
+        slots: Vec<u32>,
+        paths: Vec<RoutePath>,
+    },
     /// Hash table for fabrics where `nodes²` slots would be wasteful.
-    Sparse(HashMap<u64, Rc<RoutePath>, BuildHasherDefault<PairHasher>>),
+    Sparse(HashMap<u64, RoutePath, BuildHasherDefault<PairHasher>>),
 }
 
 /// The teleporters of one dimension set: `t` split as evenly as possible
@@ -580,22 +596,25 @@ struct World<T: Topology, P: Probe> {
     calls: Vec<DriverCall>,
     free_calls: Vec<u32>,
     comms: Vec<Comm>,
+    /// Every route's hops, each route contiguous (see [`RoutePath`]).
+    hops: Vec<Hop>,
     tokens: Vec<Token>,
     free_tokens: Vec<u32>,
     /// Teleporter pools: `node_index * port_classes + port_class`.
-    telesets: Telesets,
+    telesets: Vec<Teleset>,
     /// Link wires by link index.
-    wires: Wires,
+    wires: Vec<Wire>,
+    wire_rate: WireRate,
     /// Storage: `node_index * ports_per_node + incoming port index`.
-    storage: Storages,
+    storages: Vec<Storage>,
+    /// Cells per storage bank.
+    storage_capacity: u32,
     /// Purifier sites by node index.
-    sites: Purifiers,
-    /// One waiter arena for all stallable resources. Telesets use their
-    /// own index; the other kinds add these offsets.
+    sites: Vec<Site>,
+    /// Units per purifier site.
+    purifier_units: u32,
+    /// The node pool of every resource's waiter list.
     waiters: Waiters,
-    wait_storage0: usize,
-    wait_wire0: usize,
-    wait_site0: usize,
     /// Precomputed per-hop service constants (`cfg.times` is fixed for
     /// the run, so the turn penalty and local teleport time are too).
     hop_time: Duration,
@@ -713,29 +732,37 @@ impl<T: Topology, P: Probe> World<T, P> {
             "bubble flow control (cyclic fabric or adaptive routing) needs \
              at least two storage cells per link, i.e. teleporters_per_node ≥ 2"
         );
-        let mut teleset_capacity = Vec::with_capacity(nodes * classes);
+        let mut telesets = Vec::with_capacity(nodes * classes);
         for node in 0..nodes {
             // Fault-aware topologies may degrade a node's teleporter
             // pool; healthy fabrics keep the configured budget.
             let t_node = topo.teleporter_capacity(node, t);
             for class in 0..classes {
-                teleset_capacity.push(teleset_share(t_node, classes, class));
+                telesets.push(Teleset {
+                    busy: 0,
+                    capacity: teleset_share(t_node, classes, class),
+                    wait: WaitList::EMPTY,
+                    busy_ns: 0,
+                });
             }
         }
-        let telesets = Telesets {
-            capacity: teleset_capacity,
-            busy: vec![0; nodes * classes],
-            busy_ns: vec![0; nodes * classes],
-        };
-        let storage = Storages {
-            capacity: t.max(1),
-            used: vec![0; nodes * ports_per_node],
-        };
-        let sites = Purifiers {
-            units: cfg.purifiers_per_site,
-            busy: vec![0; nodes],
-            busy_ns: vec![0; nodes],
-        };
+        let storage_capacity = t.max(1);
+        let purifier_units = cfg.purifiers_per_site;
+        let storages = vec![
+            Storage {
+                used: 0,
+                wait: WaitList::EMPTY,
+            };
+            nodes * ports_per_node
+        ];
+        let sites = vec![
+            Site {
+                busy: 0,
+                wait: WaitList::EMPTY,
+                busy_ns: 0,
+            };
+            nodes
+        ];
         // One pair per tgen per generator; `link_cost_factor` models extra
         // raw-pair consumption (virtual-wire purification).
         let tgen = cfg.times.generate();
@@ -744,26 +771,30 @@ impl<T: Topology, P: Probe> World<T, P> {
         .round()
         .max(1.0) as u64;
         let links = topo.links();
-        let interval = Duration::from_nanos(interval_ns);
-        let wires = Wires {
-            interval,
+        let wire_rate = WireRate {
+            interval: Duration::from_nanos(interval_ns),
             cap: u64::from(cfg.teleporters_per_node.max(1)),
-            stock: vec![0; links],
-            next_ready: vec![SimTime::ZERO + interval; links],
-            produced: vec![0; links],
-            consumed: vec![0; links],
-            wake_pending: vec![false; links],
         };
-        let wait_storage0 = nodes * classes;
-        let wait_wire0 = wait_storage0 + nodes * ports_per_node;
-        let wait_site0 = wait_wire0 + links;
-        let waiters = Waiters::new(wait_site0 + nodes);
+        let wires = vec![
+            Wire {
+                stock: 0,
+                next_ready: SimTime::ZERO + wire_rate.interval,
+                produced: 0,
+                consumed: 0,
+                wait: WaitList::EMPTY,
+                wake_pending: false,
+            };
+            links
+        ];
         let channel_load = vec![0; links];
         let fault_aware = topo.fault_aware();
         let penalties = topo.link_penalties();
         let route_cache = if router.cacheable() && !fault_aware {
             if nodes <= DENSE_CACHE_MAX_NODES {
-                RouteCache::Dense(vec![None; nodes * nodes])
+                RouteCache::Dense {
+                    slots: vec![0; nodes * nodes],
+                    paths: Vec::new(),
+                }
             } else {
                 RouteCache::Sparse(HashMap::default())
             }
@@ -781,9 +812,9 @@ impl<T: Topology, P: Probe> World<T, P> {
                 links: u32::try_from(links).expect("link counts fit u32"),
                 port_classes: u32::try_from(classes).expect("port classes fit u32"),
                 ports_per_node: u32::try_from(ports_per_node).expect("port counts fit u32"),
-                teleset_capacity: telesets.capacity.clone(),
-                storage_capacity: storage.capacity,
-                purifier_units: sites.units,
+                teleset_capacity: telesets.iter().map(|set| set.capacity).collect(),
+                storage_capacity,
+                purifier_units,
             });
         }
         World {
@@ -804,16 +835,17 @@ impl<T: Topology, P: Probe> World<T, P> {
             calls: Vec::new(),
             free_calls: Vec::new(),
             comms: Vec::new(),
+            hops: Vec::new(),
             tokens: Vec::new(),
             free_tokens: Vec::new(),
             telesets,
             wires,
-            storage,
+            wire_rate,
+            storages,
+            storage_capacity,
             sites,
-            waiters,
-            wait_storage0,
-            wait_wire0,
-            wait_site0,
+            purifier_units,
+            waiters: Waiters::new(),
             hop_time,
             turn_time,
             route_cache,
@@ -867,16 +899,15 @@ impl<T: Topology, P: Probe> World<T, P> {
                 src,
                 dst,
                 tag,
-                path: Rc::new(RoutePath {
-                    hops: Vec::new(),
+                path: RoutePath {
+                    start: 0,
+                    len: 0,
                     dst_site: 0,
                     purify_op_time: Duration::ZERO,
-                    data_teleport_time: Duration::ZERO,
-                }),
+                },
                 raw_to_spawn: 0,
                 arrivals: 0,
                 outputs: 0,
-                needed_outputs: 0,
                 issued_at: self.queue.now(),
                 source_waiting: false,
                 done: false,
@@ -890,14 +921,14 @@ impl<T: Topology, P: Probe> World<T, P> {
             return CommId(id);
         }
         let path = self.route_path(s, d);
-        for hop in &path.hops {
+        for hop in &self.hops[path.hops()] {
             self.channel_load[hop.link as usize] += 1;
         }
         if self.fault_aware {
             // Detour accounting: routed hops vs the healthy fabric's
             // minimal distance.
             let healthy = self.topo.healthy_distance(s, d);
-            if path.hops.len() as u32 > healthy {
+            if path.len > healthy {
                 self.comms_rerouted += 1;
                 if P::ACTIVE {
                     self.probe.on_reroute(self.queue.now().as_nanos(), id);
@@ -906,11 +937,11 @@ impl<T: Topology, P: Probe> World<T, P> {
             self.route_inflation_sum += if healthy == 0 {
                 1.0
             } else {
-                path.hops.len() as f64 / f64::from(healthy)
+                f64::from(path.len) / f64::from(healthy)
             };
         }
-        let hops = path.hops.len();
-        let dt = path.data_teleport_time;
+        let hops = path.len;
+        let dt = self.data_teleport_time(path);
         let comm = Comm {
             src,
             dst,
@@ -919,7 +950,6 @@ impl<T: Topology, P: Probe> World<T, P> {
             raw_to_spawn: self.cfg.raw_pairs_per_comm(),
             arrivals: 0,
             outputs: 0,
-            needed_outputs: u64::from(self.cfg.outputs_per_comm),
             issued_at: self.queue.now(),
             source_waiting: false,
             done: false,
@@ -927,11 +957,7 @@ impl<T: Topology, P: Probe> World<T, P> {
         self.live_comms += 1;
         self.comms.push(comm);
         if P::ACTIVE {
-            self.probe.on_submit(
-                self.queue.now().as_nanos(),
-                id,
-                u32::try_from(hops).expect("route length fits u32"),
-            );
+            self.probe.on_submit(self.queue.now().as_nanos(), id, hops);
         }
         if hops == 0 {
             // Co-located endpoints: only the local data handoff remains.
@@ -949,17 +975,17 @@ impl<T: Topology, P: Probe> World<T, P> {
     /// router's routes are load-independent and the fabric is healthy,
     /// otherwise freshly routed (adaptive policies read the live
     /// channel load; degraded fabrics stay on the dynamic path).
-    fn route_path(&mut self, s: usize, d: usize) -> Rc<RoutePath> {
+    fn route_path(&mut self, s: usize, d: usize) -> RoutePath {
         let nodes = self.topo.nodes();
         match &self.route_cache {
-            RouteCache::Dense(table) => {
-                if let Some(path) = &table[s * nodes + d] {
-                    return Rc::clone(path);
+            RouteCache::Dense { slots, paths } => {
+                if let Some(i) = slots[s * nodes + d].checked_sub(1) {
+                    return paths[i as usize];
                 }
             }
             RouteCache::Sparse(map) => {
-                if let Some(path) = map.get(&(((s as u64) << 32) | d as u64)) {
-                    return Rc::clone(path);
+                if let Some(&path) = map.get(&(((s as u64) << 32) | d as u64)) {
+                    return path;
                 }
             }
             RouteCache::Off => {}
@@ -974,22 +1000,28 @@ impl<T: Topology, P: Probe> World<T, P> {
             self.topo.distance(s, d),
             "routers must return minimal routes"
         );
-        let path = Rc::new(self.build_path(s, d, ports));
+        let path = self.build_path(s, d, &ports);
         match &mut self.route_cache {
-            RouteCache::Dense(table) => table[s * nodes + d] = Some(Rc::clone(&path)),
+            RouteCache::Dense { slots, paths } => {
+                paths.push(path);
+                slots[s * nodes + d] = u32::try_from(paths.len()).expect("cached routes fit u32");
+            }
             RouteCache::Sparse(map) => {
-                map.insert(((s as u64) << 32) | d as u64, Rc::clone(&path));
+                map.insert(((s as u64) << 32) | d as u64, path);
             }
             RouteCache::Off => {}
         }
         path
     }
 
-    /// Precomputes every per-hop quantity the event loop needs: resource
-    /// indices (the same arithmetic the per-hop helpers used to redo per
-    /// event), ring-entry flags, and service times.
-    fn build_path(&self, s: usize, d: usize, ports: Vec<Port>) -> RoutePath {
-        let mut hops = Vec::with_capacity(ports.len());
+    /// Appends the route's hops to [`World::hops`], precomputing every
+    /// per-hop quantity the event loop needs: resource indices (the
+    /// same arithmetic the per-hop helpers used to redo per event),
+    /// ring-entry flags, and service times.
+    fn build_path(&mut self, s: usize, d: usize, ports: &[Port]) -> RoutePath {
+        let start = u32::try_from(self.hops.len()).expect("hop arena indices fit u32");
+        let len = u32::try_from(ports.len()).expect("route length fits u32");
+        start.checked_add(len).expect("hop arena indices fit u32");
         let mut at = s;
         // `usize::MAX` never equals a real class, so hop 0 enters a ring.
         let mut prev_class = usize::MAX;
@@ -1009,35 +1041,45 @@ impl<T: Topology, P: Probe> World<T, P> {
             } else {
                 self.hop_time
             };
-            hops.push(Hop {
+            self.hops.push(Hop {
                 link: u32::try_from(link).expect("link indices fit u32"),
                 teleset: u32::try_from(at * self.classes + class).expect("teleset indices fit u32"),
                 storage: u32::try_from(next * self.ports_per_node + incoming.index())
                     .expect("storage indices fit u32"),
                 service,
                 ring_entry,
+                first: pos == 0,
+                last: pos + 1 == ports.len(),
             });
             prev_class = class;
             at = next;
         }
         debug_assert_eq!(at, d, "routes must end at the destination");
-        let span_cells = (hops.len() as u64)
+        let span_cells = u64::from(len)
             .checked_mul(self.cfg.hop_cells)
             .expect("route span in cells overflows u64");
         RoutePath {
-            hops,
+            start,
+            len,
             dst_site: u32::try_from(d).expect("node indices fit u32"),
             purify_op_time: self.cfg.times.purify_round(span_cells),
-            data_teleport_time: self.cfg.times.teleport(span_cells),
         }
+    }
+
+    /// The final data teleport's duration over `path`'s span (whose
+    /// cell count [`World::build_path`] checked fits `u64`).
+    fn data_teleport_time(&self, path: RoutePath) -> Duration {
+        self.cfg
+            .times
+            .teleport(u64::from(path.len) * self.cfg.hop_cells)
     }
 
     // --- token machinery ----------------------------------------------
 
-    fn alloc_token(&mut self, comm: u32) -> u32 {
+    fn alloc_token(&mut self, comm: u32, hop: u32) -> u32 {
         let token = Token {
             comm,
-            pos: 0,
+            hop,
             alive: true,
         };
         if let Some(idx) = self.free_tokens.pop() {
@@ -1054,13 +1096,15 @@ impl<T: Topology, P: Probe> World<T, P> {
         self.free_tokens.push(idx);
     }
 
-    /// Attempts to fire hop `pos` for `comm`: returns `false` (after
-    /// queueing the waiter) if any resource is missing.
+    /// Attempts to fire hop `hop_idx` (an index into [`World::hops`])
+    /// for `comm`: returns `false` (after queueing the waiter) if any
+    /// resource is missing.
     ///
     /// `waiter` is the id to enqueue on the blocking resource: the token
-    /// id for in-flight pairs, or `SOURCE_FLAG | comm` for injection.
-    fn try_fire_hop(&mut self, comm_id: u32, pos: usize, waiter: u64) -> bool {
-        let hop = self.comms[comm_id as usize].path.hops[pos];
+    /// id for in-flight pairs (whose `hop` already names `hop_idx`), or
+    /// `SOURCE_FLAG | comm` for injection.
+    fn try_fire_hop(&mut self, comm_id: u32, hop_idx: u32, waiter: u64) -> bool {
+        let hop = self.hops[hop_idx as usize];
         // Bubble flow control: ring-entry hops must leave one free
         // downstream cell so cyclic fabrics cannot deadlock.
         let reserve = u32::from(self.bubble && hop.ring_entry);
@@ -1071,41 +1115,44 @@ impl<T: Topology, P: Probe> World<T, P> {
         );
         let now = self.queue.now();
         // Check all three, commit only if all are available.
-        if self.storage.free_cells(storage) <= reserve {
+        if self.storage_capacity - self.storages[storage].used <= reserve {
             self.storage_stalls += 1;
             if P::ACTIVE {
                 self.probe
                     .on_stall(now.as_nanos(), StallCause::Storage, hop.storage, comm_id);
             }
-            self.waiters.push_back(self.wait_storage0 + storage, waiter);
+            self.waiters
+                .push_back(&mut self.storages[storage].wait, waiter);
             return false;
         }
-        self.wires.refresh(edge, now);
-        if self.wires.stock[edge] == 0 {
+        let rate = self.wire_rate;
+        let wire = &mut self.wires[edge];
+        wire.refresh(rate, now);
+        if wire.stock == 0 {
             self.wire_stalls += 1;
             if P::ACTIVE {
                 self.probe
                     .on_stall(now.as_nanos(), StallCause::Wire, hop.link, comm_id);
             }
-            self.waiters.push_back(self.wait_wire0 + edge, waiter);
-            if !self.wires.wake_pending[edge] {
-                self.wires.wake_pending[edge] = true;
+            let wire = &mut self.wires[edge];
+            self.waiters.push_back(&mut wire.wait, waiter);
+            if !wire.wake_pending {
+                wire.wake_pending = true;
                 // Stock is zero after a refresh, so the next pair lands
                 // strictly in the future at `next_ready`.
-                self.queue.schedule_at(
-                    self.wires.next_ready[edge],
-                    Event::WireWake { edge: hop.link },
-                );
+                self.queue
+                    .schedule_at(wire.next_ready, Event::WireWake { edge: hop.link });
             }
             return false;
         }
-        if !self.telesets.available(teleset) {
+        if !self.telesets[teleset].available() {
             self.teleporter_stalls += 1;
             if P::ACTIVE {
                 self.probe
                     .on_stall(now.as_nanos(), StallCause::Teleporter, hop.teleset, comm_id);
             }
-            self.waiters.push_back(teleset, waiter);
+            self.waiters
+                .push_back(&mut self.telesets[teleset].wait, waiter);
             return false;
         }
         // Commit. Penalty-bearing topologies (fault wrappers with hot
@@ -1118,31 +1165,29 @@ impl<T: Topology, P: Probe> World<T, P> {
         } else {
             hop.service
         };
-        self.wires.take_refreshed(edge, now);
-        self.telesets.acquire(teleset, service);
-        self.storage.reserve(storage);
+        self.wires[edge].take_refreshed(rate, now);
+        self.telesets[teleset].acquire(service);
+        debug_assert!(
+            self.storages[storage].used < self.storage_capacity,
+            "storage overflow"
+        );
+        self.storages[storage].used += 1;
         self.teleport_ops += 1;
         if P::ACTIVE {
             let t = now.as_nanos();
+            let pos = hop_idx - self.comms[comm_id as usize].path.start;
             self.probe.on_wire_take(t, hop.link);
-            self.probe.on_hop_fire(
-                t,
-                comm_id,
-                u32::try_from(pos).expect("route length fits u32"),
-                hop.link,
-                hop.teleset,
-                service.as_nanos(),
-            );
             self.probe
-                .on_storage(t, hop.storage, self.storage.used[storage]);
+                .on_hop_fire(t, comm_id, pos, hop.link, hop.teleset, service.as_nanos());
+            self.probe
+                .on_storage(t, hop.storage, self.storages[storage].used);
         }
         let token_idx = if waiter & SOURCE_FLAG != 0 {
-            self.alloc_token(comm_id)
+            self.alloc_token(comm_id, hop_idx)
         } else {
+            debug_assert_eq!(self.tokens[waiter as usize].hop, hop_idx);
             waiter as u32
         };
-        // Position it fired FROM; lands at pos+1.
-        self.tokens[token_idx as usize].pos = u16::try_from(pos).expect("route length fits u16");
         self.queue
             .schedule_after(service, Event::TeleportDone { token: token_idx });
         true
@@ -1155,22 +1200,34 @@ impl<T: Topology, P: Probe> World<T, P> {
             self.comms[comm as usize].source_waiting = false;
             self.source_try(comm);
         } else {
-            let token = waiter as u32;
-            if !self.tokens[token as usize].alive {
-                return;
+            let token = self.tokens[waiter as usize];
+            if token.alive {
+                let _ = self.try_fire_hop(token.comm, token.hop, waiter);
             }
-            let pos = usize::from(self.tokens[token as usize].pos);
-            let comm = self.tokens[token as usize].comm;
-            let _ = self.try_fire_hop(comm, pos, u64::from(token));
         }
     }
 
     fn drain_teleset_waiters(&mut self, teleset: usize) {
-        while self.telesets.available(teleset) {
-            match self.waiters.pop_front(teleset) {
+        while self.telesets[teleset].available() {
+            match self.waiters.pop_front(&mut self.telesets[teleset].wait) {
                 Some(w) => self.wake(w),
                 None => break,
             }
+        }
+    }
+
+    /// Frees one cell of storage bank `storage`; its waiters drain
+    /// separately ([`World::drain_storage_waiters`]).
+    fn release_storage(&mut self, storage: usize) {
+        let bank = &mut self.storages[storage];
+        assert!(bank.used > 0, "free on empty storage");
+        bank.used -= 1;
+        if P::ACTIVE {
+            self.probe.on_storage(
+                self.queue.now().as_nanos(),
+                u32::try_from(storage).expect("storage indices fit u32"),
+                self.storages[storage].used,
+            );
         }
     }
 
@@ -1181,10 +1238,12 @@ impl<T: Topology, P: Probe> World<T, P> {
         // once the tail captured now is popped. Re-enqueued waiters land
         // behind it and nothing drains inside `wake`, so each waiter
         // queued at the start gets exactly one chance.
-        let id = self.wait_storage0 + storage;
-        let last = self.waiters.tail(id);
-        while self.storage.free_cells(storage) > 0 {
-            match self.waiters.pop_front_node(id) {
+        let last = self.storages[storage].wait.tail;
+        while self.storages[storage].used < self.storage_capacity {
+            match self
+                .waiters
+                .pop_front_node(&mut self.storages[storage].wait)
+            {
                 Some((node, w)) => {
                     self.wake(w);
                     if node == last {
@@ -1204,8 +1263,9 @@ impl<T: Topology, P: Probe> World<T, P> {
         }
         let waiter = SOURCE_FLAG | u64::from(comm_id);
         // Mark waiting before the attempt; cleared on success.
-        self.comms[comm_id as usize].source_waiting = true;
-        if self.try_fire_hop(comm_id, 0, waiter) {
+        c.source_waiting = true;
+        let first = c.path.start;
+        if self.try_fire_hop(comm_id, first, waiter) {
             let c = &mut self.comms[comm_id as usize];
             c.source_waiting = false;
             c.raw_to_spawn -= 1;
@@ -1230,10 +1290,12 @@ impl<T: Topology, P: Probe> World<T, P> {
         let (site_idx, ops, produces, dur) = {
             let c = &mut self.comms[comm_id as usize];
             c.arrivals += 1;
-            let period = 1u64 << depth;
-            let k = (c.arrivals - 1) % period;
+            // Arrival number mod `2^d`, as a mask: the period is a power
+            // of two.
+            let mask = (1u64 << depth) - 1;
+            let k = (c.arrivals - 1) & mask;
             let ops = k.trailing_ones().min(depth);
-            let produces = c.arrivals % period == 0;
+            let produces = c.arrivals & mask == 0;
             (
                 c.path.dst_site as usize,
                 ops,
@@ -1246,9 +1308,10 @@ impl<T: Topology, P: Probe> World<T, P> {
             return;
         }
         let job_dur = dur * u64::from(ops);
-        if self.sites.busy[site_idx] < self.sites.units {
-            self.sites.busy[site_idx] += 1;
-            self.sites.busy_ns[site_idx] += job_dur.as_nanos();
+        let site = &mut self.sites[site_idx];
+        if site.busy < self.purifier_units {
+            site.busy += 1;
+            site.busy_ns += job_dur.as_nanos();
             if P::ACTIVE {
                 self.probe.on_purify_start(
                     self.queue.now().as_nanos(),
@@ -1267,10 +1330,8 @@ impl<T: Topology, P: Probe> World<T, P> {
                 },
             );
         } else {
-            self.waiters.push_back(
-                self.wait_site0 + site_idx,
-                pack_purify_job(comm_id, ops, produces),
-            );
+            self.waiters
+                .push_back(&mut site.wait, pack_purify_job(comm_id, ops, produces));
         }
     }
 
@@ -1279,23 +1340,25 @@ impl<T: Topology, P: Probe> World<T, P> {
         self.purify_ops += u64::from(ops);
         if produces {
             self.purified_outputs += 1;
+            let needed = self.cfg.outputs_per_comm;
             let c = &mut self.comms[comm_id as usize];
             c.outputs += 1;
-            if c.outputs == c.needed_outputs && !c.done {
+            if c.outputs == needed && !c.done {
                 c.done = true;
-                let dt = c.path.data_teleport_time;
+                let path = c.path;
+                let dt = self.data_teleport_time(path);
                 self.queue
                     .schedule_after(dt, Event::DataTeleportDone { comm: comm_id });
             }
         }
         // Free the unit; start the next queued job.
-        let s = site_idx as usize;
-        self.sites.busy[s] -= 1;
-        if let Some(job) = self.waiters.pop_front(self.wait_site0 + s) {
+        let site = &mut self.sites[site_idx as usize];
+        site.busy -= 1;
+        if let Some(job) = self.waiters.pop_front(&mut site.wait) {
             let (c, ops, produces) = unpack_purify_job(job);
             let dur = self.comms[c as usize].path.purify_op_time * u64::from(ops);
-            self.sites.busy[s] += 1;
-            self.sites.busy_ns[s] += dur.as_nanos();
+            site.busy += 1;
+            site.busy_ns += dur.as_nanos();
             if P::ACTIVE {
                 self.probe.on_purify_start(
                     self.queue.now().as_nanos(),
@@ -1365,8 +1428,7 @@ impl<T: Topology, P: Probe> World<T, P> {
                 };
                 // The channel closes: release its link load so adaptive
                 // routing sees fresh contention.
-                let path = Rc::clone(&self.comms[comm as usize].path);
-                for hop in &path.hops {
+                for hop in &self.hops[self.comms[comm as usize].path.hops()] {
                     self.channel_load[hop.link as usize] -= 1;
                 }
                 self.live_comms -= 1;
@@ -1424,87 +1486,63 @@ impl<T: Topology, P: Probe> World<T, P> {
     }
 
     fn teleport_done(&mut self, token_idx: u32) {
-        let (comm_id, fired_pos) = {
-            let t = &self.tokens[token_idx as usize];
-            (t.comm, usize::from(t.pos))
-        };
-        let landed = fired_pos + 1;
-        let (teleset, held_storage, hops) = {
-            let path = &self.comms[comm_id as usize].path;
-            (
-                path.hops[fired_pos].teleset as usize,
-                // Storage this token held at the node it fired from: the
-                // landing bank of the previous hop (injection hops fire
-                // from the source and hold none).
-                (fired_pos > 0).then(|| path.hops[fired_pos - 1].storage as usize),
-                path.hops.len(),
-            )
-        };
+        let Token {
+            comm, hop: fired, ..
+        } = self.tokens[token_idx as usize];
+        let hop = self.hops[fired as usize];
         // Free the teleporter that served this hop.
-        self.telesets.release(teleset);
+        let teleset = hop.teleset as usize;
+        self.telesets[teleset].release();
         if P::ACTIVE {
-            self.probe.on_teleset_release(
-                self.queue.now().as_nanos(),
-                u32::try_from(teleset).expect("teleset indices fit u32"),
-            );
+            self.probe
+                .on_teleset_release(self.queue.now().as_nanos(), hop.teleset);
         }
-        if let Some(sidx) = held_storage {
-            self.storage.free(sidx);
-            if P::ACTIVE {
-                self.probe.on_storage(
-                    self.queue.now().as_nanos(),
-                    u32::try_from(sidx).expect("storage indices fit u32"),
-                    self.storage.used[sidx],
-                );
-            }
-            self.drain_storage_waiters(sidx);
+        if !hop.first {
+            // Storage this token held at the node it fired from: the
+            // landing bank of the previous hop (injection hops fire from
+            // the source and hold none).
+            let held = self.hops[fired as usize - 1].storage as usize;
+            self.release_storage(held);
+            self.drain_storage_waiters(held);
         }
         self.drain_teleset_waiters(teleset);
 
-        self.tokens[token_idx as usize].pos = u16::try_from(landed).expect("route length fits u16");
-        if landed == hops {
+        if hop.last {
             // Arrived: hand off to the P node, freeing network storage
             // (the landing bank of the final hop).
-            let sidx = self.comms[comm_id as usize].path.hops[landed - 1].storage as usize;
-            self.storage.free(sidx);
-            if P::ACTIVE {
-                self.probe.on_storage(
-                    self.queue.now().as_nanos(),
-                    u32::try_from(sidx).expect("storage indices fit u32"),
-                    self.storage.used[sidx],
-                );
-            }
+            let landed = hop.storage as usize;
+            self.release_storage(landed);
             self.free_token(token_idx);
-            self.drain_storage_waiters(sidx);
-            self.feed_purifier(comm_id);
+            self.drain_storage_waiters(landed);
+            self.feed_purifier(comm);
         } else {
-            let _ = self.try_fire_hop(comm_id, landed, u64::from(token_idx));
+            self.tokens[token_idx as usize].hop = fired + 1;
+            let _ = self.try_fire_hop(comm, fired + 1, u64::from(token_idx));
         }
     }
 
     fn wire_wake(&mut self, edge: usize) {
         let now = self.queue.now();
-        let id = self.wait_wire0 + edge;
-        self.wires.wake_pending[edge] = false;
+        let rate = self.wire_rate;
+        self.wires[edge].wake_pending = false;
         loop {
-            self.wires.refresh(edge, now);
-            if self.wires.stock[edge] == 0 {
+            let wire = &mut self.wires[edge];
+            wire.refresh(rate, now);
+            if wire.stock == 0 {
                 break;
             }
-            match self.waiters.pop_front(id) {
+            match self.waiters.pop_front(&mut wire.wait) {
                 Some(w) => self.wake(w),
                 None => break,
             }
         }
         // If tokens still wait and the wire is dry, re-arm the wake.
-        self.wires.refresh(edge, now);
-        if !self.waiters.is_empty(id)
-            && self.wires.stock[edge] == 0
-            && !self.wires.wake_pending[edge]
-        {
-            self.wires.wake_pending[edge] = true;
+        let wire = &mut self.wires[edge];
+        wire.refresh(rate, now);
+        if !wire.wait.is_empty() && wire.stock == 0 && !wire.wake_pending {
+            wire.wake_pending = true;
             self.queue.schedule_at(
-                self.wires.next_ready[edge],
+                wire.next_ready,
                 Event::WireWake {
                     edge: u32::try_from(edge).expect("link indices fit u32"),
                 },
@@ -1514,8 +1552,8 @@ impl<T: Topology, P: Probe> World<T, P> {
 
     fn report(&mut self) -> NetReport {
         let makespan = self.queue.now().as_duration();
-        let pairs_generated: u64 = self.wires.produced.iter().sum();
-        let pairs_consumed: u64 = self.wires.consumed.iter().sum();
+        let pairs_generated: u64 = self.wires.iter().map(|w| w.produced).sum();
+        let pairs_consumed: u64 = self.wires.iter().map(|w| w.consumed).sum();
         let horizon_ns = u128::from(makespan.as_nanos());
         let tele_util = if makespan == Duration::ZERO {
             0.0
@@ -1524,24 +1562,24 @@ impl<T: Topology, P: Probe> World<T, P> {
             // busy time over `makespan × capacity`. Idle sets contribute
             // exactly 0.0, so they are skipped.
             let mut total = 0.0;
-            for i in 0..self.telesets.capacity.len() {
-                if self.telesets.busy_ns[i] != 0 {
-                    total += self.telesets.busy_ns[i] as f64
-                        / (horizon_ns * u128::from(self.telesets.capacity[i])) as f64;
+            for set in &self.telesets {
+                if set.busy_ns != 0 {
+                    total += set.busy_ns as f64 / (horizon_ns * u128::from(set.capacity)) as f64;
                 }
             }
-            total / self.telesets.capacity.len() as f64
+            total / self.telesets.len() as f64
         };
         let puri_util = if makespan == Duration::ZERO {
             0.0
         } else {
             let mut total = 0.0;
-            for &busy_ns in &self.sites.busy_ns {
-                if busy_ns != 0 {
-                    total += busy_ns as f64 / (horizon_ns * u128::from(self.sites.units)) as f64;
+            for site in &self.sites {
+                if site.busy_ns != 0 {
+                    total +=
+                        site.busy_ns as f64 / (horizon_ns * u128::from(self.purifier_units)) as f64;
                 }
             }
-            total / self.sites.busy_ns.len() as f64
+            total / self.sites.len() as f64
         };
         NetReport {
             makespan,
