@@ -8,9 +8,14 @@
 //! `start_seq_at` test hook) and demand order-identical behaviour.
 //!
 //! Delay lanes ([`EventQueue::with_lanes`]) must change cost only, so
-//! the last property drives a laned queue through random mixes of every
+//! a property drives a laned queue through random mixes of every
 //! scheduling and popping call and holds it to the same model, call by
 //! call: pop order, `len()`, `peek_time()` and `events_processed()`.
+//!
+//! The heap picks the smallest of a full group of four children by a
+//! tournament and scans only a partial last group, so the last property
+//! walks the heap through every size from 1 to 64 (every shape of last
+//! group) with many equal timestamps, against the same model.
 
 use proptest::prelude::*;
 
@@ -229,6 +234,42 @@ proptest! {
             }
             prop_assert!(q.pop().is_none());
             prop_assert_eq!(q.events_processed(), model.popped);
+        }
+    }
+}
+
+proptest! {
+    /// Every heap size from 1 to 64: fill a fresh queue to `n` events
+    /// whose timestamps collide often (equal `at`, so only the sequence
+    /// number orders them), pop and push back `n / 2` times at or after
+    /// the clock, then drain through every smaller size. Each pop is
+    /// checked against the model, so sifts run through full groups of
+    /// four children and partial last groups of one to three, at every
+    /// depth the sizes reach.
+    #[test]
+    fn heap_matches_model_through_every_size_to_64(
+        times in proptest::collection::vec(0u64..6, 64),
+        later in proptest::collection::vec(0u64..4, 32),
+    ) {
+        for n in 1..=64usize {
+            let mut q = EventQueue::new();
+            let mut model = Model::default();
+            for &t in &times[..n] {
+                let id = model.schedule(t);
+                q.schedule_at(SimTime::from_nanos(t), id);
+            }
+            for &dt in &later[..n / 2] {
+                let real = q.pop().map(|(t, id)| (t.as_nanos(), id));
+                prop_assert_eq!(real, model.pop(), "size {}", n);
+                let at = model.now + dt;
+                let id = model.schedule(at);
+                q.schedule_at(SimTime::from_nanos(at), id);
+                prop_assert_eq!(q.len(), model.pending.len(), "size {}", n);
+            }
+            while let Some(expected) = model.pop() {
+                prop_assert_eq!(q.pop().map(|(t, id)| (t.as_nanos(), id)), Some(expected), "size {}", n);
+            }
+            prop_assert!(q.pop().is_none());
         }
     }
 }
