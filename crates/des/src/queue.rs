@@ -129,6 +129,12 @@ pub struct EventQueue<E> {
     /// Order key of each lane's head, parallel to `lanes`, or [`EMPTY`]:
     /// the one contiguous array a pop scans besides the heap top.
     lane_heads: Vec<Ord128>,
+    /// The smallest key among the heap top and the lane heads
+    /// ([`EMPTY`] if none) and its source, kept current by every push
+    /// and recomputed after every removal, so each pop scans the
+    /// sources once, not once to find the event and again to find the
+    /// batch's end.
+    earliest: (Ord128, usize),
     seq: u64,
     now: SimTime,
     popped: u64,
@@ -158,6 +164,7 @@ impl<E> EventQueue<E> {
             lane_delays: Vec::new(),
             lanes: Vec::new(),
             lane_heads: Vec::new(),
+            earliest: (EMPTY, HEAP),
             seq: 0,
             now: SimTime::ZERO,
             popped: 0,
@@ -287,6 +294,9 @@ impl<E> EventQueue<E> {
                 let events = &mut self.lanes[lane];
                 if events.is_empty() {
                     self.lane_heads[lane] = key;
+                    if key < self.earliest.0 {
+                        self.earliest = (key, lane);
+                    }
                 }
                 events.push_back(LaneEntry {
                     at: at.as_nanos(),
@@ -372,6 +382,7 @@ impl<E> EventQueue<E> {
             lane.clear();
         }
         self.lane_heads.fill(EMPTY);
+        self.earliest = (EMPTY, HEAP);
         self.slots.clear();
         self.free_head = FREE_END;
     }
@@ -396,12 +407,19 @@ impl<E> EventQueue<E> {
     /// The smallest order key outside the now-lane ([`EMPTY`] if there
     /// is none) and its source: [`HEAP`] for the heap top, else the lane
     /// whose head it is.
+    #[inline(always)]
+    fn next_source(&self) -> (Ord128, usize) {
+        self.earliest
+    }
+
+    /// Recomputes [`EventQueue::next_source`] from the heap top and the
+    /// lane heads.
     ///
     /// Which source holds the minimum changes from pop to pop with no
     /// pattern a branch predictor can learn, so each comparison selects
     /// by mask arithmetic instead of a branch.
     #[inline(always)]
-    fn next_source(&self) -> (Ord128, usize) {
+    fn scan_sources(&self) -> (Ord128, usize) {
         let mut min = self.heap_ord.first().copied().unwrap_or(EMPTY);
         let mut source = HEAP;
         for (lane, &head) in self.lane_heads.iter().enumerate() {
@@ -418,16 +436,19 @@ impl<E> EventQueue<E> {
     /// (if any) becomes the lane's head key.
     #[inline(always)]
     fn take_from(&mut self, source: usize) -> E {
-        if source == HEAP {
+        let event = if source == HEAP {
             let slot = self.heap_pop_top();
-            return self.take(slot);
-        }
-        let events = &mut self.lanes[source];
-        let head = events
-            .pop_front()
-            .expect("a lane with a head key is non-empty");
-        self.lane_heads[source] = events.front().map_or(EMPTY, LaneEntry::key);
-        head.event
+            self.take(slot)
+        } else {
+            let events = &mut self.lanes[source];
+            let head = events
+                .pop_front()
+                .expect("a lane with a head key is non-empty");
+            self.lane_heads[source] = events.front().map_or(EMPTY, LaneEntry::key);
+            head.event
+        };
+        self.earliest = self.scan_sources();
+        event
     }
 
     /// Pushes an order key + slot onto the 4-ary heap. Hole-based sift:
@@ -435,6 +456,9 @@ impl<E> EventQueue<E> {
     /// once, halving the memory traffic of a swap-per-level sift.
     #[inline]
     fn heap_push(&mut self, ord: Ord128, slot: u32) {
+        if ord < self.earliest.0 {
+            self.earliest = (ord, HEAP);
+        }
         let mut i = self.heap_ord.len();
         self.heap_ord.push(ord);
         self.heap_slot.push(slot);
