@@ -449,7 +449,14 @@ impl Wire {
         }
         let interval = rate.interval.as_nanos();
         let next = self.next_ready.as_nanos();
-        let avail = (now.as_nanos() - next) / interval + 1;
+        let elapsed = now.as_nanos() - next;
+        // Most refreshes land within one interval of the last
+        // completion; skip the division for them.
+        let avail = if elapsed < interval {
+            1
+        } else {
+            elapsed / interval + 1
+        };
         let k = avail.min(rate.cap - stock);
         self.stock = stock + k;
         self.produced += k;
