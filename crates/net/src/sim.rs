@@ -232,6 +232,8 @@ struct Hop {
     last: bool,
 }
 
+const _: () = assert!(std::mem::size_of::<Hop>() == 24);
+
 /// A precomputed channel route: a handle to its hops, contiguous in
 /// [`World::hops`], plus its purifier site and round time. `Copy`, so a
 /// [`Comm`] and the route cache each hold it by value.
@@ -1028,7 +1030,11 @@ impl<T: Topology, P: Probe> World<T, P> {
     fn build_path(&mut self, s: usize, d: usize, ports: &[Port]) -> RoutePath {
         let start = u32::try_from(self.hops.len()).expect("hop arena indices fit u32");
         let len = u32::try_from(ports.len()).expect("route length fits u32");
-        start.checked_add(len).expect("hop arena indices fit u32");
+        // `RoutePath::hops` and a token's `hop + 1` stay in `u32`.
+        assert!(
+            start.checked_add(len).is_some(),
+            "hop arena indices fit u32"
+        );
         let mut at = s;
         // `usize::MAX` never equals a real class, so hop 0 enters a ring.
         let mut prev_class = usize::MAX;
