@@ -201,11 +201,14 @@ const SOURCE_FLAG: u64 = 1 << 63;
 /// A chained pair in flight: the comm it serves and the absolute index,
 /// in [`World::hops`], of the hop it fires (or waits to fire) next, so
 /// a hop completion reaches its hop record without reading the comm.
+///
+/// A token waits on at most one resource, and only while no hop of it
+/// is in flight, so it is never freed while queued: a woken token id
+/// always names a live token.
 #[derive(Debug, Clone, Copy)]
 struct Token {
     comm: u32,
     hop: u32,
-    alive: bool,
 }
 
 /// Everything one hop of a channel needs, precomputed at route-build
@@ -1090,11 +1093,7 @@ impl<T: Topology, P: Probe> World<T, P> {
     // --- token machinery ----------------------------------------------
 
     fn alloc_token(&mut self, comm: u32, hop: u32) -> u32 {
-        let token = Token {
-            comm,
-            hop,
-            alive: true,
-        };
+        let token = Token { comm, hop };
         if let Some(idx) = self.free_tokens.pop() {
             self.tokens[idx as usize] = token;
             idx
@@ -1105,7 +1104,6 @@ impl<T: Topology, P: Probe> World<T, P> {
     }
 
     fn free_token(&mut self, idx: u32) {
-        self.tokens[idx as usize].alive = false;
         self.free_tokens.push(idx);
     }
 
@@ -1214,9 +1212,7 @@ impl<T: Topology, P: Probe> World<T, P> {
             self.source_try(comm);
         } else {
             let token = self.tokens[waiter as usize];
-            if token.alive {
-                let _ = self.try_fire_hop(token.comm, token.hop, waiter);
-            }
+            let _ = self.try_fire_hop(token.comm, token.hop, waiter);
         }
     }
 
