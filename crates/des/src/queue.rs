@@ -65,7 +65,7 @@ const FREE_END: u32 = u32::MAX;
 /// sequence counter refuses to hand out `u64::MAX`.
 const EMPTY: Ord128 = u128::MAX;
 
-/// The source [`EventQueue::next_source`] names for the heap top (lane
+/// The source [`EventQueue::earliest`] names for the heap top (lane
 /// heads are named by their lane index).
 const HEAP: usize = usize::MAX;
 
@@ -129,11 +129,11 @@ pub struct EventQueue<E> {
     /// Order key of each lane's head, parallel to `lanes`, or [`EMPTY`]:
     /// the one contiguous array a pop scans besides the heap top.
     lane_heads: Vec<Ord128>,
-    /// The smallest key among the heap top and the lane heads
-    /// ([`EMPTY`] if none) and its source, kept current by every push
-    /// and recomputed after every removal, so each pop scans the
-    /// sources once, not once to find the event and again to find the
-    /// batch's end.
+    /// The smallest order key outside the now-lane ([`EMPTY`] if none)
+    /// and its source: [`HEAP`] for the heap top, else the lane whose
+    /// head it is. Every push keeps it current and every removal
+    /// recomputes it, so each pop scans the sources once, not once to
+    /// find the event and again to find the batch's end.
     earliest: (Ord128, usize),
     seq: u64,
     now: SimTime,
@@ -320,7 +320,7 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         // Heap and lane entries at `now` predate everything in the
         // now-lane; now-lane entries precede any strictly later entry.
-        let (key, source) = self.next_source();
+        let (key, source) = self.earliest;
         let event =
             if key != EMPTY && (self.now_lane.is_empty() || at_of(key) == self.now.as_nanos()) {
                 self.now = SimTime::from_nanos(at_of(key));
@@ -348,7 +348,7 @@ impl<E> EventQueue<E> {
         loop {
             // Same-instant peers: heap and lanes first (smaller seqs),
             // then the now-lane.
-            let (key, source) = self.next_source();
+            let (key, source) = self.earliest;
             let event = if key != EMPTY && at_of(key) == at_ns {
                 self.take_from(source)
             } else {
@@ -366,7 +366,7 @@ impl<E> EventQueue<E> {
     /// The timestamp of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         if self.now_lane.is_empty() {
-            let (key, _) = self.next_source();
+            let (key, _) = self.earliest;
             (key != EMPTY).then(|| SimTime::from_nanos(at_of(key)))
         } else {
             Some(self.now)
@@ -404,22 +404,14 @@ impl<E> EventQueue<E> {
         self.seq = seq;
     }
 
-    /// The smallest order key outside the now-lane ([`EMPTY`] if there
-    /// is none) and its source: [`HEAP`] for the heap top, else the lane
-    /// whose head it is.
-    #[inline(always)]
-    fn next_source(&self) -> (Ord128, usize) {
-        self.earliest
-    }
-
-    /// Recomputes [`EventQueue::next_source`] from the heap top and the
+    /// Recomputes [`EventQueue::earliest`] from the heap top and the
     /// lane heads.
     ///
     /// Which source holds the minimum changes from pop to pop with no
     /// pattern a branch predictor can learn, so each comparison selects
     /// by mask arithmetic instead of a branch.
     #[inline(always)]
-    fn scan_sources(&self) -> (Ord128, usize) {
+    fn scan_earliest(&self) -> (Ord128, usize) {
         let mut min = self.heap_ord.first().copied().unwrap_or(EMPTY);
         let mut source = HEAP;
         for (lane, &head) in self.lane_heads.iter().enumerate() {
@@ -431,7 +423,8 @@ impl<E> EventQueue<E> {
         (min, source)
     }
 
-    /// Removes and returns the event [`EventQueue::next_source`] named:
+    /// Removes and returns the event of source `source` (the second half
+    /// of [`EventQueue::earliest`]):
     /// the heap top (one sift), or a lane head, whose successor's key
     /// (if any) becomes the lane's head key.
     #[inline(always)]
@@ -447,7 +440,7 @@ impl<E> EventQueue<E> {
             self.lane_heads[source] = events.front().map_or(EMPTY, LaneEntry::key);
             head.event
         };
-        self.earliest = self.scan_sources();
+        self.earliest = self.scan_earliest();
         event
     }
 
