@@ -1,17 +1,17 @@
-//! Series generators for the paper's analytical figures (8–12).
+//! Series for the paper's analytical figures (8–12).
 //!
-//! Each function returns the exact `(x, y)` series a figure plots, labelled
-//! with the paper's legend strings, so the bench harness and the plotting
-//! examples stay trivially thin.
+//! Figures 8 and 9 are generated here directly: each function returns
+//! the exact `(x, y)` series the figure plots, labelled with the paper's
+//! legend strings. Figures 10–12 are the `fig10`–`fig12` scenario
+//! presets; this module supplies their per-point evaluation
+//! ([`pair_budget`]), their placement axis and the unpacking of a
+//! report into series ([`placement_series_of`]).
 
 use qic_physics::error::ErrorRates;
 
 use qic_purify::analysis::figure8_series;
 use qic_purify::protocol::{Protocol, RoundNoise};
-use qic_sweep::{
-    Axis, Campaign, CampaignProgress, CampaignReport, Metrics, ParamSpace, RunCtx, RunOptions,
-    SweepPoint,
-};
+use qic_sweep::{Axis, CampaignReport};
 
 use crate::chain::chained_error_series;
 use crate::plan::ChannelModel;
@@ -126,9 +126,8 @@ qic_sweep::json::labels! {
 /// `hops`-teleport channel under `model`, `f64::INFINITY` when the plan
 /// is infeasible or exceeds [`PAIR_COUNT_CAP`].
 ///
-/// Shared by the figure campaign constructors below and the Scenario
-/// runner in `qic-core`, so both paths are byte-identical by
-/// construction.
+/// The Scenario runner in `qic-core` evaluates every channel point
+/// through it.
 pub fn pair_budget(model: &ChannelModel, hops: u32, metric: PairMetric) -> f64 {
     match model.plan(hops) {
         Ok(plan) => {
@@ -146,7 +145,7 @@ pub fn pair_budget(model: &ChannelModel, hops: u32, metric: PairMetric) -> f64 {
     }
 }
 
-/// The placement axis shared by the Figure 10–12 campaigns: one
+/// The placement axis the Figure 10–12 presets sweep: one
 /// categorical value per [`PurifyPlacement::FIGURE_SET`] entry, labelled
 /// with the paper's legend strings. Point coordinate 0 indexes back into
 /// `FIGURE_SET`.
@@ -159,10 +158,9 @@ pub fn placement_axis() -> Axis {
     )
 }
 
-/// Unpacks a placement × x-axis campaign (as produced by
-/// [`figure10_campaign`], [`figure11_campaign`] or [`figure12_campaign`])
-/// into one [`Series`] per placement, in `FIGURE_SET` order, reading the
-/// `metric` means.
+/// Unpacks a placement × x-axis campaign (the report of the `fig10`,
+/// `fig11` or `fig12` scenario preset) into one [`Series`] per
+/// placement, in `FIGURE_SET` order, reading the `metric` means.
 ///
 /// # Panics
 ///
@@ -194,86 +192,11 @@ pub fn placement_series_of(report: &CampaignReport, metric: &str) -> Vec<Series>
         .collect()
 }
 
-/// Runs a closed-form campaign to completion on a per-call pool.
-fn run_to_completion<F>(campaign: Campaign, eval: F) -> CampaignReport
-where
-    F: Fn(&SweepPoint<'_>, RunCtx) -> Metrics + Send + Sync + 'static,
-{
-    campaign
-        .run(&RunOptions::default(), eval)
-        .ok()
-        .and_then(CampaignProgress::complete)
-        .expect("an uncheckpointed, unbudgeted run completes")
-}
-
-fn pairs_campaign(model: &ChannelModel, max_hops: u32, metric: PairMetric) -> CampaignReport {
-    let space = ParamSpace::new().axis(placement_axis()).axis(Axis::ints(
-        "hops",
-        (10..=max_hops).step_by(2).map(i64::from),
-    ));
-    let name = match metric {
-        PairMetric::TotalPairs => "figure10",
-        PairMetric::TeleportedPairs => "figure11",
-    };
-    let model = model.clone();
-    run_to_completion(Campaign::new(name, space), move |point, _ctx| {
-        let placement = PurifyPlacement::FIGURE_SET[point.coord(0)];
-        let m = model.clone().with_placement(placement);
-        Metrics::new().with("pairs", pair_budget(&m, point.u32("hops"), metric))
-    })
-}
-
-/// The Figure 10 sweep as a campaign: placement × distance, total EPR
-/// pairs per point (capped at [`PAIR_COUNT_CAP`], infeasible = `∞`).
-pub fn figure10_campaign(model: &ChannelModel, max_hops: u32) -> CampaignReport {
-    pairs_campaign(model, max_hops, PairMetric::TotalPairs)
-}
-
-/// The Figure 11 sweep as a campaign: placement × distance, teleported
-/// EPR pairs per point.
-pub fn figure11_campaign(model: &ChannelModel, max_hops: u32) -> CampaignReport {
-    pairs_campaign(model, max_hops, PairMetric::TeleportedPairs)
-}
-
-/// **Figure 10**: total EPR pairs consumed vs distance (10–60 teleports)
-/// for the five purification placements.
-pub fn figure10(model: &ChannelModel, max_hops: u32) -> Vec<Series> {
-    placement_series_of(&figure10_campaign(model, max_hops), "pairs")
-}
-
-/// **Figure 11**: EPR pairs teleported vs distance for the same placements.
-pub fn figure11(model: &ChannelModel, max_hops: u32) -> Vec<Series> {
-    placement_series_of(&figure11_campaign(model, max_hops), "pairs")
-}
-
-/// The Figure 12 sweep as a campaign: placement × log-spaced uniform
-/// error rate at a fixed distance, teleported EPR pairs per point.
-pub fn figure12_campaign(hops: u32, points_per_decade: u32) -> CampaignReport {
-    let base = ChannelModel::ion_trap();
-    let space = ParamSpace::new()
-        .axis(placement_axis())
-        .axis(Axis::log_spaced("error_rate", -9, -4, points_per_decade));
-    run_to_completion(Campaign::new("figure12", space), move |point, _ctx| {
-        let placement = PurifyPlacement::FIGURE_SET[point.coord(0)];
-        let p = point.f64("error_rate");
-        let rates = ErrorRates::uniform(p).expect("sweep values are probabilities");
-        let m = base.clone().with_rates(rates).with_placement(placement);
-        Metrics::new().with("pairs", pair_budget(&m, hops, PairMetric::TeleportedPairs))
-    })
-}
-
-/// **Figure 12**: EPR pairs teleported vs uniform operation error rate
-/// (1e-9 … 1e-4) at a fixed distance; every curve ends abruptly near 1e-5
-/// where purification stops reaching the threshold. A 16-hop channel keeps
-/// the nested schemes inside the paper's 1e12 axis at low error rates.
-pub fn figure12(hops: u32, points_per_decade: u32) -> Vec<Series> {
-    placement_series_of(&figure12_campaign(hops, points_per_decade), "pairs")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qic_physics::constants::THRESHOLD_ERROR;
+    use qic_sweep::{Campaign, CampaignProgress, Metrics, ParamSpace, RunOptions};
 
     #[test]
     fn figure8_has_six_series() {
@@ -298,131 +221,19 @@ mod tests {
         assert!(best.points[40].1 < THRESHOLD_ERROR);
     }
 
-    /// Geometric mean of the finite y-values of a series.
-    fn geo_mean(s: &Series) -> f64 {
-        let logs: Vec<f64> = s
-            .points
-            .iter()
-            .map(|p| p.1)
-            .filter(|y| y.is_finite())
-            .map(f64::ln)
-            .collect();
-        (logs.iter().sum::<f64>() / logs.len() as f64).exp()
-    }
-
-    #[test]
-    fn figure10_endpoints_only_is_lowest() {
-        // The paper's claim is aggregate: "the Endpoints Only scheme uses
-        // the fewest total EPR resources". Individual distances can flip
-        // briefly where the endpoint-round count steps (the staircase
-        // visible in the published curves), so compare geometric means and
-        // bound any local excursion.
-        let series = figure10(&ChannelModel::ion_trap(), 60);
-        assert_eq!(series.len(), 5);
-        let only = series
-            .iter()
-            .find(|s| s.label.contains("only at end"))
-            .unwrap();
-        let m_only = geo_mean(only);
-        for other in series.iter().filter(|s| !s.label.contains("only at end")) {
-            assert!(
-                m_only < geo_mean(other),
-                "{} beat endpoints-only on average",
-                other.label
-            );
-            for (a, b) in only.points.iter().zip(&other.points) {
-                assert!(
-                    a.1 <= b.1 * 2.5 + 1e-9,
-                    "{} beat endpoints-only by >2.5x at x={}",
-                    other.label,
-                    a.0
-                );
-            }
-        }
-        // The two virtual-wire schemes order by rounds on average.
-        let once = series
-            .iter()
-            .find(|s| s.label.contains("once before"))
-            .unwrap();
-        let twice = series
-            .iter()
-            .find(|s| s.label.contains("2x before"))
-            .unwrap();
-        assert!(geo_mean(once) < geo_mean(twice));
-    }
-
-    #[test]
-    fn figure11_before_teleport_is_lowest() {
-        let series = figure11(&ChannelModel::ion_trap(), 60);
-        let twice_before = series
-            .iter()
-            .find(|s| s.label.contains("2x before"))
-            .unwrap();
-        for other in series.iter().filter(|s| !s.label.contains("2x before")) {
-            for (a, b) in twice_before.points.iter().zip(&other.points) {
-                assert!(
-                    a.1 <= b.1 + 1e-9,
-                    "{} beat 2x-before at x={}",
-                    other.label,
-                    a.0
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn after_each_teleport_leaves_the_chart() {
-        // The nested schemes exceed any plottable budget well before 60
-        // hops — their curves "run off the top" like the paper's.
-        let series = figure10(&ChannelModel::ion_trap(), 60);
-        let nested = series
-            .iter()
-            .find(|s| s.label.contains("once after"))
-            .unwrap();
-        assert!(nested.points.last().unwrap().1.is_infinite());
-        assert!(nested.breakdown_x().is_some());
-    }
-
-    #[test]
-    fn figure12_breaks_down_near_1e5() {
-        let series = figure12(16, 4);
-        for s in &series {
-            let bx = s
-                .breakdown_x()
-                .unwrap_or_else(|| panic!("{} should break down", s.label));
-            assert!(
-                (1e-6..=1e-4).contains(&bx),
-                "{}: breakdown at {bx:.2e}, expected near 1e-5",
-                s.label
-            );
-        }
-        // Working-regime spread: over the span where all curves are finite,
-        // resources vary far less than the error rate does (paper: "only
-        // differ by a factor of up to 100 for a 10,000x difference").
-        let endpoints = series
-            .iter()
-            .find(|s| s.label.contains("only at end"))
-            .unwrap();
-        let finite: Vec<f64> = endpoints
-            .points
-            .iter()
-            .map(|p| p.1)
-            .filter(|y| y.is_finite())
-            .collect();
-        let spread = finite.iter().cloned().fold(f64::MIN, f64::max)
-            / finite.iter().cloned().fold(f64::MAX, f64::min);
-        assert!(spread < 1000.0, "spread {spread}");
-    }
-
     #[test]
     #[should_panic(expected = "does not sweep placement")]
     fn series_of_rejects_foreign_campaigns() {
         let space = ParamSpace::new()
             .axis(Axis::ints("a", [1, 2]))
             .axis(Axis::ints("b", [1, 2]));
-        let report = run_to_completion(Campaign::new("not-a-figure", space), |_, _| {
-            Metrics::new().with("pairs", 1.0)
-        });
+        let report = Campaign::new("not-a-figure", space)
+            .run(&RunOptions::default(), |_, _| {
+                Metrics::new().with("pairs", 1.0)
+            })
+            .ok()
+            .and_then(CampaignProgress::complete)
+            .expect("an uncheckpointed run completes");
         let _ = placement_series_of(&report, "pairs");
     }
 

@@ -21,7 +21,8 @@
 //! * [`cost`] — what does a (possibly modular) machine cost in dollars
 //!   and area, and what latency/throughput does its shape predict (the
 //!   cost-fidelity Pareto axis for `qic-modular` sweeps)?
-//! * [`figures`] — ready-made series generators for each figure.
+//! * [`figures`] — the Figure 8–9 series, and the pair-budget evaluation
+//!   and series unpacking behind the Figure 10–12 scenario presets.
 //!
 //! # Example
 //!

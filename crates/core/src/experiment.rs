@@ -14,14 +14,12 @@
 //! workload on the same node count across mesh, torus and hypercube
 //! fabrics under both routing policies.
 //!
-//! Since the Scenario API redesign both presets are **declarative
-//! specs** — [`crate::scenario::fig16_spec`] and
-//! [`crate::scenario::faceoff_spec`], registered as `fig16` and
-//! `topology_faceoff` in the [`crate::scenario::ScenarioRegistry`] —
-//! and run through the single `qic::run` entry point (the deprecated
-//! `figure16*`/`topology_faceoff*` shims are gone; the registry specs
-//! are the only entry points, byte-identical to the pre-redesign
-//! campaigns — golden tests hold the line).
+//! Both presets are **declarative specs** registered as `fig16` and
+//! `topology_faceoff` in the [`crate::scenario::ScenarioRegistry`]
+//! ([`crate::scenario::fig16_spec`] also reaches the paper's own
+//! Figure 16 scale), and run through the single `qic::run` entry point,
+//! byte-identical to the pre-redesign campaigns — golden tests hold the
+//! line.
 //! [`figure16_from_campaign`] remains the supported way to unpack a
 //! Figure 16 campaign report into the paper's normalized dataset.
 
@@ -147,30 +145,10 @@ pub fn figure16_from_campaign(scale: Fig16Scale, report: &CampaignReport) -> Fig
     }
 }
 
-/// Scale of the topology faceoff campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaceoffScale {
-    /// 64 nodes (8×8 grid / dimension-6 hypercube), QFT-64, level-1
-    /// code. Seconds of wall-clock time.
-    Full,
-    /// 16 nodes (4×4 grid / dimension-4 hypercube), QFT-16, for tests.
-    Tiny,
-}
-
-impl FaceoffScale {
-    /// The QFT size the faceoff runs at this scale.
-    pub(crate) fn qft_size(self) -> u32 {
-        match self {
-            FaceoffScale::Full => 64,
-            FaceoffScale::Tiny => 16,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{faceoff_spec, fig16_spec, run};
+    use crate::scenario::{fig16_spec, run, ScenarioRegistry, ScenarioScale, ScenarioSpec};
     use qic_net::routing::RoutingPolicy;
     use qic_net::topology::TopologyKind;
 
@@ -178,8 +156,14 @@ mod tests {
         run(&fig16_spec(scale)).expect("preset validates").report
     }
 
-    fn faceoff_report(scale: FaceoffScale) -> CampaignReport {
-        run(&faceoff_spec(scale)).expect("preset validates").report
+    fn faceoff_tiny() -> ScenarioSpec {
+        ScenarioRegistry::builtin()
+            .spec("topology_faceoff", ScenarioScale::SmallTest)
+            .expect("registered")
+    }
+
+    fn faceoff_report() -> CampaignReport {
+        run(&faceoff_tiny()).expect("preset validates").report
     }
 
     #[test]
@@ -225,7 +209,7 @@ mod tests {
 
     #[test]
     fn faceoff_covers_every_fabric_and_policy() {
-        let report = faceoff_report(FaceoffScale::Tiny);
+        let report = faceoff_report();
         assert_eq!(report.name, "topology_faceoff:Tiny");
         assert_eq!(
             report.points.len(),
@@ -246,7 +230,7 @@ mod tests {
 
     #[test]
     fn faceoff_orders_fabrics_by_connectivity() {
-        let report = faceoff_report(FaceoffScale::Tiny);
+        let report = faceoff_report();
         let metric = |topo: &str, name: &str| {
             report
                 .points
@@ -286,12 +270,8 @@ mod tests {
         // The acceptance gate: the real faceoff campaign sweeps
         // topology × routing and emits byte-identical reports for 1 and
         // 4 workers.
-        let serial = run(&faceoff_spec(FaceoffScale::Tiny).with_workers(1))
-            .unwrap()
-            .report;
-        let parallel = run(&faceoff_spec(FaceoffScale::Tiny).with_workers(4))
-            .unwrap()
-            .report;
+        let serial = run(&faceoff_tiny().with_workers(1)).unwrap().report;
+        let parallel = run(&faceoff_tiny().with_workers(4)).unwrap().report;
         assert_eq!(serial.to_csv(), parallel.to_csv());
         assert_eq!(serial.to_json(), parallel.to_json());
     }

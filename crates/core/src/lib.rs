@@ -13,7 +13,6 @@
 //!   for QFT's sequential structure), returning home only when its
 //!   instruction stream ends.
 //!
-//! [`machine::Machine`] wraps the whole stack behind a builder;
 //! [`scenario`] is the declarative layer on top: one serializable
 //! [`scenario::ScenarioSpec`] describes any experiment (machine ×
 //! fabric × routing × workload × purification strategy, swept), runs
@@ -26,18 +25,18 @@
 //!
 //! ```
 //! use qic_core::prelude::*;
-//! use qic_workload::Program;
 //!
-//! let machine = Machine::builder()
-//!     .grid(4, 4)
-//!     .resources(4, 4, 2)
-//!     .outputs_per_comm(2)
-//!     .purify_depth(1)
-//!     .layout(Layout::HomeBase)
-//!     .build()?;
-//! let report = machine.run(&Program::qft(4));
-//! assert_eq!(report.instructions, 6);
-//! # Ok::<(), qic_core::machine::MachineError>(())
+//! let machine = MachineSpec::preset(NetPreset::Paper)
+//!     .with_grid(4, 4)
+//!     .with_resources(4, 4, 2)
+//!     .with_outputs_per_comm(2)
+//!     .with_purify_depth(1)
+//!     .with_layout(Layout::HomeBase);
+//! let spec = ScenarioSpec::machine("qft4", machine, WorkloadSpec::Qft { qubits: 4 });
+//! let report = qic_core::scenario::run(&spec)?;
+//! // QFT-4 is 6 interactions; Home Base moves each operand out and back.
+//! assert_eq!(report.report.points[0].mean("comms_completed"), Some(12.0));
+//! # Ok::<(), qic_core::scenario::ScenarioError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,26 +44,21 @@
 
 pub mod experiment;
 pub mod layout;
-pub mod machine;
 pub mod scenario;
 pub mod scheduler;
 
 /// Convenient glob-import surface: `use qic_core::prelude::*;`.
 pub mod prelude {
-    pub use crate::experiment::{
-        figure16_from_campaign, FaceoffScale, Fig16Point, Fig16Result, Fig16Scale,
-    };
+    pub use crate::experiment::{figure16_from_campaign, Fig16Point, Fig16Result, Fig16Scale};
     pub use crate::layout::{Layout, Placement};
-    pub use crate::machine::{Machine, MachineBuilder, MachineError, RunReport};
     pub use crate::scenario::{
-        faceoff_spec, fig16_spec, CheckpointSpec, ExperimentSpec, MachineSpec, NetPreset,
-        ObserveSpec, ScenarioAxis, ScenarioError, ScenarioProgress, ScenarioRegistry,
-        ScenarioReport, ScenarioScale, ScenarioSpec, WorkloadSpec,
+        fig16_spec, CheckpointSpec, ExperimentSpec, MachineSpec, NetPreset, ObserveSpec,
+        ScenarioAxis, ScenarioError, ScenarioProgress, ScenarioRegistry, ScenarioReport,
+        ScenarioScale, ScenarioSpec, WorkloadSpec,
     };
     pub use crate::scheduler::ProgramDriver;
     pub use qic_fault::{DegradedFabric, FaultPlan, Hotspot};
 }
 
 pub use layout::{Layout, Placement};
-pub use machine::{Machine, MachineBuilder, MachineError, RunReport};
 pub use scenario::{ScenarioReport, ScenarioSpec};

@@ -50,7 +50,7 @@ mod spec;
 // re-exported here so `ScenarioError::Json` keeps its established path.
 pub use digest::SpecDigest;
 pub use qic_sweep::json::JsonError;
-pub use registry::{faceoff_spec, fig16_spec, ScenarioEntry, ScenarioRegistry, ScenarioScale};
+pub use registry::{fig16_spec, ScenarioEntry, ScenarioRegistry, ScenarioScale};
 pub use runner::{run, run_with, ScenarioProgress, ScenarioReport};
 pub use spec::{
     ratio_resources, CheckpointSpec, ExperimentSpec, MachineSpec, NetPreset, ObserveSpec,

@@ -552,7 +552,7 @@ impl MachineEval {
 
     /// Runs one workload over a topology — healthy, degraded, modular
     /// or both, each its own concrete type. Program workloads go
-    /// through the scheduler, with the gate time `Machine::run` uses.
+    /// through the scheduler ([`ProgramDriver`]).
     /// `trace_tag` is the `(point index, replicate)` pair that names
     /// any exported traces.
     fn drive<T: Topology>(

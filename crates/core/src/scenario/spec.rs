@@ -15,7 +15,7 @@ use qic_workload::Program;
 
 use crate::layout::Layout;
 use qic_sweep::json::Field;
-use qic_sweep::json::{Json, JsonError};
+use qic_sweep::json::{quote, Json, JsonError};
 
 /// A named base network configuration a [`MachineSpec`] starts from.
 ///
@@ -563,7 +563,7 @@ impl ScenarioAxis {
 
     /// Whether this axis configures a machine experiment (as opposed to
     /// an analytic channel experiment).
-    pub fn is_machine_axis(&self) -> bool {
+    pub(crate) fn is_machine_axis(&self) -> bool {
         !matches!(
             self,
             ScenarioAxis::Placements { .. }
@@ -1252,17 +1252,19 @@ pub enum ScenarioError {
 
 impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The scenario name comes from the spec, so it is quoted cut
+        // short like any other document string.
         match self {
             ScenarioError::Spec { scenario, problem } => {
-                write!(f, "scenario {scenario:?}: {problem}")
+                write!(f, "scenario {}: {problem}", quote(scenario))
             }
             ScenarioError::Config {
                 scenario,
                 point,
                 source,
             } => match point {
-                Some(point) => write!(f, "scenario {scenario:?}, point {point}: {source}"),
-                None => write!(f, "scenario {scenario:?}: {source}"),
+                Some(point) => write!(f, "scenario {}, point {point}: {source}", quote(scenario)),
+                None => write!(f, "scenario {}: {source}", quote(scenario)),
             },
             ScenarioError::Json(err) => write!(f, "{err}"),
             ScenarioError::Checkpoint(err) => write!(f, "{err}"),
@@ -1270,7 +1272,11 @@ impl fmt::Display for ScenarioError {
                 scenario,
                 path,
                 message,
-            } => write!(f, "scenario {scenario:?}: cannot create {path}: {message}"),
+            } => write!(
+                f,
+                "scenario {}: cannot create {path}: {message}",
+                quote(scenario)
+            ),
         }
     }
 }

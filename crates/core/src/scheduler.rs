@@ -34,12 +34,15 @@ fn untag(t: u64) -> (u64, u64) {
     (t >> 2, t & 3)
 }
 
+/// The logical gate latency charged between a channel's completion and
+/// the follow-up movement: one two-qubit gate (Table 1's `t2q`).
+const GATE_TIME: Duration = Duration::from_micros(20);
+
 /// The layout-aware scheduler driving the network simulator.
 #[derive(Debug)]
 pub struct LayoutScheduler {
     layout: Layout,
     placement: Placement,
-    gate_time: Duration,
     instr: Vec<(u32, u32)>,
     /// Per-qubit program-order queues of instruction indices.
     queues: Vec<VecDeque<u32>>,
@@ -61,12 +64,7 @@ pub struct LayoutScheduler {
 
 impl LayoutScheduler {
     /// Builds a scheduler for `program` under the given layout.
-    pub fn new(
-        program: &Program,
-        layout: Layout,
-        placement: Placement,
-        gate_time: Duration,
-    ) -> Self {
+    pub fn new(program: &Program, layout: Layout, placement: Placement) -> Self {
         let n = program.n_qubits() as usize;
         let mut queues = vec![VecDeque::new(); n];
         let instr: Vec<(u32, u32)> = program.iter().map(|i| (i.a.index(), i.b.index())).collect();
@@ -82,7 +80,6 @@ impl LayoutScheduler {
         LayoutScheduler {
             layout,
             placement,
-            gate_time,
             queues,
             busy: vec![false; n],
             loc,
@@ -244,7 +241,7 @@ impl Driver for LayoutScheduler {
                     }
                     self.retry_blocked(api);
                 }
-                api.notify_after(self.gate_time, tag(payload, PHASE_GATE_END));
+                api.notify_after(GATE_TIME, tag(payload, PHASE_GATE_END));
             }
             PHASE_RETURN => {
                 // Home-Base: b is home again.
@@ -323,8 +320,8 @@ impl LayoutScheduler {
 ///
 /// The adapter picks the fabric-appropriate placement (the snake for
 /// mesh/torus grids, the Gray-code walk for hypercubes), builds the
-/// layout scheduler, and tracks completion, so callers that do not want
-/// a full `Machine` can still run programs:
+/// layout scheduler, and tracks completion; the scenario runner drives
+/// every program workload through it:
 ///
 /// ```
 /// use qic_core::scheduler::ProgramDriver;
@@ -348,13 +345,7 @@ pub struct ProgramDriver {
 }
 
 impl ProgramDriver {
-    /// The default logical gate latency charged between a channel's
-    /// completion and the follow-up movement (20 µs).
-    pub fn default_gate_time() -> Duration {
-        Duration::from_micros(20)
-    }
-
-    /// Builds a driver with the default gate time.
+    /// Builds a driver for `program` on `net`'s grid under `layout`.
     ///
     /// # Errors
     ///
@@ -364,21 +355,6 @@ impl ProgramDriver {
         net: &qic_net::config::NetConfig,
         layout: Layout,
         program: &Program,
-    ) -> Result<Self, CapacityError> {
-        Self::with_gate_time(net, layout, program, Self::default_gate_time())
-    }
-
-    /// Builds a driver with an explicit gate time.
-    ///
-    /// # Errors
-    ///
-    /// [`CapacityError`] if the program needs more qubits than the
-    /// config's grid has sites.
-    pub fn with_gate_time(
-        net: &qic_net::config::NetConfig,
-        layout: Layout,
-        program: &Program,
-        gate_time: Duration,
     ) -> Result<Self, CapacityError> {
         // Placement follows the fabric: the snake keeps consecutive
         // qubits one mesh/torus hop apart; its hypercube analogue is the
@@ -390,7 +366,7 @@ impl ProgramDriver {
         };
         let placement = place(net.mesh_width, net.mesh_height, program.n_qubits())?;
         Ok(ProgramDriver {
-            scheduler: LayoutScheduler::new(program, layout, placement, gate_time),
+            scheduler: LayoutScheduler::new(program, layout, placement),
             expected: program.len() as u64,
         })
     }
@@ -447,8 +423,7 @@ mod tests {
         let cfg = NetConfig::small_test();
         let placement =
             Placement::snake(cfg.mesh_width, cfg.mesh_height, program.n_qubits()).unwrap();
-        let mut driver =
-            LayoutScheduler::new(program, layout, placement, Duration::from_micros(20));
+        let mut driver = LayoutScheduler::new(program, layout, placement);
         let report = NetworkSim::new(cfg).run(&mut driver);
         (report, driver.completed)
     }

@@ -2,52 +2,64 @@
 //! completion on a 4×4 mesh under both layouts, with sane accounting.
 
 use qic_core::prelude::*;
-use qic_workload::Program;
+use qic_core::scenario::run;
+use qic_sweep::PointReport;
 
-fn four_by_four(layout: Layout) -> Machine {
-    let mut b = Machine::builder();
-    b.grid(4, 4)
-        .resources(6, 6, 3)
-        .outputs_per_comm(2)
-        .purify_depth(1)
-        .layout(layout)
-        .seed(2006);
-    b.build().expect("4x4 machine is valid")
+fn four_by_four(layout: Layout) -> MachineSpec {
+    MachineSpec::preset(NetPreset::Paper)
+        .with_grid(4, 4)
+        .with_resources(6, 6, 3)
+        .with_outputs_per_comm(2)
+        .with_purify_depth(1)
+        .with_layout(layout)
+}
+
+fn qft_spec(layout: Layout, qubits: u32) -> ScenarioSpec {
+    ScenarioSpec::machine("qft", four_by_four(layout), WorkloadSpec::Qft { qubits }).with_seed(2006)
+}
+
+/// Runs QFT-`qubits` on the 4×4 machine; the runner checks that every
+/// instruction retires.
+fn run_qft(layout: Layout, qubits: u32) -> PointReport {
+    let report = run(&qft_spec(layout, qubits)).expect("4x4 machine is valid");
+    report.report.points[0].clone()
+}
+
+fn mean(point: &PointReport, metric: &str) -> f64 {
+    point.mean(metric).expect("metric reported")
 }
 
 #[test]
 fn qft_completes_on_4x4_mesh_under_both_layouts() {
-    let program = Program::qft(8);
-    for layout in Layout::ALL {
-        let report = four_by_four(layout).run(&program);
-        assert_eq!(
-            report.instructions as usize,
-            program.len(),
-            "{layout}: every QFT instruction must retire"
-        );
-        assert_eq!(report.layout, layout);
-        assert!(report.makespan > qic_physics::time::Duration::ZERO);
+    let program = qic_workload::Program::qft(8);
+    let spec = qft_spec(Layout::HomeBase, 8).with_axis(ScenarioAxis::Layouts {
+        layouts: Layout::ALL.to_vec(),
+    });
+    let report = run(&spec).expect("4x4 machine is valid").report;
+    for (point, layout) in report.points.iter().zip(Layout::ALL) {
+        assert_eq!(point.param("layout").as_text(), Some(&*layout.to_string()));
+        assert!(mean(point, "makespan_us") > 0.0, "{layout}");
         // Every instruction needs at least one completed communication,
         // and communications consume teleported pairs.
-        assert!(report.net.comms_completed >= report.instructions);
-        assert!(report.net.pairs_consumed > 0);
+        assert!(mean(point, "comms_completed") >= program.len() as f64);
+        assert!(mean(point, "pairs_consumed") > 0.0);
     }
 }
 
 #[test]
 fn scheduler_is_deterministic_for_a_fixed_seed() {
-    let program = Program::qft(6);
-    let a = four_by_four(Layout::HomeBase).run(&program);
-    let b = four_by_four(Layout::HomeBase).run(&program);
+    let a = run(&qft_spec(Layout::HomeBase, 6)).unwrap();
+    let b = run(&qft_spec(Layout::HomeBase, 6)).unwrap();
     assert_eq!(a, b);
+    assert_eq!(a.to_json(), b.to_json());
 }
 
 #[test]
 fn more_qubits_mean_more_work_on_the_same_mesh() {
-    let small = four_by_four(Layout::HomeBase).run(&Program::qft(4));
-    let large = four_by_four(Layout::HomeBase).run(&Program::qft(10));
-    assert!(large.makespan > small.makespan);
-    assert!(large.net.teleport_ops > small.net.teleport_ops);
+    let small = run_qft(Layout::HomeBase, 4);
+    let large = run_qft(Layout::HomeBase, 10);
+    assert!(mean(&large, "makespan_us") > mean(&small, "makespan_us"));
+    assert!(mean(&large, "teleport_ops") > mean(&small, "teleport_ops"));
 }
 
 #[test]
@@ -65,8 +77,10 @@ fn snake_placement_covers_the_mesh_without_collisions() {
 
 #[test]
 fn report_normalization_is_relative_makespan() {
-    let base = four_by_four(Layout::HomeBase).run(&Program::qft(8));
-    assert!((base.normalized_to(&base) - 1.0).abs() < 1e-12);
-    let slower = four_by_four(Layout::HomeBase).run(&Program::qft(12));
-    assert!(slower.normalized_to(&base) > 1.0);
+    // Figure 16's y-axis: a makespan over a baseline run's makespan.
+    let base = mean(&run_qft(Layout::HomeBase, 8), "makespan_us");
+    let again = mean(&run_qft(Layout::HomeBase, 8), "makespan_us");
+    assert_eq!(again / base, 1.0);
+    let slower = mean(&run_qft(Layout::HomeBase, 12), "makespan_us");
+    assert!(slower / base > 1.0);
 }

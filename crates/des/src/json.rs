@@ -92,13 +92,29 @@ impl Json {
         }
     }
 
+    /// What kind of value this is, with its article (`"an object"`,
+    /// `"a string"`, …): error messages name the kind, never the value,
+    /// so a document cannot make its own error line long.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Json::Null => "null",
+            Json::Bool(_) => "a boolean",
+            Json::Int(_) => "an integer",
+            Json::Float(_) => "a float",
+            Json::Str(_) => "a string",
+            Json::Arr(_) => "an array",
+            Json::Obj(_) => "an object",
+        }
+    }
+
     /// The value as a string; schema error naming `ctx` otherwise (all
     /// the typed accessors follow this pattern so codecs read linearly).
     pub fn str_of(&self, ctx: &str) -> Result<&str, JsonError> {
         match self {
             Json::Str(s) => Ok(s),
             other => Err(Json::schema_err(format!(
-                "{ctx}: expected a string, got {other:?}"
+                "{ctx}: expected a string, got {}",
+                other.kind()
             ))),
         }
     }
@@ -110,7 +126,8 @@ impl Json {
             Json::Int(v) => T::try_from(*v)
                 .map_err(|_| Json::schema_err(format!("{ctx}: {v} out of {ty} range"))),
             other => Err(Json::schema_err(format!(
-                "{ctx}: expected an integer, got {other:?}"
+                "{ctx}: expected an integer, got {}",
+                other.kind()
             ))),
         }
     }
@@ -147,7 +164,8 @@ impl Json {
             Json::Float(v) => Ok(*v),
             Json::Int(v) => Ok(*v as f64),
             other => Err(Json::schema_err(format!(
-                "{ctx}: expected a number, got {other:?}"
+                "{ctx}: expected a number, got {}",
+                other.kind()
             ))),
         }
     }
@@ -157,7 +175,8 @@ impl Json {
         match self {
             Json::Bool(b) => Ok(*b),
             other => Err(Json::schema_err(format!(
-                "{ctx}: expected a boolean, got {other:?}"
+                "{ctx}: expected a boolean, got {}",
+                other.kind()
             ))),
         }
     }
@@ -172,7 +191,8 @@ impl Json {
         match self {
             Json::Arr(items) => Ok(items),
             other => Err(Json::schema_err(format!(
-                "{ctx}: expected an array, got {other:?}"
+                "{ctx}: expected an array, got {}",
+                other.kind()
             ))),
         }
     }
@@ -182,7 +202,8 @@ impl Json {
         match self {
             Json::Obj(fields) => Ok(fields),
             other => Err(Json::schema_err(format!(
-                "{ctx}: expected an object, got {other:?}"
+                "{ctx}: expected an object, got {}",
+                other.kind()
             ))),
         }
     }
@@ -295,6 +316,19 @@ pub fn obj(fields: Vec<(&str, Json)>) -> Json {
     )
 }
 
+/// The longest prefix of a document's string, in characters, that an
+/// error message quotes.
+const QUOTE_CHARS: usize = 32;
+
+/// `text` quoted for an error message: its first 32 characters, marked
+/// `…` when cut, so a document cannot make its own error line long.
+pub fn quote(text: &str) -> String {
+    match text.char_indices().nth(QUOTE_CHARS) {
+        Some((cut, _)) => format!("{:?}…", &text[..cut]),
+        None => format!("{text:?}"),
+    }
+}
+
 /// Looks a required field up in an object; the object is expected to
 /// have been vetted by [`check_fields`] first.
 ///
@@ -330,11 +364,15 @@ pub fn check_fields(
     for (i, (name, _)) in fields.iter().enumerate() {
         if !allowed.contains(&name.as_str()) {
             return Err(Json::schema_err(format!(
-                "{ctx}: unknown field {name:?} (expected one of {allowed:?})"
+                "{ctx}: unknown field {} (expected one of {allowed:?})",
+                quote(name)
             )));
         }
         if fields[..i].iter().any(|(k, _)| k == name) {
-            return Err(Json::schema_err(format!("{ctx}: duplicate field {name:?}")));
+            return Err(Json::schema_err(format!(
+                "{ctx}: duplicate field {}",
+                quote(name)
+            )));
         }
     }
     Ok(())
@@ -733,7 +771,8 @@ impl Exact for f64 {
                 "Inf" => Ok(f64::INFINITY),
                 "-Inf" => Ok(f64::NEG_INFINITY),
                 other => Err(Json::schema_err(format!(
-                    "{ctx}: expected a number or NaN/Inf/-Inf, got {other:?}"
+                    "{ctx}: expected a number or NaN/Inf/-Inf, got {}",
+                    quote(other)
                 ))),
             },
             v => v.f64_of(ctx),
@@ -806,7 +845,8 @@ pub fn check_envelope(
     let found = get(fields, "record", ctx)?.str_of("record")?;
     if found != tag {
         return Err(Json::schema_err(format!(
-            "{ctx}: unexpected record tag {found:?}, expected {tag:?}"
+            "{ctx}: unexpected record tag {}, expected {tag:?}",
+            quote(found)
         )));
     }
     let found = get(fields, "version", ctx)?.u32_of("version")?;
@@ -959,8 +999,8 @@ macro_rules! tagged {
                         })
                     })*
                     other => Err($crate::json::Json::schema_err(format!(
-                        concat!("unknown ", $ctx, " kind {:?}"),
-                        other
+                        concat!("unknown ", $ctx, " kind {}"),
+                        $crate::json::quote(other)
                     ))),
                 }
             }
@@ -984,7 +1024,10 @@ macro_rules! labels {
             ) -> Result<Self, $crate::json::JsonError> {
                 let label = v.str_of(ctx)?;
                 <$ty>::parse(label).ok_or_else(|| {
-                    $crate::json::Json::schema_err(format!(concat!("unknown ", $noun, " {:?}"), label))
+                    $crate::json::Json::schema_err(format!(
+                        concat!("unknown ", $noun, " {}"),
+                        $crate::json::quote(label)
+                    ))
                 })
             }
         }
@@ -1228,5 +1271,37 @@ mod tests {
         assert!(Json::Str("x".into()).u64_of("t").is_err());
         assert!(Json::Int(-1).u32_of("t").is_err());
         assert!(Json::Int(70000).u16_of("t").is_err());
+    }
+
+    #[test]
+    fn schema_errors_name_the_kind_not_the_value() {
+        // A 100k-element array where a string belongs: the error names
+        // the slot and the kind, and stays short.
+        let big = Json::Arr(vec![Json::Int(7); 100_000]);
+        let err = big.str_of("name").unwrap_err().to_string();
+        assert_eq!(err, "name: expected a string, got an array");
+        for err in [
+            big.u64_of("n").unwrap_err(),
+            big.f64_of("x").unwrap_err(),
+            big.bool_of("b").unwrap_err(),
+            big.obj_of("o").unwrap_err(),
+            Json::Obj(vec![("k".into(), big.clone())])
+                .arr_of("a")
+                .unwrap_err(),
+            f64::from_exact(&big, "x").unwrap_err(),
+        ] {
+            assert!(err.to_string().len() < 200, "{err}");
+        }
+        // Echoed strings (a field name, a tag, a label) are cut short.
+        let long = "z".repeat(100_000);
+        let fields = vec![(long.clone(), Json::Null)];
+        let err = check_fields(&fields, &["a"], "t").unwrap_err().to_string();
+        assert!(err.len() < 200, "{err}");
+        assert!(err.contains("\"zzzz") && err.contains('…'), "{err}");
+        let err = f64::from_exact(&Json::Str(long), "x")
+            .unwrap_err()
+            .to_string();
+        assert!(err.len() < 200, "{err}");
+        assert_eq!(quote("short"), "\"short\"");
     }
 }

@@ -15,9 +15,10 @@
 //!   ([`time::SimTime`], offset by the workspace-wide
 //!   [`qic_physics::time::Duration`]); no floating-point drift can reorder
 //!   events.
-//! * **Measurements built in** — [`stats`] provides counters, tallies,
-//!   time-weighted averages and log histograms used by the network
-//!   simulator's reports.
+//! * **Measurements built in** — [`stats`] provides the running
+//!   tallies (with replicate confidence intervals) and exact latency
+//!   percentiles that the network simulator's and the campaign engine's
+//!   reports carry.
 //! * **One JSON reader** — [`json`] is the strict, depth-limited
 //!   reader and deterministic writer every workspace document uses.
 //!
@@ -54,7 +55,7 @@ pub mod time;
 pub mod prelude {
     pub use crate::metrics::Metrics;
     pub use crate::queue::EventQueue;
-    pub use crate::stats::{Counter, LogHistogram, Percentiles, Tally, TimeWeighted, Utilization};
+    pub use crate::stats::{Percentiles, Tally};
     pub use crate::time::SimTime;
 }
 

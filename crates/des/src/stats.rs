@@ -1,34 +1,7 @@
-//! Measurement collectors for simulations.
+//! Measurement collectors for simulations: running tallies and exact
+//! percentiles.
 
 use qic_physics::time::Duration;
-
-use crate::time::SimTime;
-
-/// A monotone event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn bump(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    pub fn count(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Running min/max/mean/variance/count over `f64` samples.
 ///
@@ -243,168 +216,9 @@ pub fn percentile_of_sorted(sorted: &[f64], q: f64) -> Option<f64> {
     Some(sorted[rank.max(1) - 1])
 }
 
-/// Time-weighted average of a piecewise-constant signal (e.g. queue
-/// occupancy over simulated time).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimeWeighted {
-    value: f64,
-    since: SimTime,
-    integral: f64,
-    start: SimTime,
-}
-
-impl TimeWeighted {
-    /// Starts tracking a signal with initial `value` at time `start`.
-    pub fn new(start: SimTime, value: f64) -> Self {
-        TimeWeighted {
-            value,
-            since: start,
-            integral: 0.0,
-            start,
-        }
-    }
-
-    /// Updates the signal to `value` at time `now`.
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        self.integral += self.value * now.since(self.since).as_us_f64();
-        self.value = value;
-        self.since = now;
-    }
-
-    /// Adds `delta` to the signal at time `now`.
-    pub fn add(&mut self, now: SimTime, delta: f64) {
-        let v = self.value + delta;
-        self.set(now, v);
-    }
-
-    /// The current signal value.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// Time-weighted mean over `[start, now]`.
-    pub fn mean(&self, now: SimTime) -> f64 {
-        let total = now.since(self.start).as_us_f64();
-        if total == 0.0 {
-            return self.value;
-        }
-        let integral = self.integral + self.value * now.since(self.since).as_us_f64();
-        integral / total
-    }
-}
-
-/// Busy-fraction tracker for a pool of `capacity` servers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Utilization {
-    busy: TimeWeighted,
-    capacity: f64,
-}
-
-impl Utilization {
-    /// Tracks a pool of `capacity` servers, all idle at `start`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(start: SimTime, capacity: u32) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        Utilization {
-            busy: TimeWeighted::new(start, 0.0),
-            capacity: f64::from(capacity),
-        }
-    }
-
-    /// Marks one more server busy.
-    pub fn acquire(&mut self, now: SimTime) {
-        self.busy.add(now, 1.0);
-        debug_assert!(self.busy.value() <= self.capacity + 1e-9, "over-acquired");
-    }
-
-    /// Marks one server idle again.
-    pub fn release(&mut self, now: SimTime) {
-        self.busy.add(now, -1.0);
-        debug_assert!(self.busy.value() >= -1e-9, "released more than acquired");
-    }
-
-    /// Mean utilization in `[0, 1]` over the run so far.
-    pub fn mean(&self, now: SimTime) -> f64 {
-        self.busy.mean(now) / self.capacity
-    }
-
-    /// Servers currently busy.
-    pub fn busy_now(&self) -> f64 {
-        self.busy.value()
-    }
-}
-
-/// A base-2 logarithmic histogram of positive values (latencies, counts).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogHistogram {
-    /// `buckets[i]` counts samples in `[2^i, 2^(i+1))` (bucket 0 also takes
-    /// everything below 1).
-    buckets: Vec<u64>,
-    count: u64,
-}
-
-impl LogHistogram {
-    /// A histogram with `2^n`-width buckets up to `2^max_exp`.
-    pub fn new(max_exp: u32) -> Self {
-        LogHistogram {
-            buckets: vec![0; max_exp as usize + 1],
-            count: 0,
-        }
-    }
-
-    /// Records a sample (values < 1 land in bucket 0; overflow lands in the
-    /// last bucket).
-    pub fn record(&mut self, x: f64) {
-        let idx = if x < 2.0 {
-            0
-        } else {
-            (x.log2() as usize).min(self.buckets.len() - 1)
-        };
-        self.buckets[idx] += 1;
-        self.count += 1;
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Bucket counts (`[2^i, 2^(i+1))`).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// An approximate quantile (bucket upper edge), `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut acc = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            acc += b;
-            if acc >= target.max(1) {
-                return Some(2f64.powi(i as i32 + 1));
-            }
-        }
-        Some(2f64.powi(self.buckets.len() as i32))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.bump();
-        c.add(4);
-        assert_eq!(c.count(), 5);
-    }
 
     #[test]
     fn tally_stats() {
@@ -568,55 +382,5 @@ mod tests {
         assert_eq!(percentile_of_sorted(&sorted, 1.0), Some(4.0));
         assert_eq!(percentile_of_sorted(&sorted, 0.5), Some(2.0));
         assert_eq!(percentile_of_sorted(&[], 0.5), None);
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        let mut w = TimeWeighted::new(SimTime::ZERO, 0.0);
-        // 0 for 10µs, then 2 for 10µs → mean 1.
-        w.set(SimTime::from_nanos(10_000), 2.0);
-        let mean = w.mean(SimTime::from_nanos(20_000));
-        assert!((mean - 1.0).abs() < 1e-12);
-        assert_eq!(w.value(), 2.0);
-    }
-
-    #[test]
-    fn time_weighted_empty_interval() {
-        let w = TimeWeighted::new(SimTime::ZERO, 3.0);
-        assert_eq!(w.mean(SimTime::ZERO), 3.0);
-    }
-
-    #[test]
-    fn utilization_half_busy() {
-        let mut u = Utilization::new(SimTime::ZERO, 2);
-        u.acquire(SimTime::ZERO);
-        // One of two servers busy the whole time → 50%.
-        let m = u.mean(SimTime::from_nanos(1_000));
-        assert!((m - 0.5).abs() < 1e-12);
-        u.release(SimTime::from_nanos(1_000));
-        assert_eq!(u.busy_now(), 0.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = LogHistogram::new(10);
-        for x in [0.5, 1.0, 3.0, 5.0, 100.0] {
-            h.record(x);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.buckets()[0], 2); // 0.5 and 1.0
-        assert_eq!(h.buckets()[1], 1); // 3.0
-        assert_eq!(h.buckets()[2], 1); // 5.0
-        assert_eq!(h.buckets()[6], 1); // 100.0
-        assert!(h.quantile(0.5).unwrap() <= 8.0);
-        assert!(h.quantile(1.0).unwrap() >= 128.0);
-        assert_eq!(LogHistogram::new(3).quantile(0.5), None);
-    }
-
-    #[test]
-    fn histogram_overflow_clamps() {
-        let mut h = LogHistogram::new(3);
-        h.record(1e30);
-        assert_eq!(*h.buckets().last().unwrap(), 1);
     }
 }

@@ -181,7 +181,7 @@ mod tests {
             .starts_with("invalid JSON at byte 0: "));
         assert_eq!(
             validate_chrome_trace("[]").unwrap_err(),
-            "top level: expected an object, got Arr([])"
+            "top level: expected an object, got an array"
         );
     }
 

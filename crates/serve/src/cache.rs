@@ -36,7 +36,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use qic_core::scenario::{ScenarioSpec, SpecDigest};
-use qic_sweep::json::{check_envelope, get, record, Field, Json, JsonError};
+use qic_sweep::json::{check_envelope, get, quote, record, Field, Json, JsonError};
 use qic_sweep::CampaignReport;
 
 /// The record-envelope version this build reads and writes. Bump on
@@ -215,7 +215,7 @@ impl CacheDir {
                     "digest field does not match the embedded identity".into(),
                 ))
             }
-            None => return Err(corrupt(format!("unparsable digest {claimed:?}"))),
+            None => return Err(corrupt(format!("unparsable digest {}", quote(claimed)))),
         }
         // A self-consistent record can still be the *wrong* record: the
         // file name collided or was renamed onto this digest.

@@ -46,7 +46,7 @@ use std::io::{BufRead, Read, Write};
 use std::path::Path;
 
 use qic_core::scenario::{ScenarioRegistry, ScenarioScale, ScenarioSpec};
-use qic_sweep::json::{check_fields, get, get_opt, obj, Json, JsonError};
+use qic_sweep::json::{check_fields, get, get_opt, obj, quote, Json, JsonError};
 
 use crate::job::{JobId, JobState};
 use crate::service::{ServeError, ServeHandle};
@@ -160,7 +160,8 @@ fn request_of(line: &str) -> Result<Request, JsonError> {
                             "small" => ScenarioScale::SmallTest,
                             other => {
                                 return Err(Json::schema_err(format!(
-                                    "scale {other:?} (want \"full\" or \"small\")"
+                                    "scale {} (want \"full\" or \"small\")",
+                                    quote(other)
                                 )))
                             }
                         },
@@ -168,7 +169,9 @@ fn request_of(line: &str) -> Result<Request, JsonError> {
                     };
                     ScenarioRegistry::builtin()
                         .spec(preset, scale)
-                        .ok_or_else(|| Json::schema_err(format!("unknown preset {preset:?}")))?
+                        .ok_or_else(|| {
+                            Json::schema_err(format!("unknown preset {}", quote(preset)))
+                        })?
                 }
             };
             Ok(Request::Submit(Box::new(spec)))
@@ -178,7 +181,7 @@ fn request_of(line: &str) -> Result<Request, JsonError> {
         "cancel" => Ok(Request::Cancel(job_of("cancel")?)),
         "metrics" => check_fields(fields, &["op"], "metrics").map(|()| Request::Metrics),
         "shutdown" => check_fields(fields, &["op"], "shutdown").map(|()| Request::Shutdown),
-        other => Err(Json::schema_err(format!("unknown op {other:?}"))),
+        other => Err(Json::schema_err(format!("unknown op {}", quote(other)))),
     }
 }
 

@@ -472,6 +472,44 @@ fn jsonl_front_end_rejects_unknown_request_fields() {
 }
 
 #[test]
+fn jsonl_front_end_errors_name_the_kind_not_the_value() {
+    let serve = Serve::start(ServeConfig::default());
+    let handle = serve.handle();
+    let submit = |field: &str, value: Json| {
+        obj(vec![("op", Json::Str("submit".into())), (field, value)]).emit()
+    };
+    // A `spec` field holding an object (with a 100k-element array inside)
+    // where the spec's JSON text belongs, a long unknown preset and a
+    // long unknown op: each answer names the problem, not the input.
+    let spec_object = submit(
+        "spec",
+        obj(vec![("axes", Json::Arr(vec![Json::Int(7); 100_000]))]),
+    );
+    let long_preset = submit("preset", Json::Str("p".repeat(100_000)));
+    let long_op = obj(vec![("op", Json::Str("o".repeat(100_000)))]).emit();
+    let script = format!("{spec_object}\n{long_preset}\n{long_op}\n{{\"op\": \"shutdown\"}}\n");
+    let mut output = Vec::new();
+    serve_lines(&handle, Cursor::new(script), &mut output, None).expect("session runs");
+    serve.shutdown();
+    let text = String::from_utf8(output).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 4, "one answer per line: {text:.600}");
+    let expected = [
+        "spec: expected a string, got an object",
+        "unknown preset \\\"pppp",
+        "unknown op \\\"oooo",
+    ];
+    for (line, message) in lines.iter().zip(expected) {
+        assert!(
+            line.contains("\"error\": \"bad_request\"") && line.contains(message),
+            "{line:.600}"
+        );
+        assert!(line.len() < 200, "{line:.600}");
+    }
+    assert_eq!(lines[3], "{\"event\": \"bye\"}");
+}
+
+#[test]
 fn jsonl_front_end_skips_over_long_and_non_utf8_lines() {
     let serve = Serve::start(ServeConfig::default());
     let handle = serve.handle();

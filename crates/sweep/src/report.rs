@@ -449,7 +449,8 @@ impl Field for AxisValue {
                 )?))
             }
             other => Err(Json::schema_err(format!(
-                "{ctx}: expected an axis value, got {other:?}"
+                "{ctx}: expected an axis value, got {}",
+                other.kind()
             ))),
         }
     }

@@ -5,8 +5,8 @@
 //! routing; this scenario asks the question it could not: what does the
 //! same workload cost on a wrap-around torus or a binary hypercube? It
 //! prints the static fabric metadata (the README comparison table), runs
-//! the `topology × routing` scenario (`faceoff_spec`, registered as
-//! `topology_faceoff`) through `qic::run` on 4 workers, re-runs it on 1
+//! the `topology × routing` scenario (the `topology_faceoff` registry
+//! preset) through `qic::run` on 4 workers, re-runs it on 1
 //! worker to prove the report is byte-identical, and closes with the
 //! analytic chained-teleport latency at each fabric's diameter.
 //!
@@ -40,7 +40,9 @@ fn main() {
     }
 
     // --- the scenario: topology × routing, QFT-64, Home-Base ----------
-    let spec = faceoff_spec(FaceoffScale::Full);
+    let spec = ScenarioRegistry::builtin()
+        .spec("topology_faceoff", ScenarioScale::Full)
+        .expect("registered");
     let parallel = qic::run(&spec.clone().with_workers(4))
         .expect("faceoff presets validate")
         .report;

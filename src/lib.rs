@@ -22,7 +22,7 @@
 //! | [`fault`] | `qic-fault` | deterministic fault injection: declarative `FaultPlan`s compiled into `DegradedFabric` wrappers (dead links/nodes/modules, degraded pools, hot spots) |
 //! | [`modular`] | `qic-modular` | hierarchical multi-module fabrics: K on-module fabrics joined by an optical-switch or fat-tree tier with per-tier link parameters |
 //! | [`workload`] | `qic-workload` | QFT / modular-arithmetic instruction streams |
-//! | [`core`] | `qic-core` | machine builder, layouts, logical scheduler, the Scenario API (spec/registry/[`run`]) |
+//! | [`core`] | `qic-core` | layouts, logical scheduler, the Scenario API (spec/registry/[`run`]) |
 //! | [`sweep`] | `qic-sweep` | parallel campaign engine: declarative parameter sweeps, deterministic seeding, CSV/JSON reports |
 //! | [`probe`] | `qic-probe` | zero-cost structured tracing: per-resource time series, JSONL event logs, Chrome-trace (Perfetto) export |
 //! | [`serve`] | `qic-serve` | scenario service: shared executor, content-addressed result cache, streaming JSONL job API |

@@ -1,44 +1,31 @@
 //! Serial-vs-parallel campaign determinism over the real simulator:
-//! the same campaign run with 1 and with 4 worker threads must produce
-//! byte-identical `CampaignReport` JSON (and CSV, and an equal report
-//! value), with replicate seeds flowing into the simulator.
+//! the same scenario run with 1 and with 4 worker threads must produce
+//! byte-identical report JSON (and CSV, and an equal report value),
+//! with replicate seeds flowing into the simulator.
 
-use qic::net::config::NetConfig;
 use qic::prelude::*;
 
-fn campaign() -> Campaign {
-    let space = ParamSpace::new()
-        .axis(Axis::ints("mesh", [4, 5]))
-        .axis(Axis::ints("depth", [1, 2]))
-        .axis(Axis::ints("units", [2, 4]));
-    Campaign::new("determinism", space).seed(7).replicates(2)
+fn spec() -> ScenarioSpec {
+    ScenarioSpec::machine(
+        "determinism",
+        MachineSpec::preset(NetPreset::SmallTest),
+        WorkloadSpec::Qft { qubits: 8 },
+    )
+    .with_seed(7)
+    .with_replicates(2)
+    .with_axis(ScenarioAxis::GridEdges { edges: vec![4, 5] })
+    .with_axis(ScenarioAxis::PurifyDepths { depths: vec![1, 2] })
+    .with_axis(ScenarioAxis::Units { units: vec![2, 4] })
 }
 
-fn evaluate(point: &SweepPoint<'_>, ctx: RunCtx) -> Metrics {
-    let mesh = point.i64("mesh") as u16;
-    let mut b = Machine::builder();
-    b.net_config(NetConfig::small_test())
-        .grid(mesh, mesh)
-        .purify_depth(point.u32("depth"))
-        .resources(point.u32("units"), point.u32("units"), point.u32("units"))
-        .seed(ctx.seed);
-    let machine = b.build().expect("sweep configs validate");
-    machine.run(&Program::qft(8)).net.metrics()
-}
-
-/// Runs `campaign` on a per-call pool to completion.
-fn run(campaign: Campaign) -> CampaignReport {
-    campaign
-        .run(&RunOptions::default(), evaluate)
-        .expect("no checkpoint to fail")
-        .complete()
-        .expect("run completes")
+fn run(workers: usize) -> ScenarioReport {
+    qic::run(&spec().with_workers(workers)).expect("sweep configs validate")
 }
 
 #[test]
 fn serial_and_parallel_runs_are_byte_identical() {
-    let serial = run(campaign().workers(1));
-    let parallel = run(campaign().workers(4));
+    let serial = run(1).report;
+    let parallel = run(4).report;
     assert_eq!(serial, parallel, "reports must be value-identical");
     assert_eq!(
         serial.to_json(),
@@ -54,7 +41,7 @@ fn serial_and_parallel_runs_are_byte_identical() {
 
 #[test]
 fn replicates_carry_derived_seeds_into_the_simulator() {
-    let report = run(campaign().workers(4));
+    let report = run(4).report;
     assert_eq!(report.points.len(), 8);
     for point in &report.points {
         assert_eq!(point.replicates.len(), 2);

@@ -6,7 +6,6 @@ use qic::prelude::*;
 use qic_analytic::plan::ChannelModel;
 use qic_analytic::strategy::PurifyPlacement as AnalyticPlacement;
 use qic_physics::bell::BellDiagonal;
-use qic_workload::Program;
 
 /// `examples/quickstart.rs`: ballistic error sweep, then a 20-hop channel
 /// plan that must clear the fault-tolerance threshold.
@@ -94,7 +93,9 @@ fn topology_faceoff_path() {
     assert!(torus.avg_distance() > cube.avg_distance());
 
     // The scenario itself, byte-identical across worker counts.
-    let spec = faceoff_spec(FaceoffScale::Tiny);
+    let spec = ScenarioRegistry::builtin()
+        .spec("topology_faceoff", ScenarioScale::SmallTest)
+        .expect("registered");
     let parallel = qic::run(&spec.clone().with_workers(4))
         .expect("validates")
         .report;
@@ -191,32 +192,37 @@ fn serve_path() {
     assert_eq!(out.lines().last(), Some("{\"event\": \"bye\"}"));
 }
 
-/// `examples/shor_pipeline.rs`: all four Shor phases complete on a 6×6
-/// machine under both layouts.
+/// `examples/shor_pipeline.rs`: the `shor_kernel` preset through
+/// `qic::run`; every layout × workload point the example looks up
+/// exists and did work.
 #[test]
 fn shor_pipeline_path() {
-    let n = 4u32;
-    let phases: [(&str, Program); 4] = [
-        ("QFT", Program::qft(2 * n)),
-        ("MM", Program::modular_multiplication(n)),
-        ("ME", Program::modular_exponentiation(n, 1)),
-        ("Shor", Program::shor_kernel(n, 1)),
-    ];
+    let spec = ScenarioRegistry::builtin()
+        .spec("shor_kernel", ScenarioScale::SmallTest)
+        .expect("registered");
+    let report = qic::run(&spec).expect("registry specs validate");
+    let workloads: Vec<WorkloadSpec> = spec
+        .axes
+        .iter()
+        .find_map(|axis| match axis {
+            ScenarioAxis::Workloads { workloads } => Some(workloads.clone()),
+            _ => None,
+        })
+        .expect("shor_kernel sweeps workloads");
+    assert_eq!(workloads.len(), 4, "QFT, MM, ME and the composed kernel");
     for layout in Layout::ALL {
-        let mut b = Machine::builder();
-        b.grid(6, 6)
-            .resources(12, 12, 6)
-            .outputs_per_comm(2)
-            .purify_depth(1)
-            .layout(layout);
-        let machine = b.build().expect("6x6 machine is valid");
-        for (name, program) in &phases {
-            let report = machine.run(program);
-            assert_eq!(
-                report.instructions as usize,
-                program.len(),
-                "{layout}/{name}: all instructions retire"
-            );
+        for workload in &workloads {
+            let point = report
+                .report
+                .points
+                .iter()
+                .find(|p| {
+                    p.param("layout").as_text() == Some(&layout.to_string())
+                        && p.param("workload").as_text() == Some(&workload.label())
+                })
+                .unwrap_or_else(|| panic!("point layout={layout} workload={}", workload.label()));
+            assert!(point.mean("makespan_us").unwrap() > 0.0);
+            assert!(point.mean("comms_completed").unwrap() > 0.0);
         }
     }
 }

@@ -17,7 +17,7 @@ use qic::analytic::crossover;
 use qic::analytic::figures::{self, Series};
 use qic::analytic::plan::ChannelModel;
 use qic::core::experiment::{figure16_from_campaign, Fig16Point, Fig16Result, Fig16Scale};
-use qic::core::scenario::fig16_spec;
+use qic::core::scenario::{fig16_spec, ScenarioRegistry, ScenarioScale};
 use qic::physics::constants::{LEVEL2_STEANE_QUBITS, THRESHOLD_ERROR};
 use qic::physics::error::ErrorRates;
 use qic::physics::optime::OpTimes;
@@ -120,6 +120,16 @@ fn assert_ledger(rows: &[Row]) {
     );
 }
 
+/// The Figure 10–12 series: the named registry preset at `Full`, run
+/// through `qic::run`, one series per purification placement.
+fn preset_series(name: &str) -> Vec<Series> {
+    let spec = ScenarioRegistry::builtin()
+        .spec(name, ScenarioScale::Full)
+        .expect("registered");
+    let report = qic::run(&spec).expect("preset validates");
+    figures::placement_series_of(&report.report, "pairs")
+}
+
 /// The `y` of the point at `x` on the series whose label contains `frag`.
 fn y_at(series: &[Series], frag: &str, x: f64) -> f64 {
     series
@@ -163,8 +173,8 @@ fn analytic_rows() -> Vec<Row> {
         .and_then(|s| s.points.iter().find(|p| p.1 > THRESHOLD_ERROR))
         .map_or(f64::NAN, |p| p.0);
     // Figs. 10–11: total and teleported pairs per placement.
-    let fig10 = figures::placement_series_of(&figures::figure10_campaign(&model, 60), "pairs");
-    let fig11 = figures::figure11(&model, 60);
+    let fig10 = preset_series("fig10");
+    let fig11 = preset_series("fig11");
     // §5.3: the longest dimension-order path on the 16×16 grid, 30 hops.
     let plan = model.plan(30).expect("feasible channel");
     let crossover = crossover::crossover_cells(&t).expect("crossover exists") as f64;
@@ -202,7 +212,7 @@ fn analytic_rows() -> Vec<Row> {
         value("§5.3", "pairs per logical communication", 392.0, 1.25, plan.pairs_per_logical_comm(LEVEL2_STEANE_QUBITS)),
     ];
     // Fig. 12: every placement breaks down near a 1e-5 op error rate.
-    let fig12 = figures::placement_series_of(&figures::figure12_campaign(16, 4), "pairs");
+    let fig12 = preset_series("fig12");
     rows.extend(fig12.iter().map(|s| {
         let claim = format!(
             "breakdown error rate [{}]",

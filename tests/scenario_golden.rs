@@ -2,9 +2,8 @@
 //! figure campaigns **byte for byte**.
 //!
 //! The files under `tests/golden/` were captured from the legacy
-//! per-figure functions (`figure10_campaign`, `figure12_campaign`,
-//! `figure16_campaign`, `topology_faceoff_campaign`) immediately before
-//! the redesign. Any drift in the new path — campaign identity, axis
+//! per-figure campaign functions (Figures 10, 12 and 16 and the
+//! topology faceoff) immediately before the redesign. Any drift in the new path — campaign identity, axis
 //! values, per-point evaluation, emitter formatting — fails here.
 //!
 //! The `*_small` files pin the modular and degraded presets at
@@ -13,8 +12,8 @@
 //! fabric build that changed a distance, a port order or a cost column
 //! would move their bytes.
 
-use qic::core::experiment::{FaceoffScale, Fig16Scale};
-use qic::core::scenario::{faceoff_spec, fig16_spec, ScenarioRegistry, ScenarioScale};
+use qic::core::experiment::Fig16Scale;
+use qic::core::scenario::{fig16_spec, ScenarioRegistry, ScenarioScale};
 use qic::ScenarioReport;
 
 fn golden(name: &str) -> String {
@@ -60,7 +59,10 @@ fn fig16_is_byte_identical_to_the_legacy_campaign() {
 
 #[test]
 fn faceoff_is_byte_identical_to_the_legacy_campaign() {
-    let report = qic::run(&faceoff_spec(FaceoffScale::Tiny)).expect("preset validates");
+    let spec = ScenarioRegistry::builtin()
+        .spec("topology_faceoff", ScenarioScale::SmallTest)
+        .expect("registered");
+    let report = qic::run(&spec).expect("preset validates");
     assert_matches_golden(&report, "faceoff_tiny");
 }
 

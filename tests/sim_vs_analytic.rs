@@ -50,34 +50,38 @@ fn uncontended_latency_is_near_the_analytic_setup_latency() {
     );
 }
 
+/// A 4×4 paper-scale machine with the given resources.
+fn four_by_four(t: u32, g: u32, p: u32) -> MachineSpec {
+    MachineSpec::preset(NetPreset::Paper)
+        .with_grid(4, 4)
+        .with_resources(t, g, p)
+}
+
 #[test]
 fn whole_stack_is_deterministic() {
-    let run = || {
-        let mut b = Machine::builder();
-        b.grid(4, 4)
-            .resources(6, 6, 3)
-            .outputs_per_comm(3)
-            .purify_depth(2)
-            .seed(99);
-        b.build()
-            .expect("valid")
-            .run(&qic_workload::Program::qft(12))
-    };
-    let a = run();
-    let b = run();
+    let spec = ScenarioSpec::machine(
+        "deterministic",
+        four_by_four(6, 6, 3)
+            .with_outputs_per_comm(3)
+            .with_purify_depth(2),
+        WorkloadSpec::Qft { qubits: 12 },
+    )
+    .with_seed(99);
+    let a = qic::run(&spec).expect("valid");
+    let b = qic::run(&spec).expect("valid");
     assert_eq!(a, b);
+    assert_eq!(a.to_json(), b.to_json());
 }
 
 #[test]
 fn starving_any_resource_slows_the_machine() {
-    let program = qic_workload::Program::qft(12);
     let run = |t: u32, g: u32, p: u32| {
-        let mut b = Machine::builder();
-        b.grid(4, 4)
-            .resources(t, g, p)
-            .outputs_per_comm(7)
-            .purify_depth(3);
-        b.build().expect("valid").run(&program).makespan
+        let machine = four_by_four(t, g, p)
+            .with_outputs_per_comm(7)
+            .with_purify_depth(3);
+        let spec = ScenarioSpec::machine("starve", machine, WorkloadSpec::Qft { qubits: 12 });
+        let report = qic::run(&spec).expect("valid");
+        report.report.points[0].mean("makespan_us").unwrap()
     };
     let rich = run(32, 32, 16);
     assert!(run(2, 32, 16) > rich, "teleporter starvation");
